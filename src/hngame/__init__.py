@@ -24,7 +24,6 @@ from .completion import (
     check_universal_property,
     dedekind_macneille,
     dm_closure,
-    extended_rational_lattice,
     lower_bounds,
     upper_bounds,
 )
@@ -79,13 +78,10 @@ from .order import (
     Interval,
     as_bounded_lattice,
     build_poset,
-    interval,
     is_modular,
-    lex_finset_order,
     linear_extension,
-    total_interval,
 )
-from .slopes import PotentialData, RankDegreeData, quotient_payoff, verify_slope_like
+from .slopes import PotentialData, RankDegreeData, quotient_payoff
 from .values import (
     ExtendedRationals,
     FiniteChain,

@@ -17,7 +17,7 @@ from math import gcd
 from .errors import TooLarge, TrivialModule
 from .filtration import canonical_hn_filtration
 from .game import Game, interval_semistable, is_semistable
-from .order import BoundedLattice, FinitePoset, as_bounded_lattice
+from .order import BoundedLattice, FinitePoset, as_bounded_lattice, iter_chains
 from .values import PrimeFinsets
 
 MAX_GROUP_ORDER = 200
@@ -55,9 +55,6 @@ class FiniteAbelianGroup:
     def add(self, a, b):
         return tuple((x + y) % k for x, y, k in zip(a, b, self.cyclic_orders))
 
-    def neg(self, a):
-        return tuple((-x) % k for x, k in zip(a, self.cyclic_orders))
-
     def element_order(self, a):
         out = 1
         for x, k in zip(a, self.cyclic_orders):
@@ -67,9 +64,6 @@ class FiniteAbelianGroup:
 
     def element_key(self, a):
         return a
-
-    def describe(self):
-        return " x ".join(f"Z/{k}" for k in self.cyclic_orders)
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.cyclic_orders)!r})"
@@ -316,33 +310,32 @@ def coprimary_filtration(group, max_order=MAX_GROUP_ORDER):
 
 def enumerate_coprimary_filtrations(sl):
     """All chains 0 = N_0 < ... < N_n = G whose quotients are coprimary with
-    strictly decreasing primes.
+    strictly decreasing primes, each with its step primes.
 
-    The descent prunes by the defining conditions themselves, so the result
+    The search prunes by the defining conditions themselves, so the result
     is exactly the set of coprimary filtrations; the uniqueness statement
-    says it is a singleton.
+    says it is a singleton.  Each pair's quotient is built at most once.
     """
     l = sl.lattice
-    out = []
+    prime = {}
 
-    def extend(chain, primes):
-        cur = chain[-1]
-        if cur == l.top:
-            out.append((tuple(chain), tuple(primes)))
-            return
-        for nxt in range(l.n):
-            if not l.lt(cur, nxt):
-                continue
-            ass = associated_primes(sl.quotient(nxt, cur))
-            if len(ass) != 1:
-                continue
-            p = min(ass)
-            if primes and not primes[-1] > p:
-                continue
-            extend(chain + [nxt], primes + [p])
+    def step_prime(lo, hi):
+        """The single associated prime of hi/lo, or None if not coprimary."""
+        if (lo, hi) not in prime:
+            ass = associated_primes(sl.quotient(hi, lo))
+            prime[(lo, hi)] = min(ass) if len(ass) == 1 else None
+        return prime[(lo, hi)]
 
-    extend([l.bot], [])
-    return out
+    def step_ok(chain, nxt):
+        p = step_prime(chain[-1], nxt)
+        return p is not None and (
+            len(chain) == 1 or prime[(chain[-2], chain[-1])] > p
+        )
+
+    return [
+        (steps, tuple(prime[step] for step in zip(steps, steps[1:])))
+        for steps in iter_chains(l, l.bot, l.top, step_ok)
+    ]
 
 
 def semistable_restriction_check(group, max_subgroups=MAX_RESTRICTION_SUBGROUPS):
@@ -368,17 +361,13 @@ def iter_invariant_factor_groups(max_order, max_factors=3):
     invariant factors d_1 | d_2 | ..., one representative per isomorphism
     class."""
     out = []
-
-    def extend(factors, product):
-        if factors:
-            out.append(tuple(factors))
+    stack = [((), 1)]
+    while stack:
+        factors, product = stack.pop()
         if len(factors) == max_factors:
-            return
-        d = factors[-1] if factors else 2
-        while product * d <= max_order:
-            if not factors or d % factors[-1] == 0:
-                extend(factors + [d], product * d)
-            d += 1
-
-    extend([], 1)
+            continue
+        step = factors[-1] if factors else 1
+        for d in range(max(step, 2), max_order // product + 1, step):
+            out.append(factors + (d,))
+            stack.append((factors + (d,), product * d))
     return [FiniteAbelianGroup(f) for f in sorted(out)]

@@ -142,8 +142,7 @@ def cmd_hn(args):
 
 def cmd_hn_enumerate(args):
     game, name = _load_game(args)
-    guard = args.max_size or MAX_ENUMERATION_ELEMENTS
-    found = enumerate_hn_filtrations(game, max_elements=guard)
+    found = enumerate_hn_filtrations(game, max_elements=args.max_size)
     canonical = None
     if is_convex(game):
         canonical = canonical_hn_filtration(game).filtration
@@ -172,9 +171,7 @@ def cmd_jh(args):
     stability = piecewise_stability(game, filtration)
     lengths = None
     if is_modular(game.lattice) and is_affine(game):
-        survey = jh_lengths_equal(
-            game, max_elements=args.max_size or MAX_ENUMERATION_ELEMENTS
-        )
+        survey = jh_lengths_equal(game, max_elements=args.max_size)
         lengths = {
             "equal": survey.equal,
             "lengths": sorted(survey.lengths),
@@ -201,9 +198,7 @@ def cmd_dm(args):
     kind, obj, name = hio.parse_document(_read_input(args))
     if kind != "poset":
         raise HNGameError("dm needs a poset document")
-    completion = dedekind_macneille(
-        obj, max_elements=args.max_size or MAX_COMPLETION_ELEMENTS
-    )
+    completion = dedekind_macneille(obj, max_elements=args.max_size)
     witness = check_universal_property(
         completion,
         completion.as_lattice(),
@@ -230,10 +225,10 @@ def cmd_dm(args):
 
 
 def cmd_coprimary(args):
+    if any(k < 2 for k in args.orders):
+        raise HNGameError("--orders: cyclic orders must all be at least 2")
     group = FiniteAbelianGroup(args.orders)
-    report = coprimary_filtration(
-        group, max_order=args.max_size or MAX_GROUP_ORDER
-    )
+    report = coprimary_filtration(group, max_order=args.max_size)
     payload = {
         "command": "coprimary",
         "group": list(group.cyclic_orders),
@@ -273,12 +268,14 @@ def cmd_export_dot(args):
 
 
 def cmd_selfcheck(args):
+    if args.max_size < 2:
+        raise HNGameError("--max-size: random lattices need at least 2 elements")
     rng = random.Random(args.seed)
     trials = args.trials
     all_slope_like = True
     no_violations = True
     for _ in range(trials):
-        g = random_quotient_game(rng, max_elements=args.max_size or 8)
+        g = random_quotient_game(rng, max_elements=args.max_size)
         if not is_slope_like(g):
             all_slope_like = False
         l = g.lattice
@@ -309,23 +306,38 @@ def cmd_selfcheck(args):
     return OK if payload["valid"] else PROPERTY_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors instead of exiting."""
+
+    def error(self, message):
+        raise HNGameError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hngame",
         description="Harder-Narasimhan games on finite bounded lattices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The commands with a size guard, and the guard each one defaults to.
+    guards = {
+        "hn-enumerate": MAX_ENUMERATION_ELEMENTS,
+        "jh": MAX_ENUMERATION_ELEMENTS,
+        "dm": MAX_COMPLETION_ELEMENTS,
+        "coprimary": MAX_GROUP_ORDER,
+        "selfcheck": 8,
+    }
 
     def add(name, fn, needs_input=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         if needs_input:
             p.add_argument("--input", required=True, help="document path or '-'")
         p.add_argument("--output", help="write the JSON report here")
-        p.add_argument(
-            "--max-size", type=int, default=None,
-            help="override the command's brute-force size guard",
-        )
-        p.add_argument("--seed", type=int, default=0, help="randomized sweep seed")
+        if name in guards:
+            p.add_argument(
+                "--max-size", type=int, default=guards[name],
+                help=f"the command's size guard (default {guards[name]})",
+            )
         p.set_defaults(handler=fn)
         return p
 
@@ -347,13 +359,13 @@ def build_parser():
     p = add("selfcheck", cmd_selfcheck, needs_input=False,
             help="randomized and small exhaustive property sweeps")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="randomized sweep seed")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (PreconditionFailed, TheoremViolation) as exc:
         print(f"property failure: {exc}", file=sys.stderr)

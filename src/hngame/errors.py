@@ -76,6 +76,10 @@ class AdditivityViolation(HNGameError):
         super().__init__(f"{table} not additive on the chain {x} < {y} < {z}")
 
 
+class NegativeRank(HNGameError, ValueError):
+    """A rank table or rank potential gives some pair a negative rank."""
+
+
 class ZeroRankNonpositiveDegree(HNGameError):
     """A pair has rank zero but non-positive degree."""
 

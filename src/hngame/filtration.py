@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    EmptySt,
-    MalformedFiltration,
-    NoGreatest,
-    PreconditionFailed,
-    TooLarge,
-)
+from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
 from .game import interval_semistable, is_convex
-from .order import _iter_bits
+from .order import _iter_bits, check_chain, iter_chains
 
 MAX_ENUMERATION_ELEMENTS = 16
 
@@ -153,30 +147,14 @@ def canonical_hn_filtration(g):
     return validate_hn(g, steps)
 
 
-def _as_steps(g, f):
-    steps = tuple(f.steps if isinstance(f, Filtration) else f)
-    l = g.lattice
-    if len(steps) < 2:
-        raise MalformedFiltration("a filtration has at least two steps")
-    if steps[0] != l.bot:
-        raise MalformedFiltration("filtration must start at bot")
-    if steps[-1] != l.top:
-        raise MalformedFiltration("filtration must end at top")
-    for a, b in zip(steps, steps[1:]):
-        if not l.lt(a, b):
-            raise MalformedFiltration(
-                f"steps {l.names[a]!r}, {l.names[b]!r} do not strictly increase"
-            )
-    return steps
-
-
 def validate_hn(g, f):
     """Check the two filtration conditions and report per step.
 
     Condition one: the restriction to every [a_i, a_{i+1}] is semistable.
     Condition two: consecutive mu_a values satisfy not(mu_a_i <= mu_a_{i+1}).
     """
-    steps = _as_steps(g, f)
+    l = g.lattice
+    steps = check_chain(l, f, l.bot, l.top)
     t = g.tables()
     mu_steps = tuple(t.mu_a[(a, b)] for a, b in zip(steps, steps[1:]))
     piecewise = tuple(
@@ -198,7 +176,9 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
     """All strict bot-to-top chains passing validation, by exhaustive search.
 
     This is the uniqueness oracle: with total values and a convex payoff it
-    must return exactly one chain, the canonical one.
+    must return exactly one chain, the canonical one.  Both conditions of
+    :func:`validate_hn` are local to a step (and its predecessor), so the
+    search prunes a chain at its first failing step.
     """
     l = g.lattice
     if l.n > max_elements:
@@ -206,20 +186,16 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
             f"lattice has {l.n} elements; guard is {max_elements} "
             "(raise max_elements to override)"
         )
-    out = []
-    chain = [l.bot]
+    mu_a = g.tables().mu_a
+    leq = g.values.leq
 
-    def descend():
-        cur = chain[-1]
-        if cur == l.top:
-            report = validate_hn(g, tuple(chain))
-            if report.valid:
-                out.append(report.filtration)
-            return
-        for nxt in _iter_bits(l.poset.up[cur] & ~(1 << cur)):
-            chain.append(nxt)
-            descend()
-            chain.pop()
+    def step_ok(chain, nxt):
+        lo = chain[-1]
+        if len(chain) > 1 and leq(mu_a[(chain[-2], lo)], mu_a[(lo, nxt)]):
+            return False
+        return interval_semistable(g, lo, nxt)
 
-    descend()
-    return out
+    return [
+        validate_hn(g, chain).filtration
+        for chain in iter_chains(l, l.bot, l.top, step_ok)
+    ]

@@ -41,7 +41,7 @@ INCREASING, DECREASING, FLAT, VIOLATION = (
 class Game:
     """A payoff function on the strict pairs of a bounded lattice."""
 
-    __slots__ = ("lattice", "values", "payoff", "_tables")
+    __slots__ = ("lattice", "values", "payoff", "_tables", "_slope_like")
 
     def __init__(self, lattice, values, payoff):
         pairs = lattice.strict_pairs()
@@ -59,6 +59,7 @@ class Game:
         self.values = values
         self.payoff = dict(payoff)
         self._tables = None
+        self._slope_like = None
 
     @classmethod
     def _trusted(cls, lattice, values, payoff):
@@ -68,6 +69,7 @@ class Game:
         g.values = values
         g.payoff = payoff
         g._tables = None
+        g._slope_like = None
         return g
 
     def mu(self, x, y):
@@ -326,7 +328,15 @@ def is_slope_like(g):
       (2) mu(x,y) <  mu(x,z)  or  mu(y,z) <= mu(x,z)
       (3) mu(x,z) <  mu(x,y)  or  mu(x,z) <= mu(y,z)
       (4) mu(x,z) <= mu(x,y)  or  mu(x,z) <  mu(y,z)
+
+    The verdict is cached on the game, like its tables.
     """
+    if g._slope_like is None:
+        g._slope_like = _scan_slope_like(g)
+    return g._slope_like
+
+
+def _scan_slope_like(g):
     pairs, triples = _chain_triples(g.lattice)
     vals = [g.payoff[p] for p in pairs]
     leq, lt = g.values.leq, g.values.lt
@@ -455,29 +465,3 @@ def compress_antitone(lattice, seq, pred=None):
         if b == lattice.bot:
             break
     return out
-
-
-# Chain-condition attestations.  Every finite poset is well-founded in both
-# directions: there is no infinite strictly monotone sequence to quantify
-# over, so the chain-condition hypotheses of the main theorems hold for every
-# game in this library.  They are exposed so that call sites can name the
-# hypothesis they rely on.
-
-def mu_a_descending_chain_condition(g):
-    """Vacuously true: finite lattices carry no infinite descending chains."""
-    return True
-
-
-def strong_descending_chain_condition(g):
-    """Vacuously true on finite lattices."""
-    return True
-
-
-def stronger_descending_chain_condition(g):
-    """Vacuously true on finite lattices."""
-    return True
-
-
-def weak_ascending_chain_condition(g):
-    """Vacuously true: finite lattices carry no infinite ascending chains."""
-    return True

@@ -54,6 +54,13 @@ def parse_rational(s, where="value"):
         raise SchemaError(f"malformed rational literal {s!r}", field=where) from None
 
 
+def _parse_potential(s, where):
+    v = parse_rational(s, where)
+    if v in (POS_INF, NEG_INF):
+        raise SchemaError("potentials are finite rationals", field=where)
+    return v
+
+
 def _require(doc, key, typ, where):
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", field=where)
@@ -72,6 +79,13 @@ def _require(doc, key, typ, where):
 
 def _load_order_section(section, where):
     elements = _require(section, "elements", list, where)
+    field = f"{where}.elements"
+    if not elements:
+        raise SchemaError("an order needs at least one element", field=field)
+    if not all(isinstance(label, (str, int)) for label in elements):
+        raise SchemaError("element labels are strings or integers", field=field)
+    if len(set(elements)) != len(elements):
+        raise SchemaError("element labels must be distinct", field=field)
     if "covers" in section and "relation" in section:
         raise SchemaError(
             "give either 'covers' or 'relation', not both", field=where
@@ -83,9 +97,14 @@ def _load_order_section(section, where):
         raise SchemaError("'covers'/'relation' must be a list", field=where)
     cleaned = []
     for k, entry in enumerate(pairs):
-        if not (isinstance(entry, list) and len(entry) == 2):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(label, (str, int)) for label in entry)
+        ):
             raise SchemaError(
-                "relation entries are two-element lists", field=f"{where}[{k}]"
+                "relation entries are two-element lists of labels",
+                field=f"{where}[{k}]",
             )
         cleaned.append((entry[0], entry[1]))
     return build_poset(elements, cleaned)
@@ -102,6 +121,8 @@ def _load_values_section(section, where):
         primes = _require(section, "primes", list, where)
         if not all(isinstance(p, int) and p >= 2 for p in primes):
             raise SchemaError("primes must be integers >= 2", field=f"{where}.primes")
+        if len(set(primes)) != len(primes):
+            raise SchemaError("primes must be distinct", field=f"{where}.primes")
         return PrimeFinsets(primes)
     raise SchemaError(f"unknown value kind {kind!r}", field=f"{where}.kind")
 
@@ -109,13 +130,14 @@ def _load_values_section(section, where):
 def _decode_value(values, raw, where):
     if values.kind == "extended_rational":
         return parse_rational(raw, where)
+    value = raw
     if values.kind == "prime_finsets":
         if not (isinstance(raw, list) and all(isinstance(p, int) for p in raw)):
             raise SchemaError("prime-set values are lists of ints", field=where)
-        return frozenset(raw)
-    if not values.contains(raw):
+        value = frozenset(raw)
+    if isinstance(value, (list, dict)) or not values.contains(value):
         raise SchemaError(f"{raw!r} is not a declared value", field=where)
-    return raw
+    return value
 
 
 def _encode_value(values, v):
@@ -189,7 +211,7 @@ def parse_document(text):
                 field="payoff",
             )
         orders = _require(payoff_section, "cyclic_orders", list, "payoff")
-        if not all(isinstance(k, int) and k >= 2 for k in orders):
+        if not orders or not all(isinstance(k, int) and k >= 2 for k in orders):
             raise SchemaError(
                 "cyclic orders must be integers >= 2", field="payoff.cyclic_orders"
             )
@@ -207,7 +229,10 @@ def parse_document(text):
         return "game", Game(lattice, values, payoff), name
     if source == "potentials":
         values_section = doc.get("values", {"kind": "extended_rational"})
-        if values_section.get("kind") != "extended_rational":
+        if (
+            not isinstance(values_section, dict)
+            or values_section.get("kind") != "extended_rational"
+        ):
             raise SchemaError(
                 "potential payoffs use extended_rational values", field="values"
             )
@@ -221,8 +246,8 @@ def parse_document(text):
                     f"degree misses element {label!r}", field="payoff.degree"
                 )
         data = PotentialData(
-            {k: parse_rational(v, f"payoff.rank.{k}") for k, v in rank.items()},
-            {k: parse_rational(v, f"payoff.degree.{k}") for k, v in degree.items()},
+            {k: _parse_potential(v, f"payoff.rank.{k}") for k, v in rank.items()},
+            {k: _parse_potential(v, f"payoff.degree.{k}") for k, v in degree.items()},
         )
         return "game", quotient_payoff(lattice, data), name
     raise SchemaError(f"unknown payoff source {source!r}", field="payoff.source")

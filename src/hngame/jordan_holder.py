@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import JHNotFound, MalformedFiltration, PreconditionFailed, TooLarge
+from .errors import JHNotFound, PreconditionFailed, TooLarge
+from .filtration import MAX_ENUMERATION_ELEMENTS
 from .game import interval_stable, is_affine, is_semistable, is_slope_like
-from .order import _iter_bits, is_modular
-
-MAX_ENUMERATION_ELEMENTS = 16
+from .order import _iter_bits, check_chain, is_modular, iter_chains
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,15 @@ def _check_jh_preconditions(g, modular_affine=False):
             raise PreconditionFailed("payoff is affine")
 
 
+def _jh_chains(g):
+    """Top-to-bot chains whose every step passes both step conditions."""
+    l = g.lattice
+    total = _game_value(g)
+    return iter_chains(
+        l, l.top, l.bot, lambda chain, lower: _step_ok(g, lower, chain[-1], total)
+    )
+
+
 def find_jh(g):
     """Find one Jordan-Hölder filtration by backtracking descent from top.
 
@@ -90,49 +98,18 @@ def find_jh(g):
     diagnostic rather than returning silently.
     """
     _check_jh_preconditions(g)
-    l = g.lattice
-    total = _game_value(g)
-    chain = [l.top]
-
-    def descend():
-        upper = chain[-1]
-        if upper == l.bot:
-            return True
-        for lower in _iter_bits(l.poset.down[upper] & ~(1 << upper)):
-            if _step_ok(g, lower, upper, total):
-                chain.append(lower)
-                if descend():
-                    return True
-                chain.pop()
-        return False
-
-    if not descend():
+    steps = next(_jh_chains(g), None)
+    if steps is None:
         raise JHNotFound(
             "no Jordan-Hölder filtration found despite the hypotheses"
         )
-    return JHFiltration(tuple(chain))
-
-
-def _as_steps(g, f):
-    steps = tuple(f.steps if isinstance(f, JHFiltration) else f)
-    l = g.lattice
-    if len(steps) < 2:
-        raise MalformedFiltration("a filtration has at least two steps")
-    if steps[0] != l.top:
-        raise MalformedFiltration("filtration must start at top")
-    if steps[-1] != l.bot:
-        raise MalformedFiltration("filtration must end at bot")
-    for a, b in zip(steps, steps[1:]):
-        if not l.lt(b, a):
-            raise MalformedFiltration(
-                f"steps {l.names[a]!r}, {l.names[b]!r} do not strictly decrease"
-            )
-    return steps
+    return JHFiltration(steps)
 
 
 def validate_jh(g, f):
     """Check both step conditions exhaustively, with per-step diagnostics."""
-    steps = _as_steps(g, f)
+    l = g.lattice
+    steps = check_chain(l, f, l.top, l.bot)
     total = _game_value(g)
     lt = g.values.lt
     cond1, cond2, witness = [], [], []
@@ -140,7 +117,7 @@ def validate_jh(g, f):
         step_value = g.payoff[(lower, upper)]
         cond1.append(step_value == total)
         bad = None
-        for z in _iter_bits(g.lattice.strictly_between(lower, upper)):
+        for z in _iter_bits(l.strictly_between(lower, upper)):
             if not lt(g.payoff[(lower, z)], step_value):
                 bad = z
                 break
@@ -165,7 +142,8 @@ def piecewise_stability(g, f):
         raise PreconditionFailed("value lattice is totally ordered")
     if not is_slope_like(g):
         raise PreconditionFailed("payoff is slope-like")
-    steps = _as_steps(g, f)
+    l = g.lattice
+    steps = check_chain(l, f, l.top, l.bot)
     return tuple(
         interval_stable(g, lower, upper) for upper, lower in zip(steps, steps[1:])
     )
@@ -183,23 +161,7 @@ def enumerate_jh_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
             f"lattice has {l.n} elements; guard is {max_elements} "
             "(raise max_elements to override)"
         )
-    total = _game_value(g)
-    out = []
-    chain = [l.top]
-
-    def descend():
-        upper = chain[-1]
-        if upper == l.bot:
-            out.append(JHFiltration(tuple(chain)))
-            return
-        for lower in _iter_bits(l.poset.down[upper] & ~(1 << upper)):
-            if _step_ok(g, lower, upper, total):
-                chain.append(lower)
-                descend()
-                chain.pop()
-
-    descend()
-    return out
+    return [JHFiltration(steps) for steps in _jh_chains(g)]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import (
     CycleError,
+    MalformedFiltration,
     NoBounds,
     NotALattice,
     NotStrict,
@@ -391,14 +392,63 @@ class Interval:
         return f"Interval[{names[self.lo]!r}, {names[self.hi]!r}]"
 
 
-def interval(l, lo, hi):
-    """The interval ``[lo, hi]`` of ``l``; requires ``lo < hi``."""
-    return Interval(l, lo, hi)
+def iter_chains(lattice, start, stop, step_ok):
+    """Yield, as tuples, the strict chains from ``start`` to ``stop`` whose
+    every step passes ``step_ok(chain, nxt)``.
+
+    A chain takes at least one step, so ``start == stop`` yields nothing.
+    The chains climb when ``start <= stop`` and descend otherwise.  The walk
+    is depth-first and tries successors in increasing element index, so the
+    output order is deterministic; ``chain`` is the list of steps taken so
+    far, ending at the element ``nxt`` would follow.  The pending successors
+    of each level live on an explicit stack, so chain length is not bounded
+    by the interpreter's recursion limit.
+    """
+    up, down = lattice.poset.up, lattice.poset.down
+    ahead, behind = (up, down) if lattice.le(start, stop) else (down, up)
+    reach = behind[stop]
+    chain = [start]
+    pending = [ahead[start] & reach & ~(1 << start)]
+    while pending:
+        mask = pending[-1]
+        if not mask:
+            pending.pop()
+            chain.pop()
+            continue
+        low = mask & -mask
+        pending[-1] = mask ^ low
+        nxt = low.bit_length() - 1
+        if not step_ok(chain, nxt):
+            continue
+        if nxt == stop:
+            yield (*chain, nxt)
+        else:
+            chain.append(nxt)
+            pending.append(ahead[nxt] & reach & ~low)
 
 
-def total_interval(l):
-    """The interval ``[bot, top]``, i.e. the whole lattice."""
-    return Interval(l, l.bot, l.top)
+def check_chain(lattice, f, start, stop):
+    """The steps of ``f`` (a filtration or a sequence of element indices) as
+    a tuple, checked to form a strict chain from ``start`` to ``stop``.
+
+    Raises :class:`MalformedFiltration` naming the first defect.
+    """
+    steps = tuple(getattr(f, "steps", f))
+    names = lattice.names
+    if len(steps) < 2:
+        raise MalformedFiltration("a filtration has at least two steps")
+    if steps[0] != start:
+        raise MalformedFiltration(f"filtration must start at {names[start]!r}")
+    if steps[-1] != stop:
+        raise MalformedFiltration(f"filtration must end at {names[stop]!r}")
+    rising = lattice.le(start, stop)
+    for a, b in zip(steps, steps[1:]):
+        if not (lattice.lt(a, b) if rising else lattice.lt(b, a)):
+            direction = "increase" if rising else "decrease"
+            raise MalformedFiltration(
+                f"steps {names[a]!r}, {names[b]!r} do not strictly {direction}"
+            )
+    return steps
 
 
 def linear_extension(p):
@@ -473,8 +523,3 @@ class FinsetOrder:
 
     def __repr__(self):
         return f"FinsetOrder(base={list(self.base)!r})"
-
-
-def lex_finset_order(base):
-    """The concrete Lex' order on finite subsets of a linearly ordered base."""
-    return FinsetOrder(base)

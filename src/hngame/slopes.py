@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AdditivityViolation, ZeroRankNonpositiveDegree
-from .game import Game, is_slope_like
+from .errors import AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
+from .game import Game
 from .order import _iter_bits
 from .values import POS_INF, ExtendedRationals, as_rational
 
@@ -36,7 +36,7 @@ class RankDegreeData:
         names = lattice.names
         for (x, y), r in rank.items():
             if r < 0:
-                raise ValueError(f"rank({names[x]}, {names[y]}) is negative")
+                raise NegativeRank(f"rank({names[x]}, {names[y]}) is negative")
             if r == 0 and degree[(x, y)] <= 0:
                 raise ZeroRankNonpositiveDegree(names[x], names[y])
         for x, z in pairs:
@@ -67,7 +67,7 @@ class PotentialData:
         for x, y in lattice.strict_pairs():
             rv = r[names[y]] - r[names[x]]
             if rv < 0:
-                raise ValueError(
+                raise NegativeRank(
                     f"rank potential decreases along {names[x]} < {names[y]}"
                 )
             dv = d[names[y]] - d[names[x]]
@@ -92,9 +92,3 @@ def quotient_payoff(lattice, data):
         d = data.degree[pair]
         payoff[pair] = as_rational(d / r) if r > 0 else POS_INF
     return Game(lattice, ExtendedRationals(), payoff)
-
-
-def verify_slope_like(g):
-    """Every valid quotient payoff must pass this; it delegates to the
-    general slope-like predicate."""
-    return is_slope_like(g)

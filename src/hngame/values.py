@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .order import lex_finset_order
+from .order import FinsetOrder
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -210,7 +210,7 @@ class PrimeFinsets(ValueLattice):
     is_total = True
 
     def __init__(self, primes):
-        self.order = lex_finset_order(tuple(sorted(primes)))
+        self.order = FinsetOrder(sorted(primes))
         self.bot = self.order.least
         self.top = self.order.greatest
         self._key = self.order.key

@@ -61,7 +61,7 @@ from hngame.jordan_holder import (
     piecewise_stability,
     validate_jh,
 )
-from hngame.order import _iter_bits, interval, is_modular
+from hngame.order import Interval, _iter_bits, is_modular
 from hngame.sweeps import (
     _canonical_form,
     iter_sweep_games,
@@ -362,7 +362,7 @@ def test_criterion_09_restriction_transparency_and_duality(sweep_lattices):
     t0 = time.time()
     for lattice in sweep_lattices:
         intervals = [
-            (pair, interval(lattice, *pair)) for pair in lattice.strict_pairs()
+            (pair, Interval(lattice, *pair)) for pair in lattice.strict_pairs()
         ]
         prepared = [
             (ival, ival.member_indices(), ival.as_lattice().strict_pairs())

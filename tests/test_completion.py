@@ -8,12 +8,12 @@ from hngame.completion import (
     check_universal_property,
     dedekind_macneille,
     dm_closure,
-    extended_rational_lattice,
     lower_bounds,
     upper_bounds,
 )
 from hngame.errors import NotAnEmbedding, TooLarge
-from hngame.order import build_poset, lex_finset_order
+from hngame.order import FinsetOrder, build_poset
+from hngame.values import ExtendedRationals
 from hngame.sweeps import poset_iso_classes, random_poset
 
 from oracles import closure_oracle, lower_bounds_oracle, upper_bounds_oracle
@@ -92,6 +92,20 @@ def test_galois_connection_law_exhaustive():
                     assert (b & ~au == 0) == (a & ~lowers[b] == 0)
 
 
+def test_dm_closed_sets_are_the_closures_of_all_subsets():
+    # Intersecting down-sets finds exactly the closures of the 2^n subsets,
+    # listed in (popcount, mask) order.
+    rng = random.Random(11)
+    posets = [p for n in range(1, 6) for p in poset_iso_classes(n)]
+    posets += [random_poset(rng, n) for n in (6, 7, 8, 9) for _ in range(3)]
+    for p in posets:
+        literal = {
+            to_mask(closure_oracle(p, from_mask(mask, p))) for mask in range(1 << p.n)
+        }
+        expected = sorted(literal, key=lambda mask: (bin(mask).count("1"), mask))
+        assert dedekind_macneille(p).closed_sets == tuple(expected)
+
+
 def test_dm_of_two_antichain_is_b2():
     p = build_poset(["a", "b"], [])
     c = dedekind_macneille(p)
@@ -140,7 +154,7 @@ def test_dm_of_lex_ordered_subsets_is_itself():
     # The Lex' order on the subsets of a small prime base is total, so its
     # completion adds nothing: this is the finiteness-trivial completion the
     # coprimary value lattice relies on.
-    fo = lex_finset_order([2, 3])
+    fo = FinsetOrder([2, 3])
     ordered = fo.all_subsets()
     names = [",".join(map(str, sorted(s))) or "empty" for s in ordered]
     p = build_poset(names, list(zip(names, names[1:])))
@@ -224,7 +238,7 @@ def test_universal_property_on_random_embeddings():
 
 
 def test_extended_rational_lattice_basics():
-    s = extended_rational_lattice()
+    s = ExtendedRationals()
     assert s.sup([Fraction(1, 2), Fraction(2, 3)]) == Fraction(2, 3)
     assert s.sup([]) == float("-inf")
     assert s.inf([]) == float("inf")

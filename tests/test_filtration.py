@@ -19,7 +19,7 @@ from hngame.filtration import (
     _st_set_on,
 )
 from hngame.game import Game, is_convex, restrict
-from hngame.order import interval
+from hngame.order import Interval
 from hngame.values import ExtendedRationals, FiniteLatticeValues
 
 
@@ -50,7 +50,7 @@ def test_st_set_on_interval_matches_restriction(gmod):
     for g in (gmod, fixtures.g_const(), fixtures.steep_chain()):
         l = g.lattice
         for lo, hi in l.strict_pairs():
-            ival = interval(l, lo, hi)
+            ival = Interval(l, lo, hi)
             sub = restrict(g, ival)
             amb = ival.member_indices()
             lifted = frozenset(amb[i] for i in st_set(sub))
@@ -68,7 +68,7 @@ def test_greatest_st_semistable_is_top():
 
 def test_greatest_st_on_upper_interval(gmod):
     l = gmod.lattice
-    sub = restrict(gmod, interval(l, l.index("a"), l.top))
+    sub = restrict(gmod, Interval(l, l.index("a"), l.top))
     assert greatest_st(sub) == sub.lattice.top
 
 

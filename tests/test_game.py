@@ -30,7 +30,7 @@ from hngame.game import (
     restrict,
     seesaw_classify,
 )
-from hngame.order import as_bounded_lattice, build_poset, interval, total_interval
+from hngame.order import Interval, as_bounded_lattice, build_poset
 from hngame.values import ExtendedRationals, FiniteLatticeValues
 
 from oracles import mu_a_oracle, mu_b_oracle, mu_max_oracle, mu_min_oracle
@@ -69,14 +69,14 @@ def test_gmod_table(gmod):
 
 
 def test_gmod_mu_series_at_total_interval(gmod):
-    s = mu_series(gmod, total_interval(gmod.lattice))
+    s = mu_series(gmod, Interval(gmod.lattice, gmod.lattice.bot, gmod.lattice.top))
     assert (s.mu_max, s.mu_min, s.mu_a, s.mu_b) == (3, 1, 1, 3)
     assert (s.mu_a_star, s.mu_b_star) == (1, 3)
 
 
 def test_two_element_interval_collapses_series(gmod):
     l = gmod.lattice
-    ival = interval(l, l.index("a"), l.top)
+    ival = Interval(l, l.index("a"), l.top)
     s = mu_series(gmod, ival)
     v = gmod.mu(l.index("a"), l.top)
     assert s.mu_max == s.mu_min == s.mu_a == s.mu_b == v
@@ -102,7 +102,7 @@ def test_series_against_oracle_on_fixtures(gmod):
 def test_restrict_agrees_with_ambient(gmod):
     l = gmod.lattice
     for lo, hi in l.strict_pairs():
-        ival = interval(l, lo, hi)
+        ival = Interval(l, lo, hi)
         sub = restrict(gmod, ival)
         amb = ival.member_indices()
         for i, j in sub.lattice.strict_pairs():
@@ -114,7 +114,7 @@ def test_restrict_agrees_with_ambient(gmod):
 
 
 def test_restrict_total_interval_is_same_game(gmod):
-    g2 = restrict(gmod, total_interval(gmod.lattice))
+    g2 = restrict(gmod, Interval(gmod.lattice, gmod.lattice.bot, gmod.lattice.top))
     assert g2.payoff == gmod.payoff
     assert g2.lattice.names == gmod.lattice.names
 
@@ -124,7 +124,7 @@ def test_interval_semistable_matches_restricted_predicate(gmod):
         l = g.lattice
         for lo, hi in l.strict_pairs():
             assert interval_semistable(g, lo, hi) == is_semistable(
-                restrict(g, interval(l, lo, hi))
+                restrict(g, Interval(l, lo, hi))
             )
 
 
@@ -348,7 +348,7 @@ def test_restriction_transparency_on_eight_element_lattice():
         g = Game(lattice, values, payoff)
         t = g.tables()
         for lo, hi in pairs:
-            ival = interval(lattice, lo, hi)
+            ival = Interval(lattice, lo, hi)
             sub = restrict(g, ival)
             ts = sub.tables()
             members = ival.member_indices()

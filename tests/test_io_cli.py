@@ -166,6 +166,92 @@ def test_cli_input_error_exit_two(tmp_path):
     assert code == 2
 
 
+_SQUARE = {
+    "elements": ["bot", "a", "b", "top"],
+    "covers": [["bot", "a"], ["bot", "b"], ["a", "top"], ["b", "top"]],
+}
+_SQUARE_POTENTIALS = {
+    "source": "potentials",
+    "rank": {"bot": "0", "a": "1", "b": "1", "top": "2"},
+    "degree": {"bot": "0", "a": "3", "b": "1", "top": "4"},
+}
+_SQUARE_GAME = {
+    "schema_version": 1, "kind": "game", "lattice": _SQUARE,
+    "payoff": _SQUARE_POTENTIALS,
+}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", "a", "a", "top"],
+                    "covers": [["bot", "a"], ["a", "top"]]},
+        "payoff": _SQUARE_POTENTIALS,
+    }, id="duplicate-labels"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", ["a"], "top"], "covers": [["bot", "top"]]},
+        "payoff": _SQUARE_POTENTIALS,
+    }, id="list-label"),
+    pytest.param(["check"], dict(_SQUARE_GAME, values=[]), id="list-values"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", "top"], "covers": [["bot", "top"]]},
+        "values": {"kind": "prime_finsets", "primes": [2, 3]},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": "bot", "hi": "top", "value": [5]}]},
+    }, id="prime-outside-base"),
+    pytest.param(["check"], dict(_SQUARE_GAME, payoff={
+        "source": "potentials",
+        "rank": {"bot": "0", "a": "2", "b": "1", "top": "1"},
+        "degree": {"bot": "0", "a": "1", "b": "1", "top": "2"},
+    }), id="decreasing-rank-potential"),
+    pytest.param(["coprimary", "--orders", "1"], None, id="coprimary-orders-1"),
+    pytest.param(["hn-enumerate", "--max-size", "0"], _SQUARE_GAME, id="max-size-0"),
+    pytest.param(["selfcheck", "--max-size", "1"], None, id="selfcheck-max-size-1"),
+    pytest.param(["check", "--seed", "3"], _SQUARE_GAME, id="check-seed"),
+    pytest.param(["check"], dict(_SQUARE_GAME, lattice={
+        "elements": ["bot", "top"], "covers": [["bot", ["top"]]],
+    }), id="list-in-relation-entry"),
+    pytest.param(["dm"], {
+        "schema_version": 1, "kind": "poset",
+        "poset": {"elements": [], "covers": []},
+    }, id="empty-poset"),
+    pytest.param(["check"], dict(_SQUARE_GAME, payoff=dict(
+        _SQUARE_POTENTIALS, degree={"bot": "0", "a": "inf", "b": "1", "top": "4"},
+    )), id="infinite-potential"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "payoff": {"source": "abelian_group", "cyclic_orders": []},
+    }, id="empty-cyclic-orders"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", "top"], "covers": [["bot", "top"]]},
+        "values": {"kind": "prime_finsets", "primes": [2, 2]},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": "bot", "hi": "top", "value": [2]}]},
+    }, id="duplicate-primes"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", "top"], "covers": [["bot", "top"]]},
+        "values": {"kind": "explicit_lattice", "elements": [0, 1],
+                   "covers": [[0, 1]]},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": "bot", "hi": "top", "value": [1]}]},
+    }, id="list-as-lattice-value"),
+])
+def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--input", str(path)]
+    code = main(argv + ["--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ")
+
+
 def test_cli_jh_on_constant_game(tmp_path):
     out = tmp_path / "r.json"
     code = main(["jh", "--input", str(REPO / "fixtures" / "const_b2.json"),

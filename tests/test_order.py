@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,19 @@ from hngame.errors import (
     UnknownLabel,
 )
 from hngame.order import (
+    BoundedLattice,
+    FinitePoset,
+    FinsetOrder,
+    Interval,
     as_bounded_lattice,
     build_poset,
-    interval,
     is_modular,
-    lex_finset_order,
+    iter_chains,
     linear_extension,
-    total_interval,
 )
+from hngame.sweeps import lattice_iso_classes
+
+from oracles import all_bot_top_chains
 
 
 def test_singleton_poset():
@@ -107,9 +113,9 @@ def test_meet_join_agree_with_recomputed_bounds():
 
 def test_interval_membership_and_bounds():
     l = fixtures.b2()
-    total = total_interval(l)
+    total = Interval(l, l.bot, l.top)
     assert total.member_indices() == tuple(range(4))
-    ideal = interval(l, l.bot, l.index("a"))
+    ideal = Interval(l, l.bot, l.index("a"))
     assert ideal.member_indices() == (l.bot, l.index("a"))
     sub = ideal.as_lattice()
     assert sub.names == ("bot", "a")
@@ -118,23 +124,23 @@ def test_interval_membership_and_bounds():
 
 def test_interval_of_chain_upper_part():
     l = fixtures.c3()
-    ival = interval(l, l.index("a"), l.top)
+    ival = Interval(l, l.index("a"), l.top)
     assert ival.member_indices() == (l.index("a"), l.top)
 
 
 def test_interval_requires_strict_pair():
     l = fixtures.b2()
     with pytest.raises(NotStrict):
-        interval(l, l.top, l.bot)
+        Interval(l, l.top, l.bot)
     with pytest.raises(NotStrict):
-        interval(l, l.index("a"), l.index("a"))
+        Interval(l, l.index("a"), l.index("a"))
 
 
 def test_interval_inherits_meets_and_joins():
     for make in (fixtures.b2, fixtures.b3, fixtures.m3, fixtures.n5):
         l = make()
         for lo, hi in l.strict_pairs():
-            ival = interval(l, lo, hi)
+            ival = Interval(l, lo, hi)
             sub = ival.as_lattice()
             amb = ival.member_indices()
             for i in range(sub.n):
@@ -163,7 +169,7 @@ def test_linear_extension_b2():
 
 
 def test_lex_finset_small_base():
-    fo = lex_finset_order([2, 3])
+    fo = FinsetOrder([2, 3])
     ordered = fo.all_subsets()
     assert ordered == [
         frozenset(),
@@ -174,19 +180,19 @@ def test_lex_finset_small_base():
 
 
 def test_lex_finset_singletons_follow_base():
-    fo = lex_finset_order([2, 3, 5])
+    fo = FinsetOrder([2, 3, 5])
     assert fo.lt(frozenset({2}), frozenset({3}))
     assert fo.lt(frozenset({3}), frozenset({5}))
 
 
 def test_lex_finset_max_first():
-    fo = lex_finset_order([2, 3, 5])
+    fo = FinsetOrder([2, 3, 5])
     assert fo.lt(frozenset({3}), frozenset({2, 5}))
 
 
 def test_lex_finset_extends_inclusion_exhaustively():
     base = [2, 3, 5, 7, 11]
-    fo = lex_finset_order(base)
+    fo = FinsetOrder(base)
     subsets = [
         frozenset(c)
         for r in range(len(base) + 1)
@@ -207,7 +213,7 @@ def test_lex_finset_extends_inclusion_exhaustively():
 )
 @settings(max_examples=200)
 def test_lex_finset_is_a_total_order(a, b, c):
-    fo = lex_finset_order(range(10))
+    fo = FinsetOrder(range(10))
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
     # Trichotomy.
     assert (fo.compare(a, b) == 0) == (a == b)
@@ -238,3 +244,40 @@ def test_linear_extension_property_on_all_fixtures():
             for j in range(p.n):
                 if p.lt(i, j):
                     assert position[i] < position[j]
+
+
+def test_iter_chains_matches_oracle_both_ways():
+    def always(chain, nxt):
+        return True
+
+    for l in lattice_iso_classes(5):
+        assert list(iter_chains(l, l.bot, l.top, always)) == all_bot_top_chains(l)
+        down = list(iter_chains(l, l.top, l.bot, always))
+        assert down == all_bot_top_chains(l.dual())
+
+
+def test_iter_chains_prunes_at_failing_step():
+    l = fixtures.b3()
+    x, xy = l.index("x"), l.index("xy")
+    chains = list(iter_chains(l, l.bot, l.top, lambda chain, nxt: nxt != x))
+    assert chains
+    assert all(x not in c for c in chains)
+    assert len(chains) == len(all_bot_top_chains(l)) - 3
+    assert list(iter_chains(l, x, xy, lambda chain, nxt: True)) == [(x, xy)]
+
+
+def test_iter_chains_taller_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    full = (1 << n) - 1
+    poset = FinitePoset(
+        [f"c{i}" for i in range(n)], [full ^ ((1 << i) - 1) for i in range(n)]
+    )
+    meet = tuple(tuple(range(i)) + (i,) * (n - i) for i in range(n))
+    join = tuple((i,) * (i + 1) + tuple(range(i + 1, n)) for i in range(n))
+    l = BoundedLattice(poset, 0, n - 1, meet, join)
+
+    def covers(chain, nxt):
+        return abs(nxt - chain[-1]) == 1
+
+    assert list(iter_chains(l, 0, n - 1, covers)) == [tuple(range(n))]
+    assert list(iter_chains(l, n - 1, 0, covers)) == [tuple(reversed(range(n)))]

@@ -7,7 +7,7 @@ from hngame import fixtures
 from hngame.errors import AdditivityViolation, ZeroRankNonpositiveDegree
 from hngame.game import is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits
-from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff, verify_slope_like
+from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
 from hngame.sweeps import random_quotient_game
 from hngame.values import POS_INF
 
@@ -87,8 +87,8 @@ def test_quotient_payoffs_match_literal_slopes():
 
 
 def test_fixture_quotients_are_slope_like():
-    assert verify_slope_like(fixtures.g_mod())
-    assert verify_slope_like(fixtures.steep_chain())
+    assert is_slope_like(fixtures.g_mod())
+    assert is_slope_like(fixtures.steep_chain())
 
 
 def test_random_quotients_are_slope_like_and_seesaw_clean():
