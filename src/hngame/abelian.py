@@ -200,12 +200,6 @@ class SubgroupLattice:
     subgroups: tuple
     lattice: BoundedLattice
 
-    def subgroup_of(self, index):
-        return self.subgroups[index]
-
-    def index_of(self, subgroup):
-        return self.subgroups.index(subgroup)
-
     def quotient(self, upper_index, lower_index):
         return QuotientGroup(
             self.group,

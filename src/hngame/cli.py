@@ -20,9 +20,9 @@ from .filtration import (
     enumerate_hn_filtrations,
 )
 from .game import (
-    VIOLATION,
     dual,
     has_nash_equilibrium,
+    has_seesaw_violation,
     is_affine,
     is_convex,
     is_semistable,
@@ -30,7 +30,6 @@ from .game import (
     is_stable,
     mu_b_star,
     nash_tfae_report,
-    seesaw_classify,
 )
 from .abelian import MAX_GROUP_ORDER, FiniteAbelianGroup, coprimary_filtration
 from .completion import (
@@ -44,7 +43,7 @@ from .jordan_holder import (
     piecewise_stability,
     validate_jh,
 )
-from .order import _iter_bits, is_modular
+from .order import is_modular
 from .sweeps import lattice_iso_classes, iter_sweep_games, random_quotient_game
 
 OK, PROPERTY_FAILURE, INPUT_ERROR = 0, 1, 2
@@ -278,19 +277,12 @@ def cmd_selfcheck(args):
         g = random_quotient_game(rng, max_elements=args.max_size)
         if not is_slope_like(g):
             all_slope_like = False
-        l = g.lattice
-        for x, z in l.strict_pairs():
-            for y in _iter_bits(l.strictly_between(x, z)):
-                if seesaw_classify(g, x, y, z) == VIOLATION:
-                    no_violations = False
+        if has_seesaw_violation(g):
+            no_violations = False
     exhaustive_ok = True
     for lattice in lattice_iso_classes(4):
         for g in iter_sweep_games(lattice):
-            if is_slope_like(g) != all(
-                seesaw_classify(g, x, y, z) != VIOLATION
-                for x, z in lattice.strict_pairs()
-                for y in _iter_bits(lattice.strictly_between(x, z))
-            ):
+            if is_slope_like(g) == has_seesaw_violation(g):
                 exhaustive_ok = False
     payload = {
         "command": "selfcheck",

@@ -51,9 +51,6 @@ class CutLattice:
     closed_sets: tuple
     embedding: tuple
 
-    def position(self, subset):
-        return self.closed_sets.index(subset)
-
     def members(self, k):
         """Labels of the k-th closed set."""
         return tuple(self.base.names[i] for i in _iter_bits(self.closed_sets[k]))

@@ -9,11 +9,15 @@ defined on exactly the strict pairs x < y of L.  The four derived series are
     mu_b(x, y)   = sup { mu_min(x, b) | x < b <= y }
 
 and all witness sets only involve elements between x and y, so the values of
-the series on a pair inside an interval agree with the ambient ones.  The
-table engine below exploits that: every per-interval notion (semistability on
-[lo, hi], the maximal-destabilizer set, ...) is computed from ambient pair
-tables, and the test suite verifies exhaustively that this matches honest
-restriction.
+the series on a pair inside an interval agree with the ambient ones.  Every
+per-interval notion (semistability on [lo, hi], the maximal-destabilizer set,
+...) is therefore computed from ambient pair tables, and the test suite
+verifies exhaustively that this matches honest restriction.  The table engine
+fills those tables by interval size with a Hasse-diagram recursion, as sups
+and infs are associative: mu_max(x, y) = sup(mu(x, y), mu_max(x, c) : c a
+lower cover of y, x < c), mu_a(x, y) = inf(mu_max(x, y), mu_a(c, y) : c an
+upper cover of x, c < y), mu_min and mu_b dually, and all four equal the
+payoff on a cover.
 """
 
 from __future__ import annotations
@@ -106,39 +110,46 @@ class MuTables:
     mu_b: dict
 
 
-def _witness_ids(lattice):
-    """Per-pair witness index lists, cached on the lattice.
+def _cover_ids(lattice):
+    """Per-pair cover index lists, cached on the lattice.
 
-    For pair p = (x, y): wmax[p] indexes the pairs (x, w) with x < w <= y,
-    wmin[p] the pairs (w, y) with x <= w < y, wa[p] the pairs (a, y) feeding
-    mu_a from the mu_max table, and wb[p] the pairs (x, b) feeding mu_b from
-    the mu_min table.
+    For pair p = (x, y): below[p] indexes the pairs (x, c) with c a lower
+    cover of y and x < c, above[p] the pairs (c, y) with c an upper cover of x
+    and c < y.  Both are empty exactly on covers; ``order`` lists the other
+    pairs by interval size, so every pair comes after the pairs it reads.
     """
-    cached = lattice._cache.get("witnesses")
+    cached = lattice._cache.get("covers")
     if cached is not None:
         return cached
     pairs = lattice.strict_pairs()
     pid = {p: k for k, p in enumerate(pairs)}
-    wmax, wmin, wa, wb = [], [], [], []
+    covers = lattice.covers()
+    lower = [[a for a, b in covers if b == y] for y in lattice.elements()]
+    upper = [[b for a, b in covers if a == x] for x in lattice.elements()]
+    below, above = [], []
     for x, y in pairs:
         inside = lattice.strictly_between(x, y)
-        wmax.append([pid[(x, w)] for w in _iter_bits(inside)] + [pid[(x, y)]])
-        wmin.append([pid[(w, y)] for w in _iter_bits(inside)] + [pid[(x, y)]])
-        wa.append([pid[(x, y)]] + [pid[(a, y)] for a in _iter_bits(inside)])
-        wb.append([pid[(x, y)]] + [pid[(x, b)] for b in _iter_bits(inside)])
-    cached = (pairs, pid, wmax, wmin, wa, wb)
-    lattice._cache["witnesses"] = cached
+        below.append([pid[(x, c)] for c in lower[y] if (inside >> c) & 1])
+        above.append([pid[(c, y)] for c in upper[x] if (inside >> c) & 1])
+    order = sorted(
+        (k for k in range(len(pairs)) if below[k]),
+        key=lambda k: lattice.between(*pairs[k]).bit_count(),
+    )
+    cached = (pairs, below, above, order)
+    lattice._cache["covers"] = cached
     return cached
 
 
 def _compute_tables(g):
-    pairs, pid, wmax, wmin, wa, wb = _witness_ids(g.lattice)
+    pairs, below, above, order = _cover_ids(g.lattice)
     sup, inf = g.values.sup, g.values.inf
     vals = [g.payoff[p] for p in pairs]
-    tmax = [sup([vals[q] for q in wit]) for wit in wmax]
-    tmin = [inf([vals[q] for q in wit]) for wit in wmin]
-    ta = [inf([tmax[q] for q in wit]) for wit in wa]
-    tb = [sup([tmin[q] for q in wit]) for wit in wb]
+    tmax, tmin, ta, tb = vals[:], vals[:], vals[:], vals[:]
+    for k in order:
+        tmax[k] = sup([vals[k]] + [tmax[q] for q in below[k]])
+        tmin[k] = inf([vals[k]] + [tmin[q] for q in above[k]])
+        ta[k] = inf([tmax[k]] + [ta[q] for q in above[k]])
+        tb[k] = sup([tmin[k]] + [tb[q] for q in below[k]])
     return MuTables(
         mu_max=dict(zip(pairs, tmax)),
         mu_min=dict(zip(pairs, tmin)),
@@ -373,6 +384,16 @@ def seesaw_classify(g, x, y, z):
     if vxy == vxz == vyz:
         return FLAT
     return VIOLATION
+
+
+def has_seesaw_violation(g):
+    """Whether some chain triple x < y < z classifies as a violation."""
+    l = g.lattice
+    return any(
+        seesaw_classify(g, x, y, z) == VIOLATION
+        for x, z in l.strict_pairs()
+        for y in _iter_bits(l.strictly_between(x, z))
+    )
 
 
 def has_nash_equilibrium(g):

@@ -344,6 +344,11 @@ def emit_report(payload):
     return document_to_text(payload)
 
 
+def _dot_string(text):
+    """A DOT quoted string, with backslashes and double quotes escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(lattice, highlight=(), title=None):
     """Graphviz DOT for the Hasse diagram, bottom-up rank direction.
 
@@ -351,16 +356,17 @@ def export_dot(lattice, highlight=(), title=None):
     """
     poset = getattr(lattice, "poset", lattice)
     highlight = set(highlight)
+    ids = [_dot_string(name) for name in poset.names]
     lines = ["digraph hasse {"]
     if title:
-        lines.append(f'  label="{title}";')
+        lines.append(f"  label={_dot_string(title)};")
     lines.append("  rankdir=BT;")
     lines.append("  node [shape=box];")
-    for name in poset.names:
+    for name, node in zip(poset.names, ids):
         attrs = ' [style=filled, fillcolor=lightgrey]' if name in highlight else ""
-        lines.append(f'  "{name}"{attrs};')
+        lines.append(f"  {node}{attrs};")
     for a, b in sorted(poset.covers()):
-        lines.append(f'  "{poset.names[a]}" -> "{poset.names[b]}";')
+        lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

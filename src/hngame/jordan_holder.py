@@ -50,16 +50,15 @@ def _game_value(g):
     return g.payoff[(g.lattice.bot, g.lattice.top)]
 
 
-def _step_ok(g, lower, upper, total):
-    """Both step conditions for a candidate step upper > lower."""
-    if g.payoff[(lower, upper)] != total:
-        return False
+def _first_deviation(g, lower, upper):
+    """The first z with lower < z < upper and mu(lower, z) not strictly below
+    mu(lower, upper), or None when the step is strictly optimal."""
     lt = g.values.lt
     ref = g.payoff[(lower, upper)]
     for z in _iter_bits(g.lattice.strictly_between(lower, upper)):
         if not lt(g.payoff[(lower, z)], ref):
-            return False
-    return True
+            return z
+    return None
 
 
 def _check_jh_preconditions(g, modular_affine=False):
@@ -85,7 +84,9 @@ def _jh_chains(g):
     l = g.lattice
     total = _game_value(g)
     return iter_chains(
-        l, l.top, l.bot, lambda chain, lower: _step_ok(g, lower, chain[-1], total)
+        l, l.top, l.bot,
+        lambda chain, lower: g.payoff[(lower, chain[-1])] == total
+        and _first_deviation(g, lower, chain[-1]) is None,
     )
 
 
@@ -111,16 +112,10 @@ def validate_jh(g, f):
     l = g.lattice
     steps = check_chain(l, f, l.top, l.bot)
     total = _game_value(g)
-    lt = g.values.lt
     cond1, cond2, witness = [], [], []
     for upper, lower in zip(steps, steps[1:]):
-        step_value = g.payoff[(lower, upper)]
-        cond1.append(step_value == total)
-        bad = None
-        for z in _iter_bits(l.strictly_between(lower, upper)):
-            if not lt(g.payoff[(lower, z)], step_value):
-                bad = z
-                break
+        cond1.append(g.payoff[(lower, upper)] == total)
+        bad = _first_deviation(g, lower, upper)
         cond2.append(bad is None)
         witness.append(bad)
     return JHValidation(

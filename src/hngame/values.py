@@ -119,20 +119,14 @@ class FiniteChain(ValueLattice):
         self._rank = {v: k for k, v in enumerate(elements)}
         if len(self._rank) != len(elements):
             raise ValueError("chain elements must be distinct")
-        # Natural int chains 0..k let sup/inf be the builtins.
-        self._natural = elements == tuple(range(len(elements)))
 
     def leq(self, a, b):
         return self._rank[a] <= self._rank[b]
 
     def sup(self, values):
-        if self._natural:
-            return max(values, default=self.bot)
         return max(values, key=self._rank.__getitem__, default=self.bot)
 
     def inf(self, values):
-        if self._natural:
-            return min(values, default=self.top)
         return min(values, key=self._rank.__getitem__, default=self.top)
 
     def contains(self, v):

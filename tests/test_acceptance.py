@@ -40,9 +40,9 @@ from hngame.filtration import (
     validate_hn,
 )
 from hngame.game import (
-    VIOLATION,
     Game,
     dual,
+    has_seesaw_violation,
     interval_semistable,
     is_affine,
     is_convex,
@@ -52,7 +52,6 @@ from hngame.game import (
     mu_b_star,
     nash_tfae_report,
     restrict,
-    seesaw_classify,
 )
 from hngame.io import emit_game, parse_document, parse_game
 from hngame.jordan_holder import (
@@ -207,22 +206,11 @@ def test_criterion_04_quotient_payoffs_slope_like(sweep_lattices):
     for _ in range(500):
         g = random_quotient_game(rng, max_elements=8)
         assert is_slope_like(g)
-        l = g.lattice
-        for x, z in l.strict_pairs():
-            for y in _iter_bits(l.strictly_between(x, z)):
-                assert seesaw_classify(g, x, y, z) != VIOLATION
+        assert not has_seesaw_violation(g)
     # Conversely, slope-like iff no violating triple, on the whole sweep.
     for lattice in sweep_lattices:
-        triples = [
-            (x, y, z)
-            for x, z in lattice.strict_pairs()
-            for y in _iter_bits(lattice.strictly_between(x, z))
-        ]
         for g in iter_sweep_games(lattice):
-            no_violation = all(
-                seesaw_classify(g, x, y, z) != VIOLATION for x, y, z in triples
-            )
-            assert is_slope_like(g) == no_violation
+            assert is_slope_like(g) != has_seesaw_violation(g)
     _passed(4, "quotient payoffs slope-like; seesaw equivalence (500 random + full sweep)", t0, 60)
 
 

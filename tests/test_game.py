@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,9 +32,11 @@ from hngame.game import (
     seesaw_classify,
 )
 from hngame.order import Interval, as_bounded_lattice, build_poset
+from hngame.slopes import quotient_payoff
+from hngame.sweeps import iter_payoff_tables, lattice_iso_classes, random_potentials
 from hngame.values import ExtendedRationals, FiniteLatticeValues
 
-from oracles import mu_a_oracle, mu_b_oracle, mu_max_oracle, mu_min_oracle
+from oracles import divisors, mu_a_oracle, mu_b_oracle, mu_max_oracle, mu_min_oracle
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +91,39 @@ def test_constant_game_series_constant():
         assert mu_max(g, x, y) == mu_min(g, x, y) == mu_a(g, x, y) == mu_b(g, x, y) == 7
 
 
+def _assert_series_match_oracles(g):
+    for x, y in g.lattice.strict_pairs():
+        assert mu_max(g, x, y) == mu_max_oracle(g, x, y)
+        assert mu_min(g, x, y) == mu_min_oracle(g, x, y)
+        assert mu_a(g, x, y) == mu_a_oracle(g, x, y)
+        assert mu_b(g, x, y) == mu_b_oracle(g, x, y)
+
+
 def test_series_against_oracle_on_fixtures(gmod):
     games = [gmod, fixtures.g_const(), fixtures.steep_chain(),
              fixtures.constant_game(fixtures.n5(), Fraction(1, 3))]
     for g in games:
-        for x, y in g.lattice.strict_pairs():
-            assert mu_max(g, x, y) == mu_max_oracle(g, x, y)
-            assert mu_min(g, x, y) == mu_min_oracle(g, x, y)
-            assert mu_a(g, x, y) == mu_a_oracle(g, x, y)
-            assert mu_b(g, x, y) == mu_b_oracle(g, x, y)
+        _assert_series_match_oracles(g)
+
+
+@pytest.mark.parametrize("dualize", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("value_lattice", [fixtures.b2, fixtures.m3, fixtures.n5])
+def test_tables_match_oracles_on_non_total_values(value_lattice, dualize):
+    # Every lattice class with up to 5 elements; all payoff tables when there
+    # are at most 5 strict pairs, a seeded sample of 300 otherwise.
+    base = FiniteLatticeValues(value_lattice())
+    values = base.dual() if dualize else base
+    rng = random.Random(20231018)
+    for lattice in lattice_iso_classes(5):
+        pairs = lattice.strict_pairs()
+        if len(pairs) <= 5:
+            tables = iter_payoff_tables(lattice, base.elements)
+        else:
+            tables = (
+                {p: rng.choice(base.elements) for p in pairs} for _ in range(300)
+            )
+        for table in tables:
+            _assert_series_match_oracles(Game._trusted(lattice, values, table))
 
 
 def test_restrict_agrees_with_ambient(gmod):
@@ -358,3 +385,22 @@ def test_restriction_transparency_on_eight_element_lattice():
                 assert ts.mu_b[(i, j)] == t.mu_b[pair]
                 assert ts.mu_max[(i, j)] == t.mu_max[pair]
                 assert ts.mu_min[(i, j)] == t.mu_min[pair]
+
+
+def _divisor_lattice(m):
+    divs = divisors(m)
+    relation = [(str(a), str(b)) for a in divs for b in divs if a != b and b % a == 0]
+    return as_bounded_lattice(build_poset([str(d) for d in divs], relation))
+
+
+@pytest.mark.parametrize(
+    "make_lattice", [lambda: fixtures.chain(40), lambda: _divisor_lattice(360)],
+    ids=["chain40", "d360"],
+)
+def test_tables_match_oracles_on_tall_potentials_game(make_lattice):
+    # Tall lattices, where an interval has far more members than its top has
+    # lower covers or its bottom upper covers.
+    lattice = make_lattice()
+    g = quotient_payoff(lattice, random_potentials(random.Random(7), lattice))
+    _assert_series_match_oracles(g)
+    _assert_series_match_oracles(dual(g))

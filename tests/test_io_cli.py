@@ -128,6 +128,23 @@ def test_export_dot_b2():
     assert sum("fillcolor" in l for l in node_lines) == 2
 
 
+def test_export_dot_escapes_quotes_and_backslashes():
+    lattice = fixtures.chain(3, ('say "hi"', "a\\b", "top"))
+    text = export_dot(lattice, highlight=("top",), title='doc "x"')
+    assert text == (
+        "digraph hasse {\n"
+        '  label="doc \\"x\\"";\n'
+        "  rankdir=BT;\n"
+        "  node [shape=box];\n"
+        '  "say \\"hi\\"";\n'
+        '  "a\\\\b";\n'
+        '  "top" [style=filled, fillcolor=lightgrey];\n'
+        '  "say \\"hi\\"" -> "a\\\\b";\n'
+        '  "a\\\\b" -> "top";\n'
+        "}\n"
+    )
+
+
 def test_cli_hn_golden_bytes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["hn", "--input", str(REPO / "fixtures" / "gmod.json"),
