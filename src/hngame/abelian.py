@@ -4,14 +4,21 @@ A finite abelian group is a finitely generated module over the integers; its
 submodules are its subgroups, its associated primes are the primes dividing
 its order, and the payoff N1 < N2 |-> Ass(N2/N1) over the Lex'-ordered
 finite subsets of primes is a game whose canonical filtration is the unique
-coprimary filtration.  Quotients are materialized as explicit coset groups so
-associated primes come from actual element orders.
+coprimary filtration.
+
+Subgroups are bitmasks over element indices.  They are enumerated by closing
+the trivial subgroup under joins with the cyclic subgroups <x>, through one
+index addition table per group.  Ass(N2/N1) is read from the index: by
+Cauchy's theorem the primes of the quotient's element orders are exactly the
+primes dividing |N2|/|N1|.  ``QuotientGroup`` still builds N2/N1 as explicit
+cosets, so that a quotient has its own subgroup lattice and coprimary game.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import TooLarge, TrivialModule
@@ -24,6 +31,7 @@ MAX_GROUP_ORDER = 200
 MAX_RESTRICTION_SUBGROUPS = 128
 
 
+@lru_cache(maxsize=None)
 def _prime_factors(n):
     out = set()
     d = 2
@@ -34,7 +42,7 @@ def _prime_factors(n):
         d += 1
     if n > 1:
         out.add(n)
-    return out
+    return frozenset(out)
 
 
 class FiniteAbelianGroup:
@@ -120,11 +128,12 @@ class QuotientGroup:
 
 
 def associated_primes(group):
-    """Primes p such that the group has an element of order p.
+    """Primes p such that the group has an element of order p, found by
+    walking the element orders.
 
-    For a finite abelian group these are exactly the primes dividing the
-    order; the computation still walks element orders so quotients are
-    handled by their actual structure rather than index arithmetic.
+    This gives Ass of a whole group.  The games read Ass(N2/N1) from the
+    index |N2|/|N1| instead (see ``_index_primes``); applied to an explicit
+    ``QuotientGroup`` this function is the reference for that shortcut.
     """
     if group.order == 1:
         raise TrivialModule("the trivial group has no associated primes")
@@ -134,36 +143,70 @@ def associated_primes(group):
     return frozenset(primes)
 
 
-def _multiples(group, x):
-    out = [group.zero]
-    acc = x
-    while acc != group.zero:
-        out.append(acc)
-        acc = group.add(acc, x)
+def _index_primes(subgroups, lo, hi):
+    """Ass(N2/N1) for subgroups N1 = subgroups[lo] < N2 = subgroups[hi]: the
+    primes dividing the index, by Cauchy's theorem."""
+    return _prime_factors(len(subgroups[hi]) // len(subgroups[lo]))
+
+
+def _bits(mask):
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _extend_subgroup(group, subgroup, x):
-    """The subgroup generated by an existing subgroup and one more element."""
-    return frozenset(
-        group.add(h, m) for h in subgroup for m in _multiples(group, x)
-    )
+def _addition_table(group):
+    """``table[i][j]`` is the index of ``elements[i] + elements[j]``."""
+    elements = group.elements
+    index = {e: k for k, e in enumerate(elements)}
+    n = len(elements)
+    table = [[0] * n for _ in range(n)]
+    for i, a in enumerate(elements):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = index[group.add(a, elements[j])]
+    return table
 
 
-def _all_subgroups(group):
-    trivial = frozenset({group.zero})
-    seen = {trivial}
-    frontier = [trivial]
+def _subgroup_masks(group):
+    """Every subgroup as a bitmask over element indices, sorted by (order,
+    sorted element indices).
+
+    {0} is closed under H v <x>, one distinct cyclic subgroup <x> at a time,
+    skipping those already inside H.  Every subgroup is a join of cyclic
+    subgroups, so every one is reached.  A join walks the cosets H + kx until
+    kx lies in H, so it costs |H v <x>| table lookups.
+    """
+    table = _addition_table(group)
+    zero = group.elements.index(group.zero)
+    cyclic = {}
+    for x in range(len(table)):
+        mask, kx = 1 << zero, x
+        while kx != zero:
+            mask |= 1 << kx
+            kx = table[kx][x]
+        cyclic.setdefault(mask, x)
+    members = {1 << zero: [zero]}
+    frontier = [1 << zero]
     while frontier:
-        current = frontier.pop()
-        for x in group.elements:
-            if x in current:
+        h = frontier.pop()
+        inside = members[h]
+        for c, x in cyclic.items():
+            if not c & ~h:
                 continue
-            bigger = _extend_subgroup(group, current, x)
-            if bigger not in seen:
-                seen.add(bigger)
-                frontier.append(bigger)
-    return sorted(seen, key=lambda s: (len(s), sorted(s, key=group.element_key)))
+            joined, kx = h, x
+            while not h >> kx & 1:
+                coset = table[kx]
+                for e in inside:
+                    joined |= 1 << coset[e]
+                kx = coset[x]
+            if joined not in members:
+                members[joined] = _bits(joined)
+                frontier.append(joined)
+    return sorted(members, key=lambda m: (len(members[m]), members[m]))
 
 
 def _subgroup_labels(group, subgroups):
@@ -191,9 +234,11 @@ def _subgroup_labels(group, subgroups):
 class SubgroupLattice:
     """All subgroups of a group, ordered by inclusion.
 
-    Meet is intersection and join the generated subgroup; both are realized
-    through the verified bounded-lattice construction over the inclusion
-    order (subgroup lattices of abelian groups are complete and modular).
+    ``subgroups`` holds each subgroup as a frozenset of elements, sorted by
+    order and then by sorted element indices; element ``i`` of ``lattice`` is
+    ``subgroups[i]``.  Meet is intersection and join the generated subgroup;
+    both are realized through the verified bounded-lattice construction over
+    the inclusion order (subgroup lattices of abelian groups are modular).
     """
 
     group: object
@@ -209,17 +254,21 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
-    """Enumerate every subgroup and assemble the inclusion lattice."""
+    """Enumerate every subgroup as a bitmask closed over the cyclic subgroups,
+    and assemble the inclusion lattice from mask inclusion."""
     if group.order > max_order:
         raise TooLarge(
             f"group has order {group.order}; guard is {max_order} "
             "(raise max_order to override)"
         )
-    subgroups = tuple(_all_subgroups(group))
+    masks = _subgroup_masks(group)
+    elements = group.elements
+    subgroups = tuple(frozenset(elements[k] for k in _bits(m)) for m in masks)
     labels = _subgroup_labels(group, subgroups)
-    n = len(subgroups)
+    n = len(masks)
+    # Sorted by order, so a subgroup can only lie inside itself or later ones.
     up = tuple(
-        sum(1 << j for j in range(n) if subgroups[i] <= subgroups[j])
+        sum(1 << j for j in range(i, n) if not masks[i] & ~masks[j])
         for i in range(n)
     )
     lattice = as_bounded_lattice(FinitePoset(labels, up))
@@ -231,14 +280,15 @@ def coprimary_game(group, sl=None):
 
     Values are finite subsets of the primes dividing the group order, totally
     ordered by the max-first Lex' order (its completion is trivial here since
-    the base is finite).
+    the base is finite).  Ass(N2/N1) is the set of primes dividing the index.
     """
     if sl is None:
         sl = subgroup_lattice(group)
     primes = sorted(associated_primes(group))
-    payoff = {}
-    for i, j in sl.lattice.strict_pairs():
-        payoff[(i, j)] = associated_primes(sl.quotient(j, i))
+    payoff = {
+        (i, j): _index_primes(sl.subgroups, i, j)
+        for i, j in sl.lattice.strict_pairs()
+    }
     return Game(sl.lattice, PrimeFinsets(primes), payoff)
 
 
@@ -281,8 +331,8 @@ def coprimary_filtration(group, max_order=MAX_GROUP_ORDER):
     report = canonical_hn_filtration(game)
     steps = report.filtration.steps
     primes, coprimary = [], []
-    for lo, hi in zip(steps, steps[1:]):
-        ass = associated_primes(sl.quotient(hi, lo))
+    for step in zip(steps, steps[1:]):
+        ass = game.payoff[step]
         coprimary.append(len(ass) == 1)
         primes.append(min(ass))
     decreasing = all(p > q for p, q in zip(primes, primes[1:]))
@@ -308,26 +358,23 @@ def enumerate_coprimary_filtrations(sl):
 
     The search prunes by the defining conditions themselves, so the result
     is exactly the set of coprimary filtrations; the uniqueness statement
-    says it is a singleton.  Each pair's quotient is built at most once.
+    says it is a singleton.  Ass of each step is read from the index.
     """
     l = sl.lattice
-    prime = {}
 
     def step_prime(lo, hi):
         """The single associated prime of hi/lo, or None if not coprimary."""
-        if (lo, hi) not in prime:
-            ass = associated_primes(sl.quotient(hi, lo))
-            prime[(lo, hi)] = min(ass) if len(ass) == 1 else None
-        return prime[(lo, hi)]
+        ass = _index_primes(sl.subgroups, lo, hi)
+        return min(ass) if len(ass) == 1 else None
 
     def step_ok(chain, nxt):
         p = step_prime(chain[-1], nxt)
         return p is not None and (
-            len(chain) == 1 or prime[(chain[-2], chain[-1])] > p
+            len(chain) == 1 or step_prime(chain[-2], chain[-1]) > p
         )
 
     return [
-        (steps, tuple(prime[step] for step in zip(steps, steps[1:])))
+        (steps, tuple(step_prime(*step) for step in zip(steps, steps[1:])))
         for steps in iter_chains(l, l.bot, l.top, step_ok)
     ]
 

@@ -6,6 +6,7 @@ set literally from its definition.  They stay slow and obvious on purpose.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def mu_max_oracle(g, x, y):
@@ -89,3 +90,60 @@ def all_bot_top_chains(lattice):
 
     extend([lattice.bot])
     return out
+
+
+def _multiples(group, x):
+    out = [group.zero]
+    acc = x
+    while acc != group.zero:
+        out.append(acc)
+        acc = group.add(acc, x)
+    return out
+
+
+def _extend_subgroup(group, subgroup, x):
+    """The subgroup generated by an existing subgroup and one more element."""
+    return frozenset(
+        group.add(h, m) for h in subgroup for m in _multiples(group, x)
+    )
+
+
+def all_subgroups_oracle(group):
+    """Every subgroup, by closing {0} under adding one element at a time.
+
+    Sorted by (order, sorted element indices), as frozensets of elements.
+    """
+    trivial = frozenset({group.zero})
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        current = frontier.pop()
+        for x in group.elements:
+            if x in current:
+                continue
+            bigger = _extend_subgroup(group, current, x)
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    index = {e: k for k, e in enumerate(group.elements)}
+    return sorted(seen, key=lambda s: (len(s), sorted(index[e] for e in s)))
+
+
+def zm_zn_subgroup_count(m, n):
+    """Subgroups of Z/m x Z/n: the sum of gcd(a, b) over a | m and b | n
+    (Hampejs, Holighaus, Toth and Wiesmeyr, arXiv:1211.1797)."""
+    return sum(gcd(a, b) for a in divisors(m) for b in divisors(n))
+
+
+def gaussian_binomial(k, j, q):
+    """Subspaces of dimension j in a k-dimensional space over GF(q)."""
+    num = den = 1
+    for i in range(j):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def elementary_abelian_subgroup_count(p, k):
+    """Subgroups of (Z/p)^k: the subspaces of GF(p)^k of every dimension."""
+    return sum(gaussian_binomial(k, j, p) for j in range(k + 1))

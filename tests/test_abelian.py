@@ -16,7 +16,13 @@ from hngame.filtration import validate_hn
 from hngame.game import is_semistable
 from hngame.order import is_modular
 
-from oracles import divisors, prime_divisors
+from oracles import (
+    all_subgroups_oracle,
+    divisors,
+    elementary_abelian_subgroup_count,
+    prime_divisors,
+    zm_zn_subgroup_count,
+)
 
 
 def test_z12_subgroup_lattice_is_divisor_lattice():
@@ -46,6 +52,52 @@ def test_cyclic_subgroup_counts_match_divisors():
     for n in (2, 6, 8, 9, 12, 30, 36, 48):
         sl = subgroup_lattice(FiniteAbelianGroup([n]))
         assert sl.lattice.n == len(divisors(n))
+
+
+def test_subgroups_match_literal_search():
+    for group in iter_invariant_factor_groups(48):
+        sl = subgroup_lattice(group)
+        assert list(sl.subgroups) == all_subgroups_oracle(group), group
+
+
+def test_quotient_subgroups_sorted_by_element_index():
+    # Quotient elements are frozensets, which compare by inclusion; the
+    # order must come from the element indices.
+    sl = subgroup_lattice(FiniteAbelianGroup([4, 6]))
+    l = sl.lattice
+    q = sl.quotient(l.index("H4a"), l.bot)
+    index = {e: k for k, e in enumerate(q.elements)}
+    subgroups = subgroup_lattice(q).subgroups
+    assert list(subgroups) == sorted(
+        subgroups, key=lambda s: (len(s), sorted(index[e] for e in s))
+    )
+
+
+def test_quotient_subgroups_match_literal_search():
+    for orders in ([12], [2, 4], [2, 2, 2], [4, 6]):
+        sl = subgroup_lattice(FiniteAbelianGroup(orders))
+        for lo, hi in sl.lattice.strict_pairs():
+            q = sl.quotient(hi, lo)
+            assert list(subgroup_lattice(q).subgroups) == all_subgroups_oracle(q)
+
+
+def test_subgroup_counts_zm_x_zn():
+    for n in range(2, 65):
+        for m in divisors(n):
+            if m * n > 64:
+                continue
+            group = FiniteAbelianGroup([n] if m == 1 else [m, n])
+            assert len(subgroup_lattice(group).subgroups) == zm_zn_subgroup_count(
+                m, n
+            ), (m, n)
+
+
+def test_subgroup_counts_elementary_abelian_2_groups():
+    counts = [elementary_abelian_subgroup_count(2, k) for k in range(6)]
+    assert counts == [1, 2, 5, 16, 67, 374]
+    for k in range(1, 6):
+        sl = subgroup_lattice(FiniteAbelianGroup([2] * k))
+        assert len(sl.subgroups) == counts[k]
 
 
 def test_subgroup_lattice_guard():
@@ -92,6 +144,14 @@ def test_coprimary_game_payoffs_z12():
     assert game.payoff[(l.bot, h3)] == {3}
     h2 = l.index("H2")
     assert game.payoff[(h2, l.top)] == {2, 3}
+
+
+def test_payoff_matches_explicit_quotients():
+    for group in iter_invariant_factor_groups(48):
+        sl = subgroup_lattice(group)
+        game = coprimary_game(group, sl)
+        for i, j in sl.lattice.strict_pairs():
+            assert game.payoff[(i, j)] == associated_primes(sl.quotient(j, i))
 
 
 def test_p_group_game_is_constant():
