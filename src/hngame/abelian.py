@@ -24,7 +24,13 @@ from math import gcd
 from .errors import TooLarge, TrivialModule
 from .filtration import canonical_hn_filtration
 from .game import Game, interval_semistable, is_semistable
-from .order import BoundedLattice, FinitePoset, as_bounded_lattice, iter_chains
+from .order import (
+    BoundedLattice,
+    FinitePoset,
+    _iter_bits,
+    as_bounded_lattice,
+    iter_chains,
+)
 from .values import PrimeFinsets
 
 MAX_GROUP_ORDER = 200
@@ -149,16 +155,6 @@ def _index_primes(subgroups, lo, hi):
     return _prime_factors(len(subgroups[hi]) // len(subgroups[lo]))
 
 
-def _bits(mask):
-    """The set bits of a mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _addition_table(group):
     """``table[i][j]`` is the index of ``elements[i] + elements[j]``."""
     elements = group.elements
@@ -204,7 +200,7 @@ def _subgroup_masks(group):
                     joined |= 1 << coset[e]
                 kx = coset[x]
             if joined not in members:
-                members[joined] = _bits(joined)
+                members[joined] = list(_iter_bits(joined))
                 frontier.append(joined)
     return sorted(members, key=lambda m: (len(members[m]), members[m]))
 
@@ -236,9 +232,11 @@ class SubgroupLattice:
 
     ``subgroups`` holds each subgroup as a frozenset of elements, sorted by
     order and then by sorted element indices; element ``i`` of ``lattice`` is
-    ``subgroups[i]``.  Meet is intersection and join the generated subgroup;
-    both are realized through the verified bounded-lattice construction over
-    the inclusion order (subgroup lattices of abelian groups are modular).
+    ``subgroups[i]``.  Meet is intersection and join the generated subgroup
+    (subgroup lattices of abelian groups are modular).  The general
+    bounded-lattice construction verifies the inclusion order and reads both
+    tables off it, since the meet of H and K is the subgroup whose down-set
+    is the intersection of theirs, and dually for joins.
     """
 
     group: object
@@ -263,7 +261,7 @@ def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
         )
     masks = _subgroup_masks(group)
     elements = group.elements
-    subgroups = tuple(frozenset(elements[k] for k in _bits(m)) for m in masks)
+    subgroups = tuple(frozenset(elements[k] for k in _iter_bits(m)) for m in masks)
     labels = _subgroup_labels(group, subgroups)
     n = len(masks)
     # Sorted by order, so a subgroup can only lie inside itself or later ones.

@@ -56,11 +56,9 @@ class CutLattice:
         return tuple(self.base.names[i] for i in _iter_bits(self.closed_sets[k]))
 
     def as_lattice(self):
-        """The completion as a bounded lattice ordered by inclusion."""
-        names = tuple(
-            "{" + ",".join(str(x) for x in self.members(k)) + "}"
-            for k in range(len(self.closed_sets))
-        )
+        """The completion as a bounded lattice ordered by inclusion, each
+        closed set named by the tuple of its member labels."""
+        names = tuple(self.members(k) for k in range(len(self.closed_sets)))
         sets = self.closed_sets
         m = len(sets)
         up = tuple(
@@ -69,12 +67,10 @@ class CutLattice:
         return as_bounded_lattice(FinitePoset(names, up))
 
     def is_linear(self):
+        """Whether the closed sets form a chain under inclusion.  They are
+        sorted by size, so it suffices that each lies inside the next."""
         sets = self.closed_sets
-        return all(
-            sets[i] & ~sets[j] == 0 or sets[j] & ~sets[i] == 0
-            for i in range(len(sets))
-            for j in range(i + 1, len(sets))
-        )
+        return all(a & ~b == 0 for a, b in zip(sets, sets[1:]))
 
 
 def dedekind_macneille(p, max_elements=MAX_COMPLETION_ELEMENTS):

@@ -83,9 +83,6 @@ class FinitePoset:
     def lt(self, i, j):
         return i != j and (self.up[i] >> j) & 1 == 1
 
-    def comparable(self, i, j):
-        return ((self.up[i] >> j) | (self.up[j] >> i)) & 1 == 1
-
     def elements(self):
         return range(self.n)
 
@@ -115,9 +112,9 @@ class FinitePoset:
         return FinitePoset(self.names, self.down)
 
     def is_total(self):
-        return all(
-            self.comparable(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-        )
+        """Whether every element is comparable to every other one."""
+        full = self.full_mask
+        return all(u | d == full for u, d in zip(self.up, self.down))
 
     def __eq__(self, other):
         return (
@@ -276,6 +273,12 @@ def as_bounded_lattice(p):
     """Verify that a poset is a nontrivial bounded lattice and equip it with
     meet/join tables.
 
+    The common lower bounds of i and j are ``down[i] & down[j]``, and their
+    greatest lower bound is the element whose down-set is exactly that mask
+    (a lower bound's down-set already lies inside it).  So each meet is one
+    lookup in a map from down-set to element, each join one lookup in a map
+    from up-set to element, and the tables take O(n^2) lookups.
+
     Raises :class:`NoBounds` if there is no global least or greatest element,
     :class:`NotALattice` naming the first pair without a glb or lub, and
     :class:`TrivialLattice` if bot equals top.
@@ -290,25 +293,17 @@ def as_bounded_lattice(p):
     if bot == top:
         raise TrivialLattice("least and greatest elements coincide")
 
+    by_down = {mask: z for z, mask in enumerate(p.down)}
+    by_up = {mask: z for z, mask in enumerate(p.up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lower = p.down[i] & p.down[j]
-            glb = -1
-            for z in _iter_bits(lower):
-                if lower & ~p.down[z] == 0:
-                    glb = z
-                    break
-            if glb < 0:
+            glb = by_down.get(p.down[i] & p.down[j])
+            if glb is None:
                 raise NotALattice(p.names[i], p.names[j], "greatest lower bound")
-            upper = p.up[i] & p.up[j]
-            lub = -1
-            for z in _iter_bits(upper):
-                if upper & ~p.up[z] == 0:
-                    lub = z
-                    break
-            if lub < 0:
+            lub = by_up.get(p.up[i] & p.up[j])
+            if lub is None:
                 raise NotALattice(p.names[i], p.names[j], "least upper bound")
             meet[i][j] = meet[j][i] = glb
             join[i][j] = join[j][i] = lub
@@ -475,7 +470,9 @@ class FinsetOrder:
 
     Subsets are compared by their descending sequence of base positions; a
     proper prefix is smaller and the empty set is least.  This order extends
-    inclusion, and on singletons it agrees with the base order.
+    inclusion, and on singletons it agrees with the base order.  It is the
+    integer order of the bitmask of base positions: the highest position
+    where two subsets differ decides, and a proper prefix lacks a lower bit.
     """
 
     __slots__ = ("base", "_pos")
@@ -488,9 +485,9 @@ class FinsetOrder:
         self._pos = {label: k for k, label in enumerate(base)}
 
     def key(self, subset):
-        """Sort key realizing the order: positions in decreasing order."""
+        """Sort key realizing the order: the bitmask of base positions."""
         try:
-            return tuple(sorted((self._pos[x] for x in subset), reverse=True))
+            return sum(1 << self._pos[x] for x in subset)
         except KeyError as exc:
             raise UnknownLabel(f"{exc.args[0]!r} is not in the base chain") from None
 
@@ -513,10 +510,11 @@ class FinsetOrder:
         return frozenset(self.base)
 
     def all_subsets(self):
-        out = []
-        for mask in range(1 << len(self.base)):
-            out.append(frozenset(self.base[k] for k in _iter_bits(mask)))
-        return sorted(out, key=self.key)
+        """Every subset of the base, in increasing order."""
+        return [
+            frozenset(self.base[k] for k in _iter_bits(mask))
+            for mask in range(1 << len(self.base))
+        ]
 
     def __eq__(self, other):
         return isinstance(other, FinsetOrder) and self.base == other.base

@@ -8,6 +8,8 @@ set literally from its definition.  They stay slow and obvious on purpose.
 from fractions import Fraction
 from math import gcd
 
+from hngame.errors import NoBounds, NotALattice, TrivialLattice
+
 
 def mu_max_oracle(g, x, y):
     l = g.lattice
@@ -58,6 +60,42 @@ def lower_bounds_oracle(p, members):
 
 def closure_oracle(p, members):
     return lower_bounds_oracle(p, upper_bounds_oracle(p, members))
+
+
+def lattice_tables_oracle(p):
+    """Bot, top and the meet/join tables of a poset, each bound found by
+    scanning the common lower (upper) bounds for one that lies above (below)
+    all of them.  Pairs are taken row by row, the glb before the lub, and
+    the errors are those of ``as_bounded_lattice``."""
+    n = p.n
+    full = (1 << n) - 1
+    bots = [i for i in range(n) if p.up[i] == full]
+    tops = [j for j in range(n) if p.down[j] == full]
+    if not bots or not tops:
+        raise NoBounds("poset has no global least or greatest element")
+    if bots[0] == tops[0]:
+        raise TrivialLattice("least and greatest elements coincide")
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lower = p.down[i] & p.down[j]
+            glb = [z for z in range(n) if lower >> z & 1 and not lower & ~p.down[z]]
+            if not glb:
+                raise NotALattice(p.names[i], p.names[j], "greatest lower bound")
+            upper = p.up[i] & p.up[j]
+            lub = [z for z in range(n) if upper >> z & 1 and not upper & ~p.up[z]]
+            if not lub:
+                raise NotALattice(p.names[i], p.names[j], "least upper bound")
+            meet[i][j] = meet[j][i] = glb[0]
+            join[i][j] = join[j][i] = lub[0]
+    return bots[0], tops[0], tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def lex_key_oracle(base, subset):
+    """The Lex' sort key spelled out: base positions in decreasing order,
+    compared as tuples (a proper prefix is smaller)."""
+    return tuple(sorted((list(base).index(x) for x in subset), reverse=True))
 
 
 def divisors(n):

@@ -20,6 +20,7 @@ from oracles import (
     all_subgroups_oracle,
     divisors,
     elementary_abelian_subgroup_count,
+    lattice_tables_oracle,
     prime_divisors,
     zm_zn_subgroup_count,
 )
@@ -58,6 +59,19 @@ def test_subgroups_match_literal_search():
     for group in iter_invariant_factor_groups(48):
         sl = subgroup_lattice(group)
         assert list(sl.subgroups) == all_subgroups_oracle(group), group
+
+
+def test_meet_is_intersection_and_join_is_sum():
+    for group in iter_invariant_factor_groups(48):
+        sl = subgroup_lattice(group)
+        l, subgroups = sl.lattice, sl.subgroups
+        assert (l.bot, l.top, l.meet, l.join) == lattice_tables_oracle(l.poset)
+        for i, h in enumerate(subgroups):
+            for j in range(i, l.n):
+                k = subgroups[j]
+                h_plus_k = {group.add(a, b) for a in h for b in k}
+                assert subgroups[l.meet[i][j]] == h & k
+                assert subgroups[l.join[i][j]] == h_plus_k
 
 
 def test_quotient_subgroups_sorted_by_element_index():

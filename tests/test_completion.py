@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -148,6 +149,17 @@ def test_dm_linear_for_chains_up_to_six():
         names = [f"c{i}" for i in range(k)]
         p = build_poset(names, list(zip(names, names[1:])))
         assert dedekind_macneille(p).is_linear()
+
+
+def test_is_total_and_is_linear_match_pairwise_definitions():
+    for n in range(1, 7):
+        for p in poset_iso_classes(n):
+            pairs = itertools.product(range(n), repeat=2)
+            assert p.is_total() == all(p.le(i, j) or p.le(j, i) for i, j in pairs)
+            c = dedekind_macneille(p)
+            sets = c.closed_sets
+            nested = all(a & ~b == 0 or b & ~a == 0 for a in sets for b in sets)
+            assert c.is_linear() == nested
 
 
 def test_dm_of_lex_ordered_subsets_is_itself():

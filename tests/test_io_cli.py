@@ -299,6 +299,30 @@ def test_cli_dm_poset(tmp_path):
     assert payload["count"] >= 4
 
 
+def test_cli_dm_labels_with_commas(tmp_path):
+    # The cuts {a, "b,c"} and {"a,b", c} must stay distinct elements of the
+    # completion although their labels spell the same characters.
+    covers = [[x, u] for x in ("a", "b,c") for u in ("u1", "u2")]
+    covers += [[x, v] for x in ("a,b", "c") for v in ("v1", "v2")]
+    doc = {
+        "schema_version": 1,
+        "kind": "poset",
+        "name": "comma_labels",
+        "poset": {
+            "elements": ["a", "b,c", "a,b", "c", "u1", "u2", "v1", "v2"],
+            "covers": covers,
+        },
+    }
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["dm", "--input", str(src), "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["count"] == 12
+    assert ["a", "b,c"] in payload["closed_sets"]
+    assert ["a,b", "c"] in payload["closed_sets"]
+
+
 def test_cli_export_dot_hn(tmp_path):
     out = tmp_path / "hasse.dot"
     code = main(["export-dot", "--input", str(REPO / "fixtures" / "gmod.json"),

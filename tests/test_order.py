@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from hngame.errors import (
     NoBounds,
     NotALattice,
     NotStrict,
+    TrivialLattice,
     UnknownLabel,
 )
 from hngame.order import (
@@ -24,9 +26,14 @@ from hngame.order import (
     iter_chains,
     linear_extension,
 )
-from hngame.sweeps import lattice_iso_classes
+from hngame.sweeps import (
+    lattice_iso_classes,
+    poset_iso_classes,
+    random_lattice,
+    random_poset,
+)
 
-from oracles import all_bot_top_chains
+from oracles import all_bot_top_chains, lattice_tables_oracle, lex_key_oracle
 
 
 def test_singleton_poset():
@@ -109,6 +116,45 @@ def test_meet_join_agree_with_recomputed_bounds():
                 upper = [z for z in range(l.n) if l.le(x, z) and l.le(y, z)]
                 lub = [z for z in upper if all(l.le(z, w) for w in upper)]
                 assert lub == [l.join[x][y]]
+
+
+def _lattice_outcome(build, p):
+    """Bot, top and tables built by ``build``, or the error it raised."""
+    try:
+        return "lattice", build(p)
+    except NotALattice as exc:
+        return NotALattice, exc.pair, exc.missing
+    except (NoBounds, TrivialLattice) as exc:
+        return (type(exc),)
+
+
+def _tables(p):
+    l = as_bounded_lattice(p)
+    return l.bot, l.top, l.meet, l.join
+
+
+def test_as_bounded_lattice_matches_scan_oracle():
+    rng = random.Random(11)
+    posets = [
+        q for n in range(1, 7) for p in poset_iso_classes(n) for q in (p, p.dual())
+    ]
+    posets += [
+        random_poset(rng, n, density) for n in range(8, 17) for density in (0.4, 0.8)
+    ]
+    posets += [random_lattice(rng, n).poset for n in range(8, 17)]
+    # The first pair, (x, y), has neither a glb nor a lub: the glb is named.
+    posets.append(build_poset(
+        ["x", "y", "a", "b", "c", "d", "bot", "top"],
+        [("bot", "a"), ("bot", "b"), ("c", "top"), ("d", "top")]
+        + [(lo, hi) for lo in "ab" for hi in "xy"]
+        + [(lo, hi) for lo in "xy" for hi in "cd"],
+    ))
+    kinds = set()
+    for p in posets:
+        outcome = _lattice_outcome(_tables, p)
+        assert outcome == _lattice_outcome(lattice_tables_oracle, p), p
+        kinds.add(outcome[0])
+    assert kinds == {"lattice", NoBounds, TrivialLattice, NotALattice}
 
 
 def test_interval_membership_and_bounds():
@@ -204,6 +250,21 @@ def test_lex_finset_extends_inclusion_exhaustively():
                 assert fo.lt(a, b)
             if a <= b:
                 assert fo.leq(a, b)
+
+
+def test_lex_finset_key_matches_descending_tuple_oracle():
+    base = [2, 3, 5, 7, 11, 13]
+    fo = FinsetOrder(base)
+    subsets = fo.all_subsets()
+    assert len(set(subsets)) == 64
+    assert subsets == sorted(subsets, key=lambda s: lex_key_oracle(base, s))
+    for a in subsets:
+        for b in subsets:
+            ka, kb = lex_key_oracle(base, a), lex_key_oracle(base, b)
+            assert (fo.key(a) < fo.key(b)) == (ka < kb)
+            assert (fo.key(a) == fo.key(b)) == (ka == kb)
+    with pytest.raises(UnknownLabel):
+        fo.key(frozenset({2, 4}))
 
 
 @given(
