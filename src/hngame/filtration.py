@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
-from .game import interval_semistable, is_convex
+from .game import _pair_ids, _series, interval_semistable, is_convex
 from .order import _iter_bits, check_chain, iter_chains
 
 MAX_ENUMERATION_ELEMENTS = 16
@@ -52,18 +52,19 @@ def _st_set_on(g, lo, hi):
     x in (lo, hi] belongs when no y in (lo, hi] has mu_a(lo, y) strictly above
     mu_a(lo, x), and every y attaining mu_a(lo, x) sits below x.
     """
-    t = g.tables()
     l = g.lattice
+    ta = _series(g)[2]
+    row = _pair_ids(l)[lo]
     members = list(_iter_bits(l.between(lo, hi) & ~(1 << lo)))
-    mu = {x: t.mu_a[(lo, x)] for x in members}
-    gt = g.values.gt
+    mu = {x: ta[row[x]] for x in members}
+    lt = g.values.code_order.lt
     out = []
     for x in members:
         vx = mu[x]
         ok = True
         for y in members:
             vy = mu[y]
-            if gt(vy, vx):
+            if lt(vx, vy):
                 ok = False
                 break
             if vy == vx and not l.le(y, x):
@@ -155,15 +156,14 @@ def validate_hn(g, f):
     """
     l = g.lattice
     steps = check_chain(l, f, l.bot, l.top)
-    t = g.tables()
-    mu_steps = tuple(t.mu_a[(a, b)] for a, b in zip(steps, steps[1:]))
-    piecewise = tuple(
-        interval_semistable(g, a, b) for a, b in zip(steps, steps[1:])
-    )
-    leq = g.values.leq
-    decreasing = tuple(
-        not leq(mu_steps[i], mu_steps[i + 1]) for i in range(len(mu_steps) - 1)
-    )
+    pairs = tuple(zip(steps, steps[1:]))
+    mu_a = g.tables().mu_a
+    mu_steps = tuple(mu_a[p] for p in pairs)
+    piecewise = tuple(interval_semistable(g, a, b) for a, b in pairs)
+    ta, pid = _series(g)[2], _pair_ids(l)
+    codes = [ta[pid[a][b]] for a, b in pairs]
+    le = g.values.code_order.le
+    decreasing = tuple(not le(a, b) for a, b in zip(codes, codes[1:]))
     return HNReport(
         filtration=Filtration(steps, mu_steps),
         piecewise_semistable=piecewise,
@@ -186,12 +186,12 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
             f"lattice has {l.n} elements; guard is {max_elements} "
             "(raise max_elements to override)"
         )
-    mu_a = g.tables().mu_a
-    leq = g.values.leq
+    ta, pid = _series(g)[2], _pair_ids(l)
+    le = g.values.code_order.le
 
     def step_ok(chain, nxt):
         lo = chain[-1]
-        if len(chain) > 1 and leq(mu_a[(chain[-2], lo)], mu_a[(lo, nxt)]):
+        if len(chain) > 1 and le(ta[pid[chain[-2]][lo]], ta[pid[lo][nxt]]):
             return False
         return interval_semistable(g, lo, nxt)
 

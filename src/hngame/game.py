@@ -18,11 +18,27 @@ and infs are associative: mu_max(x, y) = sup(mu(x, y), mu_max(x, c) : c a
 lower cover of y, x < c), mu_a(x, y) = inf(mu_max(x, y), mu_a(c, y) : c an
 upper cover of x, c < y), mu_min and mu_b dually, and all four equal the
 payoff on a cover.
+
+The engine does not compare values.  A game's payoff is encoded once as
+order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
+one flat list indexed by pair id, the position of a pair in
+``strict_pairs()``.  The public constructor encodes while it validates, a
+trusted game encodes on first use, and :func:`dual` permutes and dualizes the
+game's codes instead of encoding again.  The table recursion, the convexity,
+slope-like and interval (semi)stability predicates, and the searches of
+:mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read only codes and
+the code tables, compared and folded by ``values.code_order`` (builtins for
+total value kinds).  Decoding happens once, where :meth:`Game.tables` builds
+the public :class:`MuTables` dicts; ``payoff`` and every value handed out are
+values, not codes.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .errors import (
     MissingBottom,
@@ -43,9 +59,18 @@ INCREASING, DECREASING, FLAT, VIOLATION = (
 
 
 class Game:
-    """A payoff function on the strict pairs of a bounded lattice."""
+    """A payoff function on the strict pairs of a bounded lattice.
 
-    __slots__ = ("lattice", "values", "payoff", "_tables", "_slope_like")
+    ``payoff`` maps each strict pair to its value.  The engine reads the
+    payoff codes instead (see the module docstring): the public constructor
+    validates and encodes the values in one pass, while :meth:`_trusted`
+    leaves the encoding to the first computation that needs it.
+    """
+
+    __slots__ = (
+        "lattice", "values", "payoff", "_codes", "_series", "_tables",
+        "_slope_like",
+    )
 
     def __init__(self, lattice, values, payoff):
         pairs = lattice.strict_pairs()
@@ -56,14 +81,14 @@ class Game:
                 "payoff must be defined on exactly the strict pairs; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        for pair, v in payoff.items():
-            if not values.contains(v):
-                raise ValueError(f"payoff value {v!r} at {pair} not in value lattice")
         self.lattice = lattice
         self.values = values
         self.payoff = dict(payoff)
+        self._codes = None
+        self._series = None
         self._tables = None
         self._slope_like = None
+        _codes(self)
 
     @classmethod
     def _trusted(cls, lattice, values, payoff):
@@ -72,6 +97,8 @@ class Game:
         g.lattice = lattice
         g.values = values
         g.payoff = payoff
+        g._codes = None
+        g._series = None
         g._tables = None
         g._slope_like = None
         return g
@@ -85,7 +112,12 @@ class Game:
 
     def tables(self):
         if self._tables is None:
-            self._tables = _compute_tables(self)
+            self._series = _compute_tables(self)
+            decode = _codes(self)[1].__getitem__
+            pairs = self.lattice.strict_pairs()
+            self._tables = MuTables(
+                *(dict(zip(pairs, map(decode, s))) for s in self._series)
+            )
         return self._tables
 
     def __eq__(self, other):
@@ -110,6 +142,36 @@ class MuTables:
     mu_b: dict
 
 
+def _pair_ids(lattice):
+    """Pair ids by row, cached on the lattice: ``ids[x][y]`` is the index of
+    the strict pair (x, y) in ``strict_pairs()``."""
+    cached = lattice._cache.get("pair_ids")
+    if cached is None:
+        cached = [{} for _ in lattice.elements()]
+        for k, (x, y) in enumerate(lattice.strict_pairs()):
+            cached[x][y] = k
+        lattice._cache["pair_ids"] = cached
+    return cached
+
+
+def _codes(g):
+    """The payoff codes by pair id and the map from code back to value,
+    encoded on first use."""
+    if g._codes is None:
+        g._codes = g.values.encode(
+            list(map(g.payoff.__getitem__, g.lattice.strict_pairs()))
+        )
+    return g._codes
+
+
+def _series(g):
+    """mu_max, mu_min, mu_a and mu_b as code lists by pair id, computed with
+    the tables."""
+    if g._series is None:
+        g.tables()
+    return g._series
+
+
 def _cover_ids(lattice):
     """Per-pair cover index lists, cached on the lattice.
 
@@ -122,40 +184,40 @@ def _cover_ids(lattice):
     if cached is not None:
         return cached
     pairs = lattice.strict_pairs()
-    pid = {p: k for k, p in enumerate(pairs)}
-    covers = lattice.covers()
-    lower = [[a for a, b in covers if b == y] for y in lattice.elements()]
-    upper = [[b for a, b in covers if a == x] for x in lattice.elements()]
-    below, above = [], []
+    pid = _pair_ids(lattice)
+    up, down = lattice.poset.up, lattice.poset.down
+    lower = [[] for _ in lattice.elements()]
+    upper = [[] for _ in lattice.elements()]
+    for a, b in lattice.covers():
+        lower[b].append(a)
+        upper[a].append(b)
+    below, above, size = [], [], []
     for x, y in pairs:
-        inside = lattice.strictly_between(x, y)
-        below.append([pid[(x, c)] for c in lower[y] if (inside >> c) & 1])
-        above.append([pid[(c, y)] for c in upper[x] if (inside >> c) & 1])
-    order = sorted(
-        (k for k in range(len(pairs)) if below[k]),
-        key=lambda k: lattice.between(*pairs[k]).bit_count(),
-    )
+        inside = up[x] & down[y] & ~(1 << x | 1 << y)
+        row = pid[x]
+        below.append([row[c] for c in lower[y] if (inside >> c) & 1])
+        above.append([pid[c][y] for c in upper[x] if (inside >> c) & 1])
+        size.append(inside.bit_count())
+    order = sorted((k for k in range(len(pairs)) if below[k]), key=size.__getitem__)
     cached = (pairs, below, above, order)
     lattice._cache["covers"] = cached
     return cached
 
 
 def _compute_tables(g):
-    pairs, below, above, order = _cover_ids(g.lattice)
-    sup, inf = g.values.sup, g.values.inf
-    vals = [g.payoff[p] for p in pairs]
-    tmax, tmin, ta, tb = vals[:], vals[:], vals[:], vals[:]
+    """The four series as code lists by pair id, along the cover index."""
+    _, below, above, order = _cover_ids(g.lattice)
+    codes = _codes(g)[0]
+    sup, inf = g.values.code_order.sup, g.values.code_order.inf
+    tmax, tmin, ta, tb = codes[:], codes[:], codes[:], codes[:]
+    gmax, gmin = tmax.__getitem__, tmin.__getitem__
+    ga, gb = ta.__getitem__, tb.__getitem__
     for k in order:
-        tmax[k] = sup([vals[k]] + [tmax[q] for q in below[k]])
-        tmin[k] = inf([vals[k]] + [tmin[q] for q in above[k]])
-        ta[k] = inf([tmax[k]] + [ta[q] for q in above[k]])
-        tb[k] = sup([tmin[k]] + [tb[q] for q in below[k]])
-    return MuTables(
-        mu_max=dict(zip(pairs, tmax)),
-        mu_min=dict(zip(pairs, tmin)),
-        mu_a=dict(zip(pairs, ta)),
-        mu_b=dict(zip(pairs, tb)),
-    )
+        tmax[k] = sup([codes[k], *map(gmax, below[k])])
+        tmin[k] = inf([codes[k], *map(gmin, above[k])])
+        ta[k] = inf([tmax[k], *map(ga, above[k])])
+        tb[k] = sup([tmin[k], *map(gb, below[k])])
+    return tmax, tmin, ta, tb
 
 
 def _require_strict(g, x, y):
@@ -238,9 +300,25 @@ def dual(g):
     The payoff of the dual pair (x, y) is the original payoff of (y, x); the
     star values swap roles, mu_b* of the dual being mu_a* of the original.
     """
-    dlat = g.lattice.dual()
+    l = g.lattice
     payoff = {(j, i): v for (i, j), v in g.payoff.items()}
-    return Game._trusted(dlat, g.values.dual(), payoff)
+    d = Game._trusted(l.dual(), g.values.dual(), payoff)
+    codes, decode = _codes(g)
+    d._codes = g.values.dual_codes(
+        list(map(codes.__getitem__, _dual_pair_ids(l))), decode
+    )
+    return d
+
+
+def _dual_pair_ids(lattice):
+    """For each strict pair (a, b) of the dual lattice, in order, the pair id
+    of (b, a) in the lattice; cached on the lattice."""
+    cached = lattice._cache.get("dual_pair_ids")
+    if cached is None:
+        pid = _pair_ids(lattice)
+        cached = [pid[b][a] for a, b in lattice.dual().strict_pairs()]
+        lattice._cache["dual_pair_ids"] = cached
+    return cached
 
 
 def is_convex(g):
@@ -254,22 +332,37 @@ def is_affine(g):
 
 
 def _convexity(g, require_equal):
-    l = g.lattice
-    leq = g.values.leq
-    payoff = g.payoff
-    for x in range(l.n):
-        up_x = l.poset.up[x]
-        for y in range(l.n):
-            if (up_x >> y) & 1:
+    left, right = _convexity_ids(g.lattice)
+    code = _codes(g)[0].__getitem__
+    holds = operator.eq if require_equal else g.values.code_order.le
+    return all(map(holds, map(code, left), map(code, right)))
+
+
+def _convexity_ids(lattice):
+    """The pair ids of (x ^ y, x) and of (y, x v y) over all incomparable
+    x, y, as two int arrays; cached on the lattice.
+
+    A row x with incomparable elements is read for every y in C loops: a
+    non-strict pair reads as -1, so on comparable x, y both ids are -1
+    (x <= y) or both are the id of (y, x) (y < x), and only the incomparable
+    ones have different ids.
+    """
+    cached = lattice._cache.get("convexity")
+    if cached is None:
+        pid = _pair_ids(lattice)
+        up, down, full = lattice.poset.up, lattice.poset.down, lattice.poset.full_mask
+        cached = left, right = array("i"), array("i")
+        for x in lattice.elements():
+            if up[x] | down[x] == full:
                 continue
-            left = payoff[(l.meet[x][y], x)]
-            right = payoff[(y, l.join[x][y])]
-            if require_equal:
-                if left != right:
-                    return False
-            elif not leq(left, right):
-                return False
-    return True
+            meets = map(pid.__getitem__, lattice.meet[x])
+            lrow = list(map(dict.get, meets, repeat(x), repeat(-1)))
+            rrow = list(map(dict.get, pid, lattice.join[x], repeat(-1)))
+            keep = list(map(operator.ne, lrow, rrow))
+            left.extend(compress(lrow, keep))
+            right.extend(compress(rrow, keep))
+        lattice._cache["convexity"] = cached
+    return cached
 
 
 def interval_semistable(g, lo, hi):
@@ -279,11 +372,12 @@ def interval_semistable(g, lo, hi):
     greater than mu_a(lo, hi).  For non-total value lattices this is weaker
     than mu_a(lo, x) <= mu_a(lo, hi).
     """
-    t = g.tables()
-    ref = t.mu_a[(lo, hi)]
-    gt = g.values.gt
+    ta = _series(g)[2]
+    row = _pair_ids(g.lattice)[lo]
+    ref = ta[row[hi]]
+    lt = g.values.code_order.lt
     for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        if gt(t.mu_a[(lo, x)], ref):
+        if lt(ref, ta[row[x]]):
             return False
     return True
 
@@ -293,10 +387,11 @@ def interval_stable(g, lo, hi):
     proper intermediate x attains mu_a(lo, hi)."""
     if not interval_semistable(g, lo, hi):
         return False
-    t = g.tables()
-    ref = t.mu_a[(lo, hi)]
+    ta = _series(g)[2]
+    row = _pair_ids(g.lattice)[lo]
+    ref = ta[row[hi]]
     for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        if t.mu_a[(lo, x)] == ref:
+        if ta[row[x]] == ref:
             return False
     return True
 
@@ -317,16 +412,17 @@ def is_stable(g):
 
 
 def _chain_triples(lattice):
+    """The pair ids (x, y), (x, z), (y, z) of every chain x < y < z; cached
+    on the lattice."""
     cached = lattice._cache.get("triples")
     if cached is not None:
         return cached
-    pairs = lattice.strict_pairs()
-    pid = {p: k for k, p in enumerate(pairs)}
-    triples = []
-    for x, z in pairs:
-        for y in _iter_bits(lattice.strictly_between(x, z)):
-            triples.append((pid[(x, y)], pid[(x, z)], pid[(y, z)], (x, y, z)))
-    cached = (pairs, triples)
+    pid = _pair_ids(lattice)
+    cached = [
+        (pid[x][y], pxz, pid[y][z])
+        for pxz, (x, z) in enumerate(lattice.strict_pairs())
+        for y in _iter_bits(lattice.strictly_between(x, z))
+    ]
     lattice._cache["triples"] = cached
     return cached
 
@@ -348,11 +444,10 @@ def is_slope_like(g):
 
 
 def _scan_slope_like(g):
-    pairs, triples = _chain_triples(g.lattice)
-    vals = [g.payoff[p] for p in pairs]
-    leq, lt = g.values.leq, g.values.lt
-    for pxy, pxz, pyz, _ in triples:
-        vxy, vxz, vyz = vals[pxy], vals[pxz], vals[pyz]
+    codes = _codes(g)[0]
+    leq, lt = g.values.code_order.le, g.values.code_order.lt
+    for pxy, pxz, pyz in _chain_triples(g.lattice):
+        vxy, vxz, vyz = codes[pxy], codes[pxz], codes[pyz]
         if not (leq(vxy, vxz) or lt(vyz, vxz)):
             return False
         if not (lt(vxy, vxz) or leq(vyz, vxz)):

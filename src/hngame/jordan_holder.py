@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 from .errors import JHNotFound, PreconditionFailed, TooLarge
 from .filtration import MAX_ENUMERATION_ELEMENTS
-from .game import interval_stable, is_affine, is_semistable, is_slope_like
+from .game import (
+    _codes,
+    _pair_ids,
+    interval_stable,
+    is_affine,
+    is_semistable,
+    is_slope_like,
+)
 from .order import _iter_bits, check_chain, is_modular, iter_chains
 
 
@@ -53,10 +60,12 @@ def _game_value(g):
 def _first_deviation(g, lower, upper):
     """The first z with lower < z < upper and mu(lower, z) not strictly below
     mu(lower, upper), or None when the step is strictly optimal."""
-    lt = g.values.lt
-    ref = g.payoff[(lower, upper)]
+    codes = _codes(g)[0]
+    row = _pair_ids(g.lattice)[lower]
+    lt = g.values.code_order.lt
+    ref = codes[row[upper]]
     for z in _iter_bits(g.lattice.strictly_between(lower, upper)):
-        if not lt(g.payoff[(lower, z)], ref):
+        if not lt(codes[row[z]], ref):
             return z
     return None
 
@@ -82,10 +91,12 @@ def _check_jh_preconditions(g, modular_affine=False):
 def _jh_chains(g):
     """Top-to-bot chains whose every step passes both step conditions."""
     l = g.lattice
-    total = _game_value(g)
+    codes = _codes(g)[0]
+    pid = _pair_ids(l)
+    total = codes[pid[l.bot][l.top]]
     return iter_chains(
         l, l.top, l.bot,
-        lambda chain, lower: g.payoff[(lower, chain[-1])] == total
+        lambda chain, lower: codes[pid[lower][chain[-1]]] == total
         and _first_deviation(g, lower, chain[-1]) is None,
     )
 

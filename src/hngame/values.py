@@ -1,23 +1,71 @@
-"""Payoff value lattices.
+"""Payoff value lattices and their integer codes.
 
 A game's payoff lands in a complete lattice S.  Three effective kinds cover
 everything this library needs: the extended rationals, an explicit finite
 lattice (total or not), and the Lex'-ordered finite subsets of a prime base.
 All sups and infs taken by the library are over finite sets, so completeness
 is only ever used through ``sup``/``inf`` on finite iterables.
+
+Only the order of S matters to the game engine, so each value lattice also
+encodes values as ints: :meth:`ValueLattice.encode` validates a sequence of
+values and returns their codes together with a map from code back to value,
+and ``code_order`` compares and folds codes.  Per kind:
+
+- ``ExtendedRationals``: the rank among the distinct values encoded together,
+  so -inf and +inf get the least and the greatest code;
+- ``FiniteChain``: the rank in the chain;
+- ``PrimeFinsets``: the bitmask of base positions, whose integer order is the
+  Lex' order (:meth:`~hngame.order.FinsetOrder.key`);
+- ``FiniteLatticeValues``: the element index, ordered by the lattice itself
+  (an up-set bit test, and sup and inf through the join and meet tables);
+- the dual of a total kind negates the codes, and the dual of lattice values
+  keeps the indices under the dual lattice.
+
+For the integer codes ``code_order`` is :data:`INT_ORDER`, whose operations
+are builtins.  Equal values get equal codes, so ``==`` on codes is ``==`` on
+values.  The value-level methods (``leq``, ``sup``, ...) stay the public
+interface; :mod:`hngame.game` decodes codes back to values only where it
+hands results out.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
+from types import SimpleNamespace
 
+from .errors import UnknownLabel
 from .order import FinsetOrder
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
 
 LT, EQ, GT, INCOMPARABLE = "lt", "eq", "gt", "incomparable"
+
+
+# The order on integer codes.  A code order has ``le`` and ``lt``, which
+# compare two codes, and ``sup`` and ``inf``, which fold a nonempty iterable
+# of codes; a BoundedLattice has the same four methods on element indices.
+INT_ORDER = SimpleNamespace(le=operator.le, lt=operator.lt, sup=max, inf=min)
+
+
+def _not_a_value(v):
+    return ValueError(f"payoff value {v!r} not in value lattice")
+
+
+def _nearest_float(v):
+    """The float nearest an extended rational (±inf beyond the float range);
+    raises ValueError for anything else."""
+    if isinstance(v, Fraction):
+        try:
+            return v.numerator / v.denominator
+        except OverflowError:
+            return POS_INF if v > 0 else NEG_INF
+    if v == POS_INF or v == NEG_INF:
+        return float(v)
+    raise _not_a_value(v)
 
 
 def as_rational(v):
@@ -30,12 +78,27 @@ def as_rational(v):
 
 
 class ValueLattice:
-    """Common interface: order queries plus finite sup/inf with top/bot."""
+    """Common interface: order queries plus finite sup/inf with top/bot, and
+    the integer codes of values with their order."""
 
     kind = None
     is_total = False
     top = None
     bot = None
+    code_order = INT_ORDER
+
+    def encode(self, values):
+        """Validate and encode a sequence of values.
+
+        Returns ``(codes, decode)``: ``codes[k]`` is the code of
+        ``values[k]``, and ``decode[c]`` is a value with code ``c``.  Raises
+        ``ValueError`` for a value outside the lattice.
+        """
+        raise NotImplementedError
+
+    def dual_codes(self, codes, decode):
+        """The same values encoded for the dual lattice: negated codes."""
+        return [-c for c in codes], {-c: v for c, v in decode.items()}
 
     def leq(self, a, b):
         raise NotImplementedError
@@ -93,6 +156,27 @@ class ExtendedRationals(ValueLattice):
     def contains(self, v):
         return isinstance(v, Fraction) or v == POS_INF or v == NEG_INF
 
+    def encode(self, values):
+        """Ranks among the distinct values.
+
+        One sort by the nearest floats orders the values up to runs of equal
+        floats; only such a run is compared exactly, by a second sort and by
+        ``!=`` between neighbours, which also gives equal values one rank.
+        """
+        near = [_nearest_float(v) for v in values]
+        codes = [0] * len(values)
+        decode = {}
+        rank = -1
+        order = sorted(range(len(values)), key=near.__getitem__)
+        for _, run in groupby(order, key=near.__getitem__):
+            last = None
+            for k in sorted(run, key=values.__getitem__):
+                if last is None or values[k] != last:
+                    rank += 1
+                    decode[rank] = last = values[k]
+                codes[k] = rank
+        return codes, decode
+
     def __eq__(self, other):
         return isinstance(other, ExtendedRationals)
 
@@ -119,6 +203,7 @@ class FiniteChain(ValueLattice):
         self._rank = {v: k for k, v in enumerate(elements)}
         if len(self._rank) != len(elements):
             raise ValueError("chain elements must be distinct")
+        self._decode = dict(enumerate(elements))
 
     def leq(self, a, b):
         return self._rank[a] <= self._rank[b]
@@ -131,6 +216,13 @@ class FiniteChain(ValueLattice):
 
     def contains(self, v):
         return v in self._rank
+
+    def encode(self, values):
+        rank = self._rank
+        try:
+            return [rank[v] for v in values], self._decode
+        except KeyError as exc:
+            raise _not_a_value(exc.args[0]) from None
 
     def __eq__(self, other):
         return isinstance(other, FiniteChain) and self.elements == other.elements
@@ -146,7 +238,8 @@ class FiniteLatticeValues(ValueLattice):
     """Values forming an explicit finite lattice, not necessarily total.
 
     Elements are the labels of a :class:`~hngame.order.BoundedLattice`; sups
-    and infs fold the join/meet tables.
+    and infs fold the join/meet tables.  A value's code is its element index,
+    ordered by the lattice, even when the lattice is a chain.
     """
 
     kind = "explicit_lattice"
@@ -158,6 +251,7 @@ class FiniteLatticeValues(ValueLattice):
         self.top = lattice.names[lattice.top]
         self._index = {name: i for i, name in enumerate(lattice.names)}
         self.is_total = lattice.poset.is_total()
+        self.code_order = lattice
 
     def leq(self, a, b):
         return self.lattice.le(self._index[a], self._index[b])
@@ -180,6 +274,17 @@ class FiniteLatticeValues(ValueLattice):
 
     def contains(self, v):
         return v in self._index
+
+    def encode(self, values):
+        index = self._index
+        try:
+            return [index[v] for v in values], self.elements
+        except KeyError as exc:
+            raise _not_a_value(exc.args[0]) from None
+
+    def dual_codes(self, codes, decode):
+        """The same indices: the dual lattice reverses their order."""
+        return codes, decode
 
     def __eq__(self, other):
         return (
@@ -225,6 +330,23 @@ class PrimeFinsets(ValueLattice):
     def contains(self, v):
         return isinstance(v, frozenset) and v <= set(self.order.base)
 
+    def encode(self, values):
+        """Lex' bitmasks, computed once per distinct prime set."""
+        key = self._key
+        seen = {}
+        codes = []
+        for v in values:
+            if not isinstance(v, frozenset):
+                raise _not_a_value(v)
+            code = seen.get(v)
+            if code is None:
+                try:
+                    code = seen[v] = key(v)
+                except UnknownLabel:
+                    raise _not_a_value(v) from None
+            codes.append(code)
+        return codes, {code: v for v, code in seen.items()}
+
     def __eq__(self, other):
         return isinstance(other, PrimeFinsets) and self.order == other.order
 
@@ -244,6 +366,9 @@ class _DualValues(ValueLattice):
         self.is_total = inner.is_total
         self.top = inner.bot
         self.bot = inner.top
+        # Total kinds negate their codes, so the integer order still applies.
+        order = inner.code_order
+        self.code_order = order if order is INT_ORDER else order.dual()
 
     def leq(self, a, b):
         return self.inner.leq(b, a)
@@ -256,6 +381,12 @@ class _DualValues(ValueLattice):
 
     def contains(self, v):
         return self.inner.contains(v)
+
+    def encode(self, values):
+        return self.inner.dual_codes(*self.inner.encode(values))
+
+    def dual_codes(self, codes, decode):
+        return self.inner.dual_codes(codes, decode)
 
     def dual(self):
         return self.inner

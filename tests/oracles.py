@@ -50,6 +50,113 @@ def semistable_oracle(g):
     return True
 
 
+def convexity_oracle(g, require_equal):
+    """Convexity (affinity when ``require_equal``) by the value methods:
+    mu(x ^ y, x) <= mu(y, x v y), or ==, whenever x is not below y."""
+    l = g.lattice
+    for x in l.elements():
+        for y in l.elements():
+            if l.le(x, y):
+                continue
+            left = g.payoff[(l.meet[x][y], x)]
+            right = g.payoff[(y, l.join[x][y])]
+            if require_equal:
+                if left != right:
+                    return False
+            elif not g.values.leq(left, right):
+                return False
+    return True
+
+
+def slope_like_oracle(g):
+    """The four disjunctions of the slope-like condition on every chain
+    x < y < z, by the value methods."""
+    l = g.lattice
+    leq, lt = g.values.leq, g.values.lt
+    for x in l.elements():
+        for y in l.elements():
+            for z in l.elements():
+                if not (l.lt(x, y) and l.lt(y, z)):
+                    continue
+                vxy, vxz, vyz = g.payoff[(x, y)], g.payoff[(x, z)], g.payoff[(y, z)]
+                if not (leq(vxy, vxz) or lt(vyz, vxz)):
+                    return False
+                if not (lt(vxy, vxz) or leq(vyz, vxz)):
+                    return False
+                if not (lt(vxz, vxy) or leq(vxz, vyz)):
+                    return False
+                if not (leq(vxz, vxy) or lt(vxz, vyz)):
+                    return False
+    return True
+
+
+def _strictly_inside(l, lo, hi):
+    return [x for x in l.elements() if l.lt(lo, x) and l.lt(x, hi)]
+
+
+def interval_semistable_oracle(g, lo, hi):
+    """No x with lo < x < hi has mu_a(lo, x) strictly above mu_a(lo, hi)."""
+    ref = mu_a_oracle(g, lo, hi)
+    inside = _strictly_inside(g.lattice, lo, hi)
+    return not any(g.values.gt(mu_a_oracle(g, lo, x), ref) for x in inside)
+
+
+def interval_stable_oracle(g, lo, hi):
+    """Semistable on [lo, hi], and no lo < x < hi ties mu_a(lo, hi)."""
+    ref = mu_a_oracle(g, lo, hi)
+    return interval_semistable_oracle(g, lo, hi) and all(
+        mu_a_oracle(g, lo, x) != ref for x in _strictly_inside(g.lattice, lo, hi)
+    )
+
+
+def st_set_on_oracle(g, lo, hi):
+    """x in (lo, hi] with no y in (lo, hi] strictly above it in mu_a(lo, -),
+    and every y tying it below x."""
+    l = g.lattice
+    members = [x for x in l.elements() if l.lt(lo, x) and l.le(x, hi)]
+    mu = {x: mu_a_oracle(g, lo, x) for x in members}
+    return frozenset(
+        x
+        for x in members
+        if not any(
+            g.values.gt(mu[y], mu[x]) or (mu[y] == mu[x] and not l.le(y, x))
+            for y in members
+        )
+    )
+
+
+def hn_filtrations_oracle(g):
+    """Every bot-to-top chain whose steps are semistable and whose step values
+    satisfy not(mu_a_i <= mu_a_{i+1}), with its step values."""
+    out = []
+    for chain in all_bot_top_chains(g.lattice):
+        steps = list(zip(chain, chain[1:]))
+        mu = [mu_a_oracle(g, a, b) for a, b in steps]
+        if all(interval_semistable_oracle(g, a, b) for a, b in steps) and not any(
+            g.values.leq(u, v) for u, v in zip(mu, mu[1:])
+        ):
+            out.append((chain, tuple(mu)))
+    return out
+
+
+def jh_filtrations_oracle(g):
+    """Every top-to-bot chain whose steps pay mu(bot, top) and beat every
+    intermediate deviation strictly, as a set of tuples."""
+    l = g.lattice
+    total = g.payoff[(l.bot, l.top)]
+
+    def step_ok(lo, hi):
+        return g.payoff[(lo, hi)] == total and all(
+            g.values.lt(g.payoff[(lo, z)], total) for z in _strictly_inside(l, lo, hi)
+        )
+
+    return {
+        chain[::-1]
+        for chain in all_bot_top_chains(l)
+        if all(step_ok(lo, hi) for lo, hi in zip(chain, chain[1:]))
+    }
+
+
 def upper_bounds_oracle(p, members):
     return {x for x in p.elements() if all(p.le(a, x) for a in members)}
 

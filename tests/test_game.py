@@ -5,16 +5,19 @@ import pytest
 
 from hngame import fixtures
 from hngame.errors import NotAChain, NotAntitone, MissingBottom, NotStrict, PreconditionFailed
+from hngame.filtration import _st_set_on, enumerate_hn_filtrations, st_set
 from hngame.game import (
     DECREASING,
     FLAT,
     INCREASING,
     VIOLATION,
     Game,
+    MuTables,
     compress_antitone,
     dual,
     has_nash_equilibrium,
     interval_semistable,
+    interval_stable,
     is_affine,
     is_convex,
     is_semistable,
@@ -31,12 +34,33 @@ from hngame.game import (
     restrict,
     seesaw_classify,
 )
-from hngame.order import Interval, as_bounded_lattice, build_poset
+from hngame.jordan_holder import enumerate_jh_filtrations
+from hngame.order import FinsetOrder, Interval, as_bounded_lattice, build_poset
 from hngame.slopes import quotient_payoff
 from hngame.sweeps import iter_payoff_tables, lattice_iso_classes, random_potentials
-from hngame.values import ExtendedRationals, FiniteLatticeValues
+from hngame.values import (
+    NEG_INF,
+    POS_INF,
+    ExtendedRationals,
+    FiniteChain,
+    FiniteLatticeValues,
+    PrimeFinsets,
+)
 
-from oracles import divisors, mu_a_oracle, mu_b_oracle, mu_max_oracle, mu_min_oracle
+from oracles import (
+    convexity_oracle,
+    divisors,
+    hn_filtrations_oracle,
+    interval_semistable_oracle,
+    interval_stable_oracle,
+    jh_filtrations_oracle,
+    mu_a_oracle,
+    mu_b_oracle,
+    mu_max_oracle,
+    mu_min_oracle,
+    slope_like_oracle,
+    st_set_on_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +428,65 @@ def test_tables_match_oracles_on_tall_potentials_game(make_lattice):
     g = quotient_payoff(lattice, random_potentials(random.Random(7), lattice))
     _assert_series_match_oracles(g)
     _assert_series_match_oracles(dual(g))
+
+
+# Each value kind with the values its payoffs are drawn from.  The rationals
+# include both infinities and equal Fractions built from different terms.
+VALUE_KINDS = {
+    "chain": lambda: (FiniteChain((0, 1, 2)), (0, 1, 2)),
+    "rationals": lambda: (
+        ExtendedRationals(),
+        (NEG_INF, Fraction(-1, 3), Fraction(0), Fraction(2, 4), Fraction(1, 2),
+         Fraction(5, 3), POS_INF),
+    ),
+    "primes": lambda: (PrimeFinsets([2, 3, 5]), FinsetOrder([2, 3, 5]).all_subsets()),
+    "b2": lambda: _lattice_kind(fixtures.b2()),
+    "m3": lambda: _lattice_kind(fixtures.m3()),
+    "n5": lambda: _lattice_kind(fixtures.n5()),
+}
+
+
+def _lattice_kind(lattice):
+    values = FiniteLatticeValues(lattice)
+    return values, values.elements
+
+
+def _assert_engine_matches_oracles(g):
+    l = g.lattice
+    pairs = l.strict_pairs()
+    expect = MuTables(
+        *({p: oracle(g, *p) for p in pairs}
+          for oracle in (mu_max_oracle, mu_min_oracle, mu_a_oracle, mu_b_oracle))
+    )
+    assert repr(g.tables()) == repr(expect)
+    assert is_convex(g) == convexity_oracle(g, require_equal=False)
+    assert is_affine(g) == convexity_oracle(g, require_equal=True)
+    assert is_slope_like(g) == slope_like_oracle(g)
+    assert is_semistable(g) == interval_semistable_oracle(g, l.bot, l.top)
+    assert is_stable(g) == interval_stable_oracle(g, l.bot, l.top)
+    assert st_set(g) == st_set_on_oracle(g, l.bot, l.top)
+    for lo, hi in pairs:
+        assert interval_semistable(g, lo, hi) == interval_semistable_oracle(g, lo, hi)
+        assert interval_stable(g, lo, hi) == interval_stable_oracle(g, lo, hi)
+        assert _st_set_on(g, lo, hi) == st_set_on_oracle(g, lo, hi)
+    found = [(f.steps, f.mu_a_steps) for f in enumerate_hn_filtrations(g)]
+    assert found == hn_filtrations_oracle(g)
+    jh = [f.steps for f in enumerate_jh_filtrations(g)]
+    assert len(jh) == len(set(jh))
+    assert set(jh) == jh_filtrations_oracle(g)
+
+
+@pytest.mark.parametrize("dualize", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+def test_engine_matches_value_level_oracles(kind, dualize):
+    # Every lattice class with up to 5 elements, seeded payoffs over the kind;
+    # the engine reads payoff codes, the oracles only the value methods.
+    base, pool = VALUE_KINDS[kind]()
+    values = base.dual() if dualize else base
+    rng = random.Random(f"{kind}-{dualize}")
+    for lattice in lattice_iso_classes(5):
+        pairs = lattice.strict_pairs()
+        for _ in range(30):
+            payoff = {p: rng.choice(pool) for p in pairs}
+            _assert_engine_matches_oracles(Game(lattice, values, payoff))
+            _assert_engine_matches_oracles(dual(Game._trusted(lattice, values, payoff)))
