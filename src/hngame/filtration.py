@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
-from .game import _pair_ids, _series, interval_semistable, is_convex
+from .game import _mu_a_code, interval_semistable, is_convex
 from .order import _iter_bits, check_chain, iter_chains
 
 MAX_ENUMERATION_ELEMENTS = 16
@@ -53,10 +53,9 @@ def _st_set_on(g, lo, hi):
     mu_a(lo, x), and every y attaining mu_a(lo, x) sits below x.
     """
     l = g.lattice
-    ta = _series(g)[2]
-    row = _pair_ids(l)[lo]
+    code = _mu_a_code(g)
     members = list(_iter_bits(l.between(lo, hi) & ~(1 << lo)))
-    mu = {x: ta[row[x]] for x in members}
+    mu = {x: code(lo, x) for x in members}
     lt = g.values.code_order.lt
     out = []
     for x in members:
@@ -160,8 +159,8 @@ def validate_hn(g, f):
     mu_a = g.tables().mu_a
     mu_steps = tuple(mu_a[p] for p in pairs)
     piecewise = tuple(interval_semistable(g, a, b) for a, b in pairs)
-    ta, pid = _series(g)[2], _pair_ids(l)
-    codes = [ta[pid[a][b]] for a, b in pairs]
+    code = _mu_a_code(g)
+    codes = [code(a, b) for a, b in pairs]
     le = g.values.code_order.le
     decreasing = tuple(not le(a, b) for a, b in zip(codes, codes[1:]))
     return HNReport(
@@ -186,12 +185,12 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
             f"lattice has {l.n} elements; guard is {max_elements} "
             "(raise max_elements to override)"
         )
-    ta, pid = _series(g)[2], _pair_ids(l)
+    code = _mu_a_code(g)
     le = g.values.code_order.le
 
     def step_ok(chain, nxt):
         lo = chain[-1]
-        if len(chain) > 1 and le(ta[pid[chain[-2]][lo]], ta[pid[lo][nxt]]):
+        if len(chain) > 1 and le(code(chain[-2], lo), code(lo, nxt)):
             return False
         return interval_semistable(g, lo, nxt)
 

@@ -22,15 +22,15 @@ payoff on a cover.
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
-``strict_pairs()``.  The public constructor encodes while it validates, a
-trusted game encodes on first use, and :func:`dual` permutes and dualizes the
-game's codes instead of encoding again.  The table recursion, the convexity,
-slope-like and interval (semi)stability predicates, and the searches of
-:mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read only codes and
-the code tables, compared and folded by ``values.code_order`` (builtins for
-total value kinds).  Decoding happens once, where :meth:`Game.tables` builds
-the public :class:`MuTables` dicts; ``payoff`` and every value handed out are
-values, not codes.
+``strict_pairs()``.  The public constructor encodes while it validates, and a
+trusted game, such as a restriction or a dual, encodes on first use.  The
+table recursion and the convexity, slope-like and interval (semi)stability
+predicates read only codes and the code tables, compared and folded by
+``values.code_order`` (builtins for total value kinds); the searches of
+:mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read them through
+:func:`_payoff_code` and :func:`_mu_a_code`.  Decoding happens once, where
+:meth:`Game.tables` builds the public :class:`MuTables` dicts; ``payoff`` and
+every value handed out are values, not codes.
 """
 
 from __future__ import annotations
@@ -88,7 +88,15 @@ class Game:
         self._series = None
         self._tables = None
         self._slope_like = None
-        _codes(self)
+        try:
+            _codes(self)
+        except ValueError:
+            pair, v = next(
+                (p, v) for p, v in self.payoff.items() if not values.contains(v)
+            )
+            raise ValueError(
+                f"payoff value {v!r} at {pair} not in value lattice"
+            ) from None
 
     @classmethod
     def _trusted(cls, lattice, values, payoff):
@@ -170,6 +178,22 @@ def _series(g):
     if g._series is None:
         g.tables()
     return g._series
+
+
+def _payoff_code(g):
+    """The payoff code lookup of g: ``code(x, y)`` for a strict pair x < y.
+
+    With :func:`_mu_a_code`, the way other modules read codes, so that the
+    code layout stays inside this module.
+    """
+    codes, pid = _codes(g)[0], _pair_ids(g.lattice)
+    return lambda x, y: codes[pid[x][y]]
+
+
+def _mu_a_code(g):
+    """The mu_a code lookup of g: ``code(x, y)`` for a strict pair x < y."""
+    ta, pid = _series(g)[2], _pair_ids(g.lattice)
+    return lambda x, y: ta[pid[x][y]]
 
 
 def _cover_ids(lattice):
@@ -302,23 +326,7 @@ def dual(g):
     """
     l = g.lattice
     payoff = {(j, i): v for (i, j), v in g.payoff.items()}
-    d = Game._trusted(l.dual(), g.values.dual(), payoff)
-    codes, decode = _codes(g)
-    d._codes = g.values.dual_codes(
-        list(map(codes.__getitem__, _dual_pair_ids(l))), decode
-    )
-    return d
-
-
-def _dual_pair_ids(lattice):
-    """For each strict pair (a, b) of the dual lattice, in order, the pair id
-    of (b, a) in the lattice; cached on the lattice."""
-    cached = lattice._cache.get("dual_pair_ids")
-    if cached is None:
-        pid = _pair_ids(lattice)
-        cached = [pid[b][a] for a, b in lattice.dual().strict_pairs()]
-        lattice._cache["dual_pair_ids"] = cached
-    return cached
+    return Game._trusted(l.dual(), g.values.dual(), payoff)
 
 
 def is_convex(g):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .errors import JHNotFound, PreconditionFailed, TooLarge
 from .filtration import MAX_ENUMERATION_ELEMENTS
 from .game import (
-    _codes,
-    _pair_ids,
+    _payoff_code,
     interval_stable,
     is_affine,
     is_semistable,
@@ -60,12 +59,11 @@ def _game_value(g):
 def _first_deviation(g, lower, upper):
     """The first z with lower < z < upper and mu(lower, z) not strictly below
     mu(lower, upper), or None when the step is strictly optimal."""
-    codes = _codes(g)[0]
-    row = _pair_ids(g.lattice)[lower]
+    code = _payoff_code(g)
     lt = g.values.code_order.lt
-    ref = codes[row[upper]]
+    ref = code(lower, upper)
     for z in _iter_bits(g.lattice.strictly_between(lower, upper)):
-        if not lt(codes[row[z]], ref):
+        if not lt(code(lower, z), ref):
             return z
     return None
 
@@ -91,12 +89,11 @@ def _check_jh_preconditions(g, modular_affine=False):
 def _jh_chains(g):
     """Top-to-bot chains whose every step passes both step conditions."""
     l = g.lattice
-    codes = _codes(g)[0]
-    pid = _pair_ids(l)
-    total = codes[pid[l.bot][l.top]]
+    code = _payoff_code(g)
+    total = code(l.bot, l.top)
     return iter_chains(
         l, l.top, l.bot,
-        lambda chain, lower: codes[pid[lower][chain[-1]]] == total
+        lambda chain, lower: code(lower, chain[-1]) == total
         and _first_deviation(g, lower, chain[-1]) is None,
     )
 

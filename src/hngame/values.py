@@ -385,9 +385,6 @@ class _DualValues(ValueLattice):
     def encode(self, values):
         return self.inner.dual_codes(*self.inner.encode(values))
 
-    def dual_codes(self, codes, decode):
-        return self.inner.dual_codes(codes, decode)
-
     def dual(self):
         return self.inner
 

@@ -140,5 +140,8 @@ def test_value_outside_lattice_rejected_at_game(kind, outsider, dualize):
     l = fixtures.c3()
     payoff = dict.fromkeys(l.strict_pairs(), s.top)
     payoff[(l.bot, l.top)] = outsider
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         Game(l, s, payoff)
+    assert str(info.value) == (
+        f"payoff value {outsider!r} at {(l.bot, l.top)} not in value lattice"
+    )
