@@ -8,15 +8,11 @@ completions, and the coprimary filtration of finite abelian groups.
 
 from .abelian import (
     FiniteAbelianGroup,
-    QuotientGroup,
     SubgroupLattice,
-    associated_primes,
     coprimary_filtration,
     coprimary_game,
     enumerate_coprimary_filtrations,
     iter_invariant_factor_groups,
-    mu_a_least_prime_check,
-    semistable_restriction_check,
     subgroup_lattice,
 )
 from .completion import (
@@ -41,7 +37,6 @@ from .filtration import (
 from .game import (
     Game,
     MuSeries,
-    compress_antitone,
     dual,
     has_nash_equilibrium,
     interval_semistable,

@@ -10,20 +10,21 @@ Subgroups are bitmasks over element indices.  They are enumerated by closing
 the trivial subgroup under joins with the cyclic subgroups <x>, through one
 index addition table per group.  Ass(N2/N1) is read from the index: by
 Cauchy's theorem the primes of the quotient's element orders are exactly the
-primes dividing |N2|/|N1|.  ``QuotientGroup`` still builds N2/N1 as explicit
-cosets, so that a quotient has its own subgroup lattice and coprimary game.
+primes dividing |N2|/|N1|.  The explicit quotient N2/N1, built from cosets,
+and the element-order computation of Ass are the test references for that
+shortcut (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
 
-from .errors import TooLarge, TrivialModule
+from .errors import TooLarge
 from .filtration import canonical_hn_filtration
-from .game import Game, interval_semistable, is_semistable
+from .game import Game
 from .order import (
     BoundedLattice,
     FinitePoset,
@@ -34,7 +35,6 @@ from .order import (
 from .values import PrimeFinsets
 
 MAX_GROUP_ORDER = 200
-MAX_RESTRICTION_SUBGROUPS = 128
 
 
 @lru_cache(maxsize=None)
@@ -52,101 +52,29 @@ def _prime_factors(n):
 
 
 class FiniteAbelianGroup:
-    """Product of cyclic groups of the given orders (each at least 2)."""
+    """Product of cyclic groups of the given orders (each at least 2).
+
+    The order is the product of the cyclic orders; the element tuples are
+    built on first use, so a size guard on the order runs before them.
+    """
 
     def __init__(self, cyclic_orders):
         orders = tuple(int(k) for k in cyclic_orders)
         if not orders or any(k < 2 for k in orders):
             raise ValueError("cyclic orders must all be at least 2")
         self.cyclic_orders = orders
-        self.elements = tuple(itertools.product(*(range(k) for k in orders)))
+        self.order = math.prod(orders)
         self.zero = (0,) * len(orders)
 
-    @property
-    def order(self):
-        return len(self.elements)
+    @cached_property
+    def elements(self):
+        return tuple(itertools.product(*(range(k) for k in self.cyclic_orders)))
 
     def add(self, a, b):
         return tuple((x + y) % k for x, y, k in zip(a, b, self.cyclic_orders))
 
-    def element_order(self, a):
-        out = 1
-        for x, k in zip(a, self.cyclic_orders):
-            o = k // gcd(k, x) if x else 1
-            out = out * o // gcd(out, o)
-        return out
-
-    def element_key(self, a):
-        return a
-
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.cyclic_orders)!r})"
-
-
-class QuotientGroup:
-    """The quotient N2/N1 of two nested subgroups, as explicit cosets.
-
-    Elements are frozensets of ambient elements; addition goes through coset
-    representatives, and element orders are computed honestly as the least k
-    with k * rep landing in N1.
-    """
-
-    def __init__(self, parent, upper, lower):
-        if not lower <= upper:
-            raise ValueError("lower subgroup must be contained in the upper one")
-        self.parent = parent
-        self.lower = lower
-        cosets = []
-        elem_to_coset = {}
-        for x in sorted(upper, key=parent.element_key):
-            if x in elem_to_coset:
-                continue
-            coset = frozenset(parent.add(x, n) for n in lower)
-            cosets.append(coset)
-            for y in coset:
-                elem_to_coset[y] = coset
-        self.elements = tuple(cosets)
-        self.zero = elem_to_coset[next(iter(lower))]
-        self._elem_to_coset = elem_to_coset
-        self._rep = {c: min(c, key=parent.element_key) for c in cosets}
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def add(self, a, b):
-        return self._elem_to_coset[self.parent.add(self._rep[a], self._rep[b])]
-
-    def element_order(self, a):
-        rep = self._rep[a]
-        acc = rep
-        k = 1
-        while acc not in self.lower:
-            acc = self.parent.add(acc, rep)
-            k += 1
-        return k
-
-    def element_key(self, a):
-        return tuple(sorted(a))
-
-    def __repr__(self):
-        return f"QuotientGroup(order={self.order})"
-
-
-def associated_primes(group):
-    """Primes p such that the group has an element of order p, found by
-    walking the element orders.
-
-    This gives Ass of a whole group.  The games read Ass(N2/N1) from the
-    index |N2|/|N1| instead (see ``_index_primes``); applied to an explicit
-    ``QuotientGroup`` this function is the reference for that shortcut.
-    """
-    if group.order == 1:
-        raise TrivialModule("the trivial group has no associated primes")
-    primes = set()
-    for e in group.elements:
-        primes |= _prime_factors(group.element_order(e))
-    return frozenset(primes)
 
 
 def _index_primes(subgroups, lo, hi):
@@ -243,13 +171,6 @@ class SubgroupLattice:
     subgroups: tuple
     lattice: BoundedLattice
 
-    def quotient(self, upper_index, lower_index):
-        return QuotientGroup(
-            self.group,
-            self.subgroups[upper_index],
-            self.subgroups[lower_index],
-        )
-
 
 def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
     """Enumerate every subgroup as a bitmask closed over the cyclic subgroups,
@@ -282,24 +203,12 @@ def coprimary_game(group, sl=None):
     """
     if sl is None:
         sl = subgroup_lattice(group)
-    primes = sorted(associated_primes(group))
+    primes = sorted(_prime_factors(group.order))
     payoff = {
         (i, j): _index_primes(sl.subgroups, i, j)
         for i, j in sl.lattice.strict_pairs()
     }
     return Game(sl.lattice, PrimeFinsets(primes), payoff)
-
-
-def mu_a_least_prime_check(group, game=None):
-    """Whether mu_a of every strict pair is the singleton of the least prime
-    of that pair's payoff."""
-    if game is None:
-        game = coprimary_game(group)
-    t = game.tables()
-    for pair, ass in game.payoff.items():
-        if t.mu_a[pair] != frozenset({min(ass)}):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -334,7 +243,7 @@ def coprimary_filtration(group, max_order=MAX_GROUP_ORDER):
         coprimary.append(len(ass) == 1)
         primes.append(min(ass))
     decreasing = all(p > q for p, q in zip(primes, primes[1:]))
-    ass_match = frozenset(primes) == associated_primes(group)
+    ass_match = frozenset(primes) == _prime_factors(group.order)
     return CoprimaryReport(
         subgroup_lattice=sl,
         hn_report=report,
@@ -375,24 +284,6 @@ def enumerate_coprimary_filtrations(sl):
         (steps, tuple(step_prime(*step) for step in zip(steps, steps[1:])))
         for steps in iter_chains(l, l.bot, l.top, step_ok)
     ]
-
-
-def semistable_restriction_check(group, max_subgroups=MAX_RESTRICTION_SUBGROUPS):
-    """Verify on all strict pairs that semistability of the restricted game
-    agrees with semistability of the quotient's own coprimary game."""
-    sl = subgroup_lattice(group)
-    if sl.lattice.n > max_subgroups:
-        raise TooLarge(
-            f"subgroup lattice has {sl.lattice.n} elements; guard is "
-            f"{max_subgroups}"
-        )
-    game = coprimary_game(group, sl)
-    for i, j in sl.lattice.strict_pairs():
-        lhs = interval_semistable(game, i, j)
-        rhs = is_semistable(coprimary_game(sl.quotient(j, i)))
-        if lhs != rhs:
-            return False
-    return True
 
 
 def iter_invariant_factor_groups(max_order, max_factors=3):

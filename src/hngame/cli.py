@@ -269,6 +269,8 @@ def cmd_export_dot(args):
 def cmd_selfcheck(args):
     if args.max_size < 2:
         raise HNGameError("--max-size: random lattices need at least 2 elements")
+    if args.trials < 0:
+        raise HNGameError("--trials: the number of random trials cannot be negative")
     rng = random.Random(args.seed)
     trials = args.trials
     all_slope_like = True

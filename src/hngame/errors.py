@@ -42,14 +42,6 @@ class NotAChain(HNGameError):
     """Elements expected to form a strict chain do not."""
 
 
-class NotAntitone(HNGameError):
-    """A sequence expected to be weakly decreasing is not."""
-
-
-class MissingBottom(HNGameError):
-    """A compressible sequence never reaches the least element."""
-
-
 class PreconditionFailed(HNGameError):
     """A documented hypothesis of the requested operation does not hold."""
 
@@ -86,10 +78,6 @@ class ZeroRankNonpositiveDegree(HNGameError):
     def __init__(self, x, y):
         self.pair = (x, y)
         super().__init__(f"rank({x}, {y}) = 0 requires degree({x}, {y}) > 0")
-
-
-class TrivialModule(HNGameError):
-    """Associated primes requested for a group of order one."""
 
 
 class SchemaError(HNGameError):

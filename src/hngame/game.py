@@ -41,9 +41,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 
 from .errors import (
-    MissingBottom,
     NotAChain,
-    NotAntitone,
     NotStrict,
     PreconditionFailed,
     TheoremViolation,
@@ -558,34 +556,3 @@ def nash_tfae_report(g):
     if report.nash and not report.semistable:
         raise TheoremViolation("Nash equilibrium without semistability")
     return report
-
-
-def compress_antitone(lattice, seq, pred=None):
-    """Extract the strictly decreasing subsequence of an antitone sequence.
-
-    ``seq`` must start at top, be weakly decreasing, and reach bot; the output
-    keeps the first element of each constant run up to the first bot, so it is
-    a strict top-to-bot chain containing every value of the input.  When
-    ``pred`` is given it must hold on every strict consecutive input pair, and
-    it then holds on every consecutive output pair (those pairs were adjacent
-    in the input).
-    """
-    seq = list(seq)
-    if not seq or seq[0] != lattice.top:
-        raise NotAntitone("sequence must start at the top element")
-    for a, b in zip(seq, seq[1:]):
-        if not lattice.le(b, a):
-            raise NotAntitone(
-                f"{lattice.names[b]} does not sit below {lattice.names[a]}"
-            )
-        if pred is not None and b != a and not pred(b, a):
-            raise ValueError("predicate fails on a strict consecutive input pair")
-    if lattice.bot not in seq:
-        raise MissingBottom("sequence never reaches the bottom element")
-    out = [seq[0]]
-    for b in seq[1:]:
-        if b != out[-1]:
-            out.append(b)
-        if b == lattice.bot:
-            break
-    return out

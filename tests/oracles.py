@@ -3,12 +3,27 @@
 These deliberately avoid the production table engine: each quantity is
 recomputed per pair by looping over lattice elements and building the witness
 set literally from its definition.  They stay slow and obvious on purpose.
+The group references build a quotient N2/N1 as explicit cosets and read its
+associated primes off the element orders, where the library reads them off
+the index.  Nothing here imports from ``hngame`` except ``hngame.errors``.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from hngame.errors import NoBounds, NotALattice, TrivialLattice
+from hngame.errors import HNGameError, NoBounds, NotALattice, TrivialLattice
+
+
+class NotAntitone(HNGameError):
+    """A sequence expected to be weakly decreasing is not."""
+
+
+class MissingBottom(HNGameError):
+    """A compressible sequence never reaches the least element."""
+
+
+class TrivialModule(HNGameError):
+    """Associated primes requested for a group of order one."""
 
 
 def mu_max_oracle(g, x, y):
@@ -205,6 +220,37 @@ def lex_key_oracle(base, subset):
     return tuple(sorted((list(base).index(x) for x in subset), reverse=True))
 
 
+def compress_antitone(lattice, seq, pred=None):
+    """Extract the strictly decreasing subsequence of an antitone sequence.
+
+    ``seq`` must start at top, be weakly decreasing, and reach bot; the output
+    keeps the first element of each constant run up to the first bot, so it is
+    a strict top-to-bot chain containing every value of the input.  When
+    ``pred`` is given it must hold on every strict consecutive input pair, and
+    it then holds on every consecutive output pair (those pairs were adjacent
+    in the input).
+    """
+    seq = list(seq)
+    if not seq or seq[0] != lattice.top:
+        raise NotAntitone("sequence must start at the top element")
+    for a, b in zip(seq, seq[1:]):
+        if not lattice.le(b, a):
+            raise NotAntitone(
+                f"{lattice.names[b]} does not sit below {lattice.names[a]}"
+            )
+        if pred is not None and b != a and not pred(b, a):
+            raise ValueError("predicate fails on a strict consecutive input pair")
+    if lattice.bot not in seq:
+        raise MissingBottom("sequence never reaches the bottom element")
+    out = [seq[0]]
+    for b in seq[1:]:
+        if b != out[-1]:
+            out.append(b)
+        if b == lattice.bot:
+            break
+    return out
+
+
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -292,3 +338,62 @@ def gaussian_binomial(k, j, q):
 def elementary_abelian_subgroup_count(p, k):
     """Subgroups of (Z/p)^k: the subspaces of GF(p)^k of every dimension."""
     return sum(gaussian_binomial(k, j, p) for j in range(k + 1))
+
+
+class QuotientGroup:
+    """The quotient N2/N1 of two nested subgroups, as explicit cosets.
+
+    Elements are frozensets of ambient elements, listed in the order of their
+    least ambient element; addition goes through those least representatives.
+    """
+
+    def __init__(self, parent, upper, lower):
+        if not lower <= upper:
+            raise ValueError("lower subgroup must be contained in the upper one")
+        cosets = []
+        elem_to_coset = {}
+        for x in sorted(upper):
+            if x in elem_to_coset:
+                continue
+            coset = frozenset(parent.add(x, n) for n in lower)
+            cosets.append(coset)
+            for y in coset:
+                elem_to_coset[y] = coset
+        self.parent = parent
+        self.elements = tuple(cosets)
+        self.order = len(cosets)
+        self.zero = elem_to_coset[parent.zero]
+        self._elem_to_coset = elem_to_coset
+        self._rep = {c: min(c) for c in cosets}
+
+    def add(self, a, b):
+        return self._elem_to_coset[self.parent.add(self._rep[a], self._rep[b])]
+
+    def __repr__(self):
+        return f"QuotientGroup(order={self.order})"
+
+
+def quotient(sl, upper, lower):
+    """The quotient of subgroup ``upper`` by subgroup ``lower`` (indices into
+    ``sl.subgroups``)."""
+    return QuotientGroup(sl.group, sl.subgroups[upper], sl.subgroups[lower])
+
+
+def element_order(group, x):
+    """The least k >= 1 with k * x = 0, by repeated addition."""
+    acc, k = x, 1
+    while acc != group.zero:
+        acc = group.add(acc, x)
+        k += 1
+    return k
+
+
+def associated_primes(group):
+    """Primes p such that the group has an element of order p: the primes of
+    the element orders, walked element by element."""
+    if group.order == 1:
+        raise TrivialModule("the trivial group has no associated primes")
+    primes = set()
+    for e in group.elements:
+        primes |= prime_divisors(element_order(group, e))
+    return frozenset(primes)

@@ -2,26 +2,26 @@ import pytest
 
 from hngame.abelian import (
     FiniteAbelianGroup,
-    associated_primes,
     coprimary_filtration,
     coprimary_game,
     enumerate_coprimary_filtrations,
     iter_invariant_factor_groups,
-    mu_a_least_prime_check,
-    semistable_restriction_check,
     subgroup_lattice,
 )
-from hngame.errors import TooLarge, TrivialModule
+from hngame.errors import TooLarge
 from hngame.filtration import validate_hn
-from hngame.game import is_semistable
+from hngame.game import interval_semistable, is_semistable
 from hngame.order import is_modular
 
 from oracles import (
+    TrivialModule,
     all_subgroups_oracle,
+    associated_primes,
     divisors,
     elementary_abelian_subgroup_count,
     lattice_tables_oracle,
     prime_divisors,
+    quotient,
     zm_zn_subgroup_count,
 )
 
@@ -79,7 +79,7 @@ def test_quotient_subgroups_sorted_by_element_index():
     # order must come from the element indices.
     sl = subgroup_lattice(FiniteAbelianGroup([4, 6]))
     l = sl.lattice
-    q = sl.quotient(l.index("H4a"), l.bot)
+    q = quotient(sl, l.index("H4a"), l.bot)
     index = {e: k for k, e in enumerate(q.elements)}
     subgroups = subgroup_lattice(q).subgroups
     assert list(subgroups) == sorted(
@@ -91,7 +91,7 @@ def test_quotient_subgroups_match_literal_search():
     for orders in ([12], [2, 4], [2, 2, 2], [4, 6]):
         sl = subgroup_lattice(FiniteAbelianGroup(orders))
         for lo, hi in sl.lattice.strict_pairs():
-            q = sl.quotient(hi, lo)
+            q = quotient(sl, hi, lo)
             assert list(subgroup_lattice(q).subgroups) == all_subgroups_oracle(q)
 
 
@@ -136,7 +136,7 @@ def test_associated_primes_of_quotient():
     g = FiniteAbelianGroup([12])
     sl = subgroup_lattice(g)
     h3 = next(i for i, s in enumerate(sl.subgroups) if len(s) == 3)
-    q = sl.quotient(sl.lattice.top, h3)
+    q = quotient(sl, sl.lattice.top, h3)
     assert q.order == 4
     assert associated_primes(q) == {2}
 
@@ -145,7 +145,7 @@ def test_trivial_quotient_rejected():
     g = FiniteAbelianGroup([4])
     sl = subgroup_lattice(g)
     with pytest.raises(TrivialModule):
-        associated_primes(sl.quotient(sl.lattice.bot, sl.lattice.bot))
+        associated_primes(quotient(sl, sl.lattice.bot, sl.lattice.bot))
 
 
 def test_coprimary_game_payoffs_z12():
@@ -165,7 +165,7 @@ def test_payoff_matches_explicit_quotients():
         sl = subgroup_lattice(group)
         game = coprimary_game(group, sl)
         for i, j in sl.lattice.strict_pairs():
-            assert game.payoff[(i, j)] == associated_primes(sl.quotient(j, i))
+            assert game.payoff[(i, j)] == associated_primes(quotient(sl, j, i))
 
 
 def test_p_group_game_is_constant():
@@ -184,11 +184,15 @@ def test_mu_a_least_prime_z12_pairs():
     l = sl.lattice
     assert t.mu_a[(l.bot, l.top)] == frozenset({2})
     assert t.mu_a[(l.bot, l.index("H3"))] == frozenset({3})
-    assert mu_a_least_prime_check(g, game)
+    for pair, ass in game.payoff.items():
+        assert t.mu_a[pair] == frozenset({min(ass)}), pair
 
 
 def test_mu_a_least_prime_z36():
-    assert mu_a_least_prime_check(FiniteAbelianGroup([4, 9]))
+    game = coprimary_game(FiniteAbelianGroup([4, 9]))
+    t = game.tables()
+    for pair, ass in game.payoff.items():
+        assert t.mu_a[pair] == frozenset({min(ass)}), pair
 
 
 def test_coprimary_filtration_z12():
@@ -244,8 +248,17 @@ def test_semistable_iff_coprimary():
 
 
 def test_semistable_restriction_check_small_groups():
+    # Semistability of the restricted game matches the explicit quotient's
+    # own coprimary game on every strict pair.
     for orders in ([12], [4, 3], [2, 2], [18]):
-        assert semistable_restriction_check(FiniteAbelianGroup(orders))
+        group = FiniteAbelianGroup(orders)
+        sl = subgroup_lattice(group)
+        game = coprimary_game(group, sl)
+        for i, j in sl.lattice.strict_pairs():
+            quotient_game = coprimary_game(quotient(sl, j, i))
+            assert interval_semistable(game, i, j) == is_semistable(
+                quotient_game
+            ), (orders, i, j)
 
 
 def test_invariant_factor_enumeration():
@@ -276,8 +289,6 @@ def test_isomorphic_presentations_give_equal_games():
 
 
 def test_lemma_5_11_worked_pairs_z12():
-    from hngame.game import interval_semistable
-
     g = FiniteAbelianGroup([12])
     sl = subgroup_lattice(g)
     game = coprimary_game(g, sl)
@@ -285,8 +296,8 @@ def test_lemma_5_11_worked_pairs_z12():
     # Quotient of order 6 has two associated primes: both sides unstable.
     h6 = l.index("H6")
     assert not interval_semistable(game, l.bot, h6)
-    assert not is_semistable(coprimary_game(sl.quotient(h6, l.bot)))
+    assert not is_semistable(coprimary_game(quotient(sl, h6, l.bot)))
     # Prime quotient H4/H2 is coprimary: both sides semistable.
     h2, h4 = l.index("H2"), l.index("H4")
     assert interval_semistable(game, h2, h4)
-    assert is_semistable(coprimary_game(sl.quotient(h4, h2)))
+    assert is_semistable(coprimary_game(quotient(sl, h4, h2)))

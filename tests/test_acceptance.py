@@ -16,13 +16,10 @@ import pytest
 from hngame import fixtures
 from hngame.abelian import (
     FiniteAbelianGroup,
-    associated_primes,
     coprimary_filtration,
     coprimary_game,
     enumerate_coprimary_filtrations,
     iter_invariant_factor_groups,
-    mu_a_least_prime_check,
-    semistable_restriction_check,
     subgroup_lattice,
 )
 from hngame.cli import main as cli_main
@@ -72,11 +69,13 @@ from hngame.sweeps import (
 )
 
 from oracles import (
+    associated_primes,
     closure_oracle,
     mu_a_oracle,
     mu_b_oracle,
     mu_max_oracle,
     mu_min_oracle,
+    quotient,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -301,7 +300,9 @@ def test_criterion_07_coprimary_all_groups_up_to_48():
         sl = subgroup_lattice(group)
         game = coprimary_game(group, sl)
         # mu_a is the least-prime singleton on every strict pair.
-        assert mu_a_least_prime_check(group, game)
+        t = game.tables()
+        for pair, ass in game.payoff.items():
+            assert t.mu_a[pair] == frozenset({min(ass)}), (group, pair)
         # Semistable exactly when the group has one associated prime.
         assert is_semistable(game) == (len(associated_primes(group)) == 1)
         # The canonical filtration is valid, coprimary, and unique.
@@ -315,7 +316,11 @@ def test_criterion_07_coprimary_all_groups_up_to_48():
         # The coprimary chain is a valid filtration of the game.
         assert validate_hn(game, found[0][0]).valid
         # Restriction semistability matches the quotient game, all pairs.
-        assert semistable_restriction_check(group)
+        for i, j in sl.lattice.strict_pairs():
+            quotient_game = coprimary_game(quotient(sl, j, i))
+            assert interval_semistable(game, i, j) == is_semistable(
+                quotient_game
+            ), (group, i, j)
     # Pinned worked instance.
     pinned = coprimary_filtration(FiniteAbelianGroup([12]))
     assert pinned.step_labels == ("0", "H3", "G")

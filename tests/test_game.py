@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hngame import fixtures
-from hngame.errors import NotAChain, NotAntitone, MissingBottom, NotStrict, PreconditionFailed
+from hngame.errors import NotAChain, NotStrict, PreconditionFailed
 from hngame.filtration import _st_set_on, enumerate_hn_filtrations, st_set
 from hngame.game import (
     DECREASING,
@@ -13,7 +13,6 @@ from hngame.game import (
     VIOLATION,
     Game,
     MuTables,
-    compress_antitone,
     dual,
     has_nash_equilibrium,
     interval_semistable,
@@ -48,6 +47,9 @@ from hngame.values import (
 )
 
 from oracles import (
+    MissingBottom,
+    NotAntitone,
+    compress_antitone,
     convexity_oracle,
     divisors,
     hn_filtrations_oracle,

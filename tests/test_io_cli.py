@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,6 +230,7 @@ _SQUARE_GAME = {
     pytest.param(["coprimary", "--orders", "1"], None, id="coprimary-orders-1"),
     pytest.param(["hn-enumerate", "--max-size", "0"], _SQUARE_GAME, id="max-size-0"),
     pytest.param(["selfcheck", "--max-size", "1"], None, id="selfcheck-max-size-1"),
+    pytest.param(["selfcheck", "--trials", "-5"], None, id="selfcheck-negative-trials"),
     pytest.param(["check", "--seed", "3"], _SQUARE_GAME, id="check-seed"),
     pytest.param(["check"], dict(_SQUARE_GAME, lattice={
         "elements": ["bot", "top"], "covers": [["bot", ["top"]]],
@@ -267,6 +272,27 @@ def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: ")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_coprimary_guard_runs_before_building_elements():
+    # A group of order 10^12 must be refused by the order guard, within
+    # 1 GiB of address space, before any of its elements exists.
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hngame.cli", "coprimary",
+         "--orders", "1000000", "1000000"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("input error: ")
 
 
 def test_cli_jh_on_constant_game(tmp_path):

@@ -1,0 +1,47 @@
+"""Checks on the repository around the library: the README code runs as
+printed, and the test oracles stay independent of the production code."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+EXPECTED_PRINT = re.compile(r"^print\(.*\)\s+# (.*)$")
+
+
+def test_readme_has_python_blocks():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(block, id=f"block{i}") for i, block in enumerate(PYTHON_BLOCKS)
+])
+def test_readme_python_block_runs(block):
+    # Each `print(...)  # expected` line must print its comment.
+    expected = [
+        m.group(1) for m in map(EXPECTED_PRINT.match, block.splitlines()) if m
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_oracles_import_only_hngame_errors():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracles.py uses a relative import"
+            imported.add(node.module)
+    from_hngame = {m for m in imported if m == "hngame" or m.startswith("hngame.")}
+    assert from_hngame == {"hngame.errors"}
