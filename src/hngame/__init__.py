@@ -69,7 +69,6 @@ from .jordan_holder import (
 from .order import (
     BoundedLattice,
     FinitePoset,
-    FinsetOrder,
     Interval,
     as_bounded_lattice,
     build_poset,

@@ -175,11 +175,7 @@ class SubgroupLattice:
 def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
     """Enumerate every subgroup as a bitmask closed over the cyclic subgroups,
     and assemble the inclusion lattice from mask inclusion."""
-    if group.order > max_order:
-        raise TooLarge(
-            f"group has order {group.order}; guard is {max_order} "
-            "(raise max_order to override)"
-        )
+    TooLarge.check("group order", group.order, max_order)
     masks = _subgroup_masks(group)
     elements = group.elements
     subgroups = tuple(frozenset(elements[k] for k in _iter_bits(m)) for m in masks)

@@ -84,11 +84,7 @@ def dedekind_macneille(p, max_elements=MAX_COMPLETION_ELEMENTS):
     """
     if p.n == 0:
         raise ValueError("completion of the empty poset is not supported")
-    if p.n > max_elements:
-        raise TooLarge(
-            f"poset has {p.n} elements; guard is {max_elements} "
-            "(raise max_elements to override)"
-        )
+    TooLarge.check("poset size", p.n, max_elements)
     closed = {p.full_mask}
     for down in p.down:
         closed |= {c & down for c in closed}

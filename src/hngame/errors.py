@@ -58,6 +58,13 @@ class MalformedFiltration(HNGameError):
 class TooLarge(HNGameError):
     """Input exceeds the guard for a brute-force enumeration."""
 
+    @classmethod
+    def check(cls, measure, size, guard):
+        """Raise unless ``size`` (the ``measure`` of the input, such as
+        "lattice size") is within ``guard``."""
+        if size > guard:
+            raise cls(f"{measure} is {size}, over the size guard {guard}")
+
 
 class AdditivityViolation(HNGameError):
     """Rank/degree tables fail additivity on a chain triple."""

@@ -180,11 +180,7 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
     search prunes a chain at its first failing step.
     """
     l = g.lattice
-    if l.n > max_elements:
-        raise TooLarge(
-            f"lattice has {l.n} elements; guard is {max_elements} "
-            "(raise max_elements to override)"
-        )
+    TooLarge.check("lattice size", l.n, max_elements)
     code = _mu_a_code(g)
     le = g.values.code_order.le
 

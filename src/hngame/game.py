@@ -207,7 +207,7 @@ def _cover_ids(lattice):
         return cached
     pairs = lattice.strict_pairs()
     pid = _pair_ids(lattice)
-    up, down = lattice.poset.up, lattice.poset.down
+    up, down = lattice.up, lattice.down
     lower = [[] for _ in lattice.elements()]
     upper = [[] for _ in lattice.elements()]
     for a, b in lattice.covers():
@@ -356,7 +356,7 @@ def _convexity_ids(lattice):
     cached = lattice._cache.get("convexity")
     if cached is None:
         pid = _pair_ids(lattice)
-        up, down, full = lattice.poset.up, lattice.poset.down, lattice.poset.full_mask
+        up, down, full = lattice.up, lattice.down, lattice.full_mask
         cached = left, right = array("i"), array("i")
         for x in lattice.elements():
             if up[x] | down[x] == full:
@@ -391,13 +391,13 @@ def interval_semistable(g, lo, hi):
 def interval_stable(g, lo, hi):
     """Stability of the restriction of g to [lo, hi]: semistable and no
     proper intermediate x attains mu_a(lo, hi)."""
-    if not interval_semistable(g, lo, hi):
-        return False
     ta = _series(g)[2]
     row = _pair_ids(g.lattice)[lo]
     ref = ta[row[hi]]
+    lt = g.values.code_order.lt
     for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        if ta[row[x]] == ref:
+        v = ta[row[x]]
+        if v == ref or lt(ref, v):
             return False
     return True
 

@@ -268,8 +268,7 @@ def parse_poset(text):
     return obj
 
 
-def _order_section(lattice_or_poset):
-    poset = getattr(lattice_or_poset, "poset", lattice_or_poset)
+def _order_section(poset):
     covers = sorted(poset.covers())
     return {
         "elements": list(poset.names),
@@ -354,18 +353,17 @@ def export_dot(lattice, highlight=(), title=None):
 
     ``highlight`` names elements (e.g. filtration steps) drawn filled.
     """
-    poset = getattr(lattice, "poset", lattice)
     highlight = set(highlight)
-    ids = [_dot_string(name) for name in poset.names]
+    ids = [_dot_string(name) for name in lattice.names]
     lines = ["digraph hasse {"]
     if title:
         lines.append(f"  label={_dot_string(title)};")
     lines.append("  rankdir=BT;")
     lines.append("  node [shape=box];")
-    for name, node in zip(poset.names, ids):
+    for name, node in zip(lattice.names, ids):
         attrs = ' [style=filled, fillcolor=lightgrey]' if name in highlight else ""
         lines.append(f"  {node}{attrs};")
-    for a, b in sorted(poset.covers()):
+    for a, b in sorted(lattice.covers()):
         lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -159,11 +159,7 @@ def enumerate_jh_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
     behaviour outside the theorems' scope (e.g. non-modular lattices).
     """
     l = g.lattice
-    if l.n > max_elements:
-        raise TooLarge(
-            f"lattice has {l.n} elements; guard is {max_elements} "
-            "(raise max_elements to override)"
-        )
+    TooLarge.check("lattice size", l.n, max_elements)
     return [JHFiltration(steps) for steps in _jh_chains(g)]
 
 

@@ -1,9 +1,11 @@
-"""Finite posets and bounded lattices.
+"""Finite posets, bounded lattices, intervals and chain search.
 
 Relations are stored densely: each element keeps an up-set and a down-set
 bitmask, so subset iteration and bound computations are single integer
-operations.  Everything is immutable after construction; element identity is
-index-based internally and label-based at the I/O boundary.
+operations.  A :class:`BoundedLattice` is a :class:`FinitePoset` that also
+carries its bounds and meet/join tables, so every poset query applies to a
+lattice directly.  Everything is immutable after construction; element
+identity is index-based internally and label-based at the I/O boundary.
 """
 
 from __future__ import annotations
@@ -169,52 +171,26 @@ def build_poset(names, relation_pairs):
     return FinitePoset(names, up)
 
 
-class BoundedLattice:
-    """A finite bounded lattice: a poset plus bot/top and meet/join tables.
+class BoundedLattice(FinitePoset):
+    """A finite bounded lattice: a poset that also carries bot/top and
+    meet/join tables.
 
     Use :func:`as_bounded_lattice` to build one from a poset with full
-    verification.  ``meet[i][j]`` / ``join[i][j]`` give element indices.
+    verification; the constructor takes over the fields of that already
+    verified poset without checking them again.  ``meet[i][j]`` /
+    ``join[i][j]`` give element indices.
     """
 
-    __slots__ = ("poset", "bot", "top", "meet", "join", "_cache")
+    __slots__ = ("bot", "top", "meet", "join", "_cache")
 
     def __init__(self, poset, bot, top, meet, join):
-        self.poset = poset
+        for field in FinitePoset.__slots__:
+            setattr(self, field, getattr(poset, field))
         self.bot = bot
         self.top = top
         self.meet = meet
         self.join = join
         self._cache = {}
-
-    # Delegations used constantly downstream.
-    @property
-    def n(self):
-        return self.poset.n
-
-    @property
-    def names(self):
-        return self.poset.names
-
-    def index(self, label):
-        return self.poset.index(label)
-
-    def le(self, i, j):
-        return (self.poset.up[i] >> j) & 1 == 1
-
-    def lt(self, i, j):
-        return i != j and (self.poset.up[i] >> j) & 1 == 1
-
-    def elements(self):
-        return range(self.poset.n)
-
-    def strictly_between(self, lo, hi):
-        return self.poset.strictly_between(lo, hi)
-
-    def between(self, lo, hi):
-        return self.poset.between(lo, hi)
-
-    def covers(self):
-        return self.poset.covers()
 
     def sup(self, elems):
         """Join of a finite iterable of elements (bot for the empty one)."""
@@ -234,7 +210,7 @@ class BoundedLattice:
         cached = self._cache.get("dual")
         if cached is None:
             cached = BoundedLattice(
-                self.poset.dual(), self.top, self.bot, self.join, self.meet
+                super().dual(), self.top, self.bot, self.join, self.meet
             )
             self._cache["dual"] = cached
         return cached
@@ -246,7 +222,7 @@ class BoundedLattice:
             cached = tuple(
                 (i, j)
                 for i in range(self.n)
-                for j in _iter_bits(self.poset.up[i] & ~(1 << i))
+                for j in _iter_bits(self.up[i] & ~(1 << i))
             )
             self._cache["pairs"] = cached
         return cached
@@ -254,13 +230,13 @@ class BoundedLattice:
     def __eq__(self, other):
         return (
             isinstance(other, BoundedLattice)
-            and self.poset == other.poset
+            and super().__eq__(other)
             and self.bot == other.bot
             and self.top == other.top
         )
 
     def __hash__(self):
-        return hash((self.poset, self.bot, self.top))
+        return hash((self.names, self.up, self.bot, self.top))
 
     def __repr__(self):
         return (
@@ -316,7 +292,7 @@ def is_modular(l):
     """Whether ``x <= z`` implies ``x v (y ^ z) == (x v y) ^ z`` for all triples."""
     meet, join = l.meet, l.join
     for x in range(l.n):
-        for z in _iter_bits(l.poset.up[x]):
+        for z in _iter_bits(l.up[x]):
             jx = join[x]
             mz = meet[z]
             for y in range(l.n):
@@ -362,7 +338,7 @@ class Interval:
         pos = {e: k for k, e in enumerate(elems)}
         names = tuple(amb.names[e] for e in elems)
         up = tuple(
-            sum(1 << pos[j] for j in _iter_bits(amb.poset.up[e] & self.members))
+            sum(1 << pos[j] for j in _iter_bits(amb.up[e] & self.members))
             for e in elems
         )
         poset = FinitePoset(names, up)
@@ -399,7 +375,7 @@ def iter_chains(lattice, start, stop, step_ok):
     of each level live on an explicit stack, so chain length is not bounded
     by the interpreter's recursion limit.
     """
-    up, down = lattice.poset.up, lattice.poset.down
+    up, down = lattice.up, lattice.down
     ahead, behind = (up, down) if lattice.le(start, stop) else (down, up)
     reach = behind[stop]
     chain = [start]
@@ -463,61 +439,3 @@ def linear_extension(p):
                 remaining &= ~(1 << i)
                 break
     return tuple(out)
-
-
-class FinsetOrder:
-    """Max-first lexicographic total order on finite subsets of a chain.
-
-    Subsets are compared by their descending sequence of base positions; a
-    proper prefix is smaller and the empty set is least.  This order extends
-    inclusion, and on singletons it agrees with the base order.  It is the
-    integer order of the bitmask of base positions: the highest position
-    where two subsets differ decides, and a proper prefix lacks a lower bit.
-    """
-
-    __slots__ = ("base", "_pos")
-
-    def __init__(self, base):
-        base = tuple(base)
-        if len(set(base)) != len(base):
-            raise ValueError("base labels must be distinct")
-        self.base = base
-        self._pos = {label: k for k, label in enumerate(base)}
-
-    def key(self, subset):
-        """Sort key realizing the order: the bitmask of base positions."""
-        try:
-            return sum(1 << self._pos[x] for x in subset)
-        except KeyError as exc:
-            raise UnknownLabel(f"{exc.args[0]!r} is not in the base chain") from None
-
-    def leq(self, a, b):
-        return self.key(a) <= self.key(b)
-
-    def lt(self, a, b):
-        return self.key(a) < self.key(b)
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        return -1 if ka < kb else (0 if ka == kb else 1)
-
-    @property
-    def least(self):
-        return frozenset()
-
-    @property
-    def greatest(self):
-        return frozenset(self.base)
-
-    def all_subsets(self):
-        """Every subset of the base, in increasing order."""
-        return [
-            frozenset(self.base[k] for k in _iter_bits(mask))
-            for mask in range(1 << len(self.base))
-        ]
-
-    def __eq__(self, other):
-        return isinstance(other, FinsetOrder) and self.base == other.base
-
-    def __repr__(self):
-        return f"FinsetOrder(base={list(self.base)!r})"

@@ -190,7 +190,7 @@ def random_potentials(rng, lattice, flat_chance=0.25):
     strictly positive, so the induced tables are always valid.
     """
     names = lattice.names
-    order = linear_extension(lattice.poset)
+    order = linear_extension(lattice)
     rank = {names[order[0]]: Fraction(0)}
     degree = {names[order[0]]: Fraction(0)}
     r_acc = d_acc = Fraction(0)

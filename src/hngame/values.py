@@ -15,7 +15,7 @@ and ``code_order`` compares and folds codes.  Per kind:
   so -inf and +inf get the least and the greatest code;
 - ``FiniteChain``: the rank in the chain;
 - ``PrimeFinsets``: the bitmask of base positions, whose integer order is the
-  Lex' order (:meth:`~hngame.order.FinsetOrder.key`);
+  Lex' order (:meth:`PrimeFinsets.key`);
 - ``FiniteLatticeValues``: the element index, ordered by the lattice itself
   (an up-set bit test, and sup and inf through the join and meet tables);
 - the dual of a total kind negates the codes, and the dual of lattice values
@@ -37,7 +37,7 @@ from itertools import groupby
 from types import SimpleNamespace
 
 from .errors import UnknownLabel
-from .order import FinsetOrder
+from .order import _iter_bits
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -250,7 +250,7 @@ class FiniteLatticeValues(ValueLattice):
         self.bot = lattice.names[lattice.bot]
         self.top = lattice.names[lattice.top]
         self._index = {name: i for i, name in enumerate(lattice.names)}
-        self.is_total = lattice.poset.is_total()
+        self.is_total = lattice.is_total()
         self.code_order = lattice
 
     def leq(self, a, b):
@@ -301,38 +301,56 @@ class FiniteLatticeValues(ValueLattice):
 class PrimeFinsets(ValueLattice):
     """Finite subsets of a fixed prime base under the Lex' total order.
 
-    The base is finite here, so the order is already a complete lattice: the
-    empty set is bot and the full base is top.
+    Lex' is the max-first lexicographic order: subsets are compared by their
+    descending sequence of primes, a proper prefix is smaller and the empty
+    set is least.  This order extends inclusion, and on singletons it agrees
+    with the numeric order.  It is the integer order of the bitmask of base
+    positions (:meth:`key`): the highest position where two subsets differ
+    decides, and a proper prefix lacks a lower bit.  The base is finite here,
+    so the order is already a complete lattice: the empty set is bot and the
+    full base is top.
     """
 
     kind = "prime_finsets"
     is_total = True
 
     def __init__(self, primes):
-        self.order = FinsetOrder(sorted(primes))
-        self.bot = self.order.least
-        self.top = self.order.greatest
-        self._key = self.order.key
+        self.primes = tuple(sorted(primes))
+        self._pos = {p: k for k, p in enumerate(self.primes)}
+        if len(self._pos) != len(self.primes):
+            raise ValueError("base labels must be distinct")
+        self.bot = frozenset()
+        self.top = frozenset(self.primes)
 
-    @property
-    def primes(self):
-        return self.order.base
+    def key(self, subset):
+        """Sort key realizing the order: the bitmask of base positions."""
+        try:
+            return sum(1 << self._pos[x] for x in subset)
+        except KeyError as exc:
+            raise UnknownLabel(f"{exc.args[0]!r} is not in the base chain") from None
+
+    def all_subsets(self):
+        """Every subset of the base, in increasing order."""
+        return [
+            frozenset(self.primes[k] for k in _iter_bits(mask))
+            for mask in range(1 << len(self.primes))
+        ]
 
     def leq(self, a, b):
-        return self._key(a) <= self._key(b)
+        return self.key(a) <= self.key(b)
 
     def sup(self, values):
-        return max(values, key=self._key, default=self.bot)
+        return max(values, key=self.key, default=self.bot)
 
     def inf(self, values):
-        return min(values, key=self._key, default=self.top)
+        return min(values, key=self.key, default=self.top)
 
     def contains(self, v):
-        return isinstance(v, frozenset) and v <= set(self.order.base)
+        return isinstance(v, frozenset) and v <= self.top
 
     def encode(self, values):
         """Lex' bitmasks, computed once per distinct prime set."""
-        key = self._key
+        key = self.key
         seen = {}
         codes = []
         for v in values:
@@ -348,13 +366,13 @@ class PrimeFinsets(ValueLattice):
         return codes, {code: v for v, code in seen.items()}
 
     def __eq__(self, other):
-        return isinstance(other, PrimeFinsets) and self.order == other.order
+        return isinstance(other, PrimeFinsets) and self.primes == other.primes
 
     def __hash__(self):
-        return hash(("prime_finsets", self.order.base))
+        return hash(("prime_finsets", self.primes))
 
     def __repr__(self):
-        return f"PrimeFinsets({list(self.order.base)!r})"
+        return f"PrimeFinsets({list(self.primes)!r})"
 
 
 class _DualValues(ValueLattice):

@@ -96,8 +96,8 @@ def sweep_lattices():
 def _same_shape(lattice, reference):
     if lattice.n != reference.n:
         return False
-    return _canonical_form(lattice.n, lattice.poset.up) == _canonical_form(
-        reference.n, reference.poset.up
+    return _canonical_form(lattice.n, lattice.up) == _canonical_form(
+        reference.n, reference.up
     )
 
 
@@ -193,7 +193,7 @@ def test_criterion_03_st_set_properties(sweep_lattices):
                 if x == top:
                     continue
                 assert interval_semistable(g, bot, x)
-                for y in _iter_bits(lattice.poset.up[x] & ~(1 << x)):
+                for y in _iter_bits(lattice.up[x] & ~(1 << x)):
                     assert not g.values.leq(t.mu_a[(bot, x)], t.mu_a[(x, y)])
             checked += 1
     _passed(3, f"maximal-destabilizer properties on {checked} convex games", t0, 300)
@@ -242,7 +242,7 @@ def test_criterion_06_dedekind_macneille():
     for make in (fixtures.c2, fixtures.c3, fixtures.b2, fixtures.b3,
                  fixtures.n5, fixtures.m3):
         l = make()
-        cl = dedekind_macneille(l.poset)
+        cl = dedekind_macneille(l)
         assert len(cl.closed_sets) == l.n
         assert sorted(cl.embedding) == list(range(l.n))
         assert _same_shape(cl.as_lattice(), l)

@@ -13,8 +13,8 @@ from hngame.completion import (
     upper_bounds,
 )
 from hngame.errors import NotAnEmbedding, TooLarge
-from hngame.order import FinsetOrder, build_poset
-from hngame.values import ExtendedRationals
+from hngame.order import build_poset
+from hngame.values import ExtendedRationals, PrimeFinsets
 from hngame.sweeps import poset_iso_classes, random_poset
 
 from oracles import closure_oracle, lower_bounds_oracle, upper_bounds_oracle
@@ -43,9 +43,8 @@ def test_antichain_has_no_common_upper_bound():
 
 def test_b2_atoms_bound_by_top():
     l = fixtures.b2()
-    p = l.poset
     mask = to_mask([l.index("a"), l.index("b")])
-    assert from_mask(upper_bounds(p, mask), p) == {l.top}
+    assert from_mask(upper_bounds(l, mask), l) == {l.top}
 
 
 def test_closure_of_empty_antichain_is_empty():
@@ -113,7 +112,7 @@ def test_dm_of_two_antichain_is_b2():
     assert len(c.closed_sets) == 4
     lattice = c.as_lattice()
     assert lattice.n == 4
-    assert not lattice.poset.is_total()
+    assert not lattice.is_total()
 
 
 def test_dm_of_chain_is_the_chain():
@@ -138,7 +137,7 @@ def test_dm_fixed_point_on_lattices():
     for make in (fixtures.c2, fixtures.c3, fixtures.b2, fixtures.b3,
                  fixtures.n5, fixtures.m3):
         l = make()
-        c = dedekind_macneille(l.poset)
+        c = dedekind_macneille(l)
         assert len(c.closed_sets) == l.n
         # The embedding is onto, hence an isomorphism by order-embedding.
         assert sorted(c.embedding) == list(range(l.n))
@@ -166,8 +165,8 @@ def test_dm_of_lex_ordered_subsets_is_itself():
     # The Lex' order on the subsets of a small prime base is total, so its
     # completion adds nothing: this is the finiteness-trivial completion the
     # coprimary value lattice relies on.
-    fo = FinsetOrder([2, 3])
-    ordered = fo.all_subsets()
+    lex = PrimeFinsets([2, 3])
+    ordered = lex.all_subsets()
     names = [",".join(map(str, sorted(s))) or "empty" for s in ordered]
     p = build_poset(names, list(zip(names, names[1:])))
     c = dedekind_macneille(p)

@@ -34,7 +34,7 @@ from hngame.game import (
     seesaw_classify,
 )
 from hngame.jordan_holder import enumerate_jh_filtrations
-from hngame.order import FinsetOrder, Interval, as_bounded_lattice, build_poset
+from hngame.order import Interval, as_bounded_lattice, build_poset
 from hngame.slopes import quotient_payoff
 from hngame.sweeps import iter_payoff_tables, lattice_iso_classes, random_potentials
 from hngame.values import (
@@ -441,7 +441,7 @@ VALUE_KINDS = {
         (NEG_INF, Fraction(-1, 3), Fraction(0), Fraction(2, 4), Fraction(1, 2),
          Fraction(5, 3), POS_INF),
     ),
-    "primes": lambda: (PrimeFinsets([2, 3, 5]), FinsetOrder([2, 3, 5]).all_subsets()),
+    "primes": lambda: (PrimeFinsets([2, 3, 5]), PrimeFinsets([2, 3, 5]).all_subsets()),
     "b2": lambda: _lattice_kind(fixtures.b2()),
     "m3": lambda: _lattice_kind(fixtures.m3()),
     "n5": lambda: _lattice_kind(fixtures.n5()),

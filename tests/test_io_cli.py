@@ -295,6 +295,22 @@ def test_cli_coprimary_guard_runs_before_building_elements():
     assert proc.stderr.startswith("input error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["coprimary", "--orders", "1000", "1000"],
+    ["hn-enumerate", "--input", "gmod.json", "--max-size", "2"],
+    ["dm", "--input", "fence_poset.json", "--max-size", "2"],
+    ["jh", "--input", "const_b2.json", "--max-size", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_size_guard_message_names_no_parameter(tmp_path, capsys, argv):
+    argv = [str(REPO / "fixtures" / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv + ["--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ") and "size guard" in err
+    assert "max_order" not in err and "max_elements" not in err
+
+
 def test_cli_jh_on_constant_game(tmp_path):
     out = tmp_path / "r.json"
     code = main(["jh", "--input", str(REPO / "fixtures" / "const_b2.json"),

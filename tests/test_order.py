@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hngame import fixtures
+from hngame.abelian import FiniteAbelianGroup, subgroup_lattice
+from hngame.completion import dedekind_macneille
 from hngame.errors import (
     CycleError,
     NoBounds,
@@ -18,7 +20,6 @@ from hngame.errors import (
 from hngame.order import (
     BoundedLattice,
     FinitePoset,
-    FinsetOrder,
     Interval,
     as_bounded_lattice,
     build_poset,
@@ -32,6 +33,7 @@ from hngame.sweeps import (
     random_lattice,
     random_poset,
 )
+from hngame.values import PrimeFinsets
 
 from oracles import all_bot_top_chains, lattice_tables_oracle, lex_key_oracle
 
@@ -141,7 +143,7 @@ def test_as_bounded_lattice_matches_scan_oracle():
     posets += [
         random_poset(rng, n, density) for n in range(8, 17) for density in (0.4, 0.8)
     ]
-    posets += [random_lattice(rng, n).poset for n in range(8, 17)]
+    posets += [random_lattice(rng, n) for n in range(8, 17)]
     # The first pair, (x, y), has neither a glb nor a lub: the glb is named.
     posets.append(build_poset(
         ["x", "y", "a", "b", "c", "d", "bot", "top"],
@@ -195,9 +197,45 @@ def test_interval_inherits_meets_and_joins():
                     assert amb[sub.join[i][j]] == l.join[amb[i]][amb[j]]
 
 
+def _interval_lattice():
+    l = fixtures.b3()
+    return Interval(l, l.bot, l.index("xy")).as_lattice()
+
+
+def _cut_lattice():
+    return dedekind_macneille(build_poset("abc", [("a", "c")])).as_lattice()
+
+
+LATTICE_SOURCES = {
+    "as_bounded_lattice": fixtures.b3,
+    "interval": _interval_lattice,
+    "cut_lattice": _cut_lattice,
+    "subgroup_lattice": lambda: subgroup_lattice(FiniteAbelianGroup([2, 6])).lattice,
+    "dual": lambda: fixtures.n5().dual(),
+}
+
+
+@pytest.mark.parametrize("make", LATTICE_SOURCES.values(), ids=LATTICE_SOURCES)
+def test_lattice_is_a_verified_poset(make):
+    l = make()
+    assert isinstance(l, BoundedLattice) and isinstance(l, FinitePoset)
+    fresh = FinitePoset(l.names, l.up)
+    assert (l.names, l.up, l.down) == (fresh.names, fresh.up, fresh.down)
+    assert l != fresh and fresh != l
+
+
+@pytest.mark.parametrize("make", LATTICE_SOURCES.values(), ids=LATTICE_SOURCES)
+def test_lattice_dual_swaps_bounds_and_tables(make):
+    l = make()
+    d = l.dual()
+    assert (d.names, d.up, d.down) == (l.names, l.down, l.up)
+    assert (d.bot, d.top, d.meet, d.join) == (l.top, l.bot, l.join, l.meet)
+    assert d.dual() == l and hash(d.dual()) == hash(l)
+
+
 def test_linear_extension_chain_is_identity():
     l = fixtures.c3()
-    assert linear_extension(l.poset) == (0, 1, 2)
+    assert linear_extension(l) == (0, 1, 2)
 
 
 def test_linear_extension_tie_break_by_input_index():
@@ -207,7 +245,7 @@ def test_linear_extension_tie_break_by_input_index():
 
 def test_linear_extension_b2():
     l = fixtures.b2()
-    order = linear_extension(l.poset)
+    order = linear_extension(l)
     assert order == (l.bot, l.index("a"), l.index("b"), l.top)
     position = {e: k for k, e in enumerate(order)}
     for x, y in l.strict_pairs():
@@ -215,8 +253,8 @@ def test_linear_extension_b2():
 
 
 def test_lex_finset_small_base():
-    fo = FinsetOrder([2, 3])
-    ordered = fo.all_subsets()
+    lex = PrimeFinsets([2, 3])
+    ordered = lex.all_subsets()
     assert ordered == [
         frozenset(),
         frozenset({2}),
@@ -226,19 +264,19 @@ def test_lex_finset_small_base():
 
 
 def test_lex_finset_singletons_follow_base():
-    fo = FinsetOrder([2, 3, 5])
-    assert fo.lt(frozenset({2}), frozenset({3}))
-    assert fo.lt(frozenset({3}), frozenset({5}))
+    lex = PrimeFinsets([2, 3, 5])
+    assert lex.lt(frozenset({2}), frozenset({3}))
+    assert lex.lt(frozenset({3}), frozenset({5}))
 
 
 def test_lex_finset_max_first():
-    fo = FinsetOrder([2, 3, 5])
-    assert fo.lt(frozenset({3}), frozenset({2, 5}))
+    lex = PrimeFinsets([2, 3, 5])
+    assert lex.lt(frozenset({3}), frozenset({2, 5}))
 
 
 def test_lex_finset_extends_inclusion_exhaustively():
     base = [2, 3, 5, 7, 11]
-    fo = FinsetOrder(base)
+    lex = PrimeFinsets(base)
     subsets = [
         frozenset(c)
         for r in range(len(base) + 1)
@@ -247,24 +285,24 @@ def test_lex_finset_extends_inclusion_exhaustively():
     for a in subsets:
         for b in subsets:
             if a < b:
-                assert fo.lt(a, b)
+                assert lex.lt(a, b)
             if a <= b:
-                assert fo.leq(a, b)
+                assert lex.leq(a, b)
 
 
 def test_lex_finset_key_matches_descending_tuple_oracle():
     base = [2, 3, 5, 7, 11, 13]
-    fo = FinsetOrder(base)
-    subsets = fo.all_subsets()
+    lex = PrimeFinsets(base)
+    subsets = lex.all_subsets()
     assert len(set(subsets)) == 64
     assert subsets == sorted(subsets, key=lambda s: lex_key_oracle(base, s))
     for a in subsets:
         for b in subsets:
             ka, kb = lex_key_oracle(base, a), lex_key_oracle(base, b)
-            assert (fo.key(a) < fo.key(b)) == (ka < kb)
-            assert (fo.key(a) == fo.key(b)) == (ka == kb)
+            assert (lex.key(a) < lex.key(b)) == (ka < kb)
+            assert (lex.key(a) == lex.key(b)) == (ka == kb)
     with pytest.raises(UnknownLabel):
-        fo.key(frozenset({2, 4}))
+        lex.key(frozenset({2, 4}))
 
 
 @given(
@@ -274,18 +312,18 @@ def test_lex_finset_key_matches_descending_tuple_oracle():
 )
 @settings(max_examples=200)
 def test_lex_finset_is_a_total_order(a, b, c):
-    fo = FinsetOrder(range(10))
+    lex = PrimeFinsets(range(10))
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
     # Trichotomy.
-    assert (fo.compare(a, b) == 0) == (a == b)
-    assert fo.leq(a, b) or fo.leq(b, a)
+    assert (lex.compare(a, b) == "eq") == (a == b)
+    assert lex.leq(a, b) or lex.leq(b, a)
     # Transitivity.
-    if fo.leq(a, b) and fo.leq(b, c):
-        assert fo.leq(a, c)
+    if lex.leq(a, b) and lex.leq(b, c):
+        assert lex.leq(a, c)
     # Inclusion extension and empty-least.
     if a <= b:
-        assert fo.leq(a, b)
-    assert fo.leq(frozenset(), a)
+        assert lex.leq(a, b)
+    assert lex.leq(frozenset(), a)
 
 
 def test_absorption_laws():
@@ -299,7 +337,7 @@ def test_absorption_laws():
 
 def test_linear_extension_property_on_all_fixtures():
     for make in (fixtures.b2, fixtures.b3, fixtures.n5, fixtures.m3, fixtures.c3):
-        p = make().poset
+        p = make()
         position = {e: k for k, e in enumerate(linear_extension(p))}
         for i in range(p.n):
             for j in range(p.n):

@@ -1,5 +1,6 @@
 """Checks on the repository around the library: the README code runs as
-printed, and the test oracles stay independent of the production code."""
+printed and its layout names every module, and the test oracles stay
+independent of the production code."""
 
 import ast
 import contextlib
@@ -11,6 +12,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+PACKAGE = TESTS.parent / "src" / "hngame"
 
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
 EXPECTED_PRINT = re.compile(r"^print\(.*\)\s+# (.*)$")
@@ -45,3 +47,11 @@ def test_oracles_import_only_hngame_errors():
             imported.add(node.module)
     from_hngame = {m for m in imported if m == "hngame" or m.startswith("hngame.")}
     assert from_hngame == {"hngame.errors"}
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text()
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```$", text, re.M | re.S)
+    named = set(re.findall(r"\w+\.py\b", layout.group(1)))
+    modules = {p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}
+    assert modules - named == set()

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hngame import fixtures
+from hngame.errors import UnknownLabel
 from hngame.game import Game
 from hngame.order import BoundedLattice
 from hngame.values import (
@@ -61,6 +63,26 @@ def test_prime_finsets_order():
     assert s.inf([]) == s.top
 
 
+def test_prime_finsets_rejects_repeated_primes():
+    with pytest.raises(ValueError):
+        PrimeFinsets([2, 2])
+
+
+def test_prime_finsets_key_rejects_foreign_prime():
+    with pytest.raises(UnknownLabel):
+        PrimeFinsets([2, 3]).key(frozenset({2, 5}))
+
+
+def test_prime_finsets_contains():
+    s = PrimeFinsets([2, 3, 5])
+    for r in range(4):
+        for subset in itertools.combinations((2, 3, 5), r):
+            assert s.contains(frozenset(subset))
+    assert not s.contains(frozenset({2, 7}))
+    assert not s.contains({2, 3})
+    assert not s.contains((2,))
+
+
 def test_dual_values():
     s = ExtendedRationals()
     d = s.dual()
@@ -113,7 +135,7 @@ def test_codes_preserve_order_and_decode(kind, dualize):
             assert repr(decode[ca]) == repr(a)
             for b, cb in zip(values, codes):
                 if isinstance(s.code_order, BoundedLattice):
-                    up = s.code_order.poset.up
+                    up = s.code_order.up
                     assert s.leq(a, b) == bool(up[ca] >> cb & 1)
                 else:
                     assert s.code_order is INT_ORDER
