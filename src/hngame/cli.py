@@ -9,6 +9,7 @@ human summary goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -307,7 +308,10 @@ class _Parser(argparse.ArgumentParser):
         raise HNGameError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing never changes
+    it."""
     parser = _Parser(
         prog="hngame",
         description="Harder-Narasimhan games on finite bounded lattices",

@@ -208,18 +208,19 @@ def _cover_ids(lattice):
     pairs = lattice.strict_pairs()
     pid = _pair_ids(lattice)
     up, down = lattice.up, lattice.down
-    lower = [[] for _ in lattice.elements()]
-    upper = [[] for _ in lattice.elements()]
+    below = [[] for _ in pairs]
+    above = [[] for _ in pairs]
+    # Each cover a < b feeds the pairs (x, b) with x < a and the pairs (a, y)
+    # with b < y; covers come in ascending order, so every list ends up
+    # sorted by its cover element.
     for a, b in lattice.covers():
-        lower[b].append(a)
-        upper[a].append(b)
-    below, above, size = [], [], []
-    for x, y in pairs:
-        inside = up[x] & down[y] & ~(1 << x | 1 << y)
-        row = pid[x]
-        below.append([row[c] for c in lower[y] if (inside >> c) & 1])
-        above.append([pid[c][y] for c in upper[x] if (inside >> c) & 1])
-        size.append(inside.bit_count())
+        for x in _iter_bits(down[a] & ~(1 << a)):
+            row = pid[x]
+            below[row[b]].append(row[a])
+        from_a, from_b = pid[a], pid[b]
+        for y in _iter_bits(up[b] & ~(1 << b)):
+            above[from_a[y]].append(from_b[y])
+    size = [(up[x] & down[y]).bit_count() for x, y in pairs]
     order = sorted((k for k in range(len(pairs)) if below[k]), key=size.__getitem__)
     cached = (pairs, below, above, order)
     lattice._cache["covers"] = cached

@@ -68,15 +68,6 @@ def _nearest_float(v):
     raise _not_a_value(v)
 
 
-def as_rational(v):
-    """Coerce an int/Fraction/±inf into the canonical extended-rational form."""
-    if v == POS_INF:
-        return POS_INF
-    if v == NEG_INF:
-        return NEG_INF
-    return Fraction(v)
-
-
 class ValueLattice:
     """Common interface: order queries plus finite sup/inf with top/bot, and
     the integer codes of values with their order."""

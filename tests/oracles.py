@@ -11,7 +11,14 @@ the index.  Nothing here imports from ``hngame`` except ``hngame.errors``.
 from fractions import Fraction
 from math import gcd
 
-from hngame.errors import HNGameError, NoBounds, NotALattice, TrivialLattice
+from hngame.errors import (
+    HNGameError,
+    NegativeRank,
+    NoBounds,
+    NotALattice,
+    TrivialLattice,
+    ZeroRankNonpositiveDegree,
+)
 
 
 class NotAntitone(HNGameError):
@@ -264,6 +271,39 @@ def slope_oracle(rank, degree):
     if rank == 0:
         return float("inf")
     return Fraction(degree) / Fraction(rank)
+
+
+def potential_payoff_oracle(lattice, rank_potential, degree_potential):
+    """Literal quotient payoff of per-element potentials R, D keyed by label.
+
+    For each pair x < y, taken with x, then y, ascending by index, the payoff
+    is (D(y) - D(x)) / (R(y) - R(x)) in Fraction arithmetic, or +inf where the
+    rank difference is zero.  The first pair with a negative rank difference,
+    or a zero one with a nonpositive degree difference, raises the error the
+    library raises for it.
+    """
+    names = lattice.names
+    payoff = {}
+    for x in range(len(names)):
+        for y in range(len(names)):
+            if not lattice.lt(x, y):
+                continue
+            rank = (
+                Fraction(rank_potential[names[y]])
+                - Fraction(rank_potential[names[x]])
+            )
+            if rank < 0:
+                raise NegativeRank(
+                    f"rank potential decreases along {names[x]} < {names[y]}"
+                )
+            degree = (
+                Fraction(degree_potential[names[y]])
+                - Fraction(degree_potential[names[x]])
+            )
+            if rank == 0 and degree <= 0:
+                raise ZeroRankNonpositiveDegree(names[x], names[y])
+            payoff[(x, y)] = slope_oracle(rank, degree)
+    return payoff
 
 
 def all_bot_top_chains(lattice):

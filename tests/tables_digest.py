@@ -12,7 +12,9 @@ is_stable, is_slope_like and has_nash_equilibrium:
   workload (every abelian group of order <= 64 with at most three invariant
   factors, (Z/2)^4 and (Z/2)^5);
 - potentials: quotient games of five seeded potentials each on a 40-element
-  chain and on the divisor lattice of 360.
+  chain and on the divisor lattice of 360.  For these the digest also takes
+  the payoff itself, as the ``repr`` of its sorted items and the type name
+  of each value, so it pins how the payoffs are built.
 
 One line per section, then one over all of them.  Two checkouts whose table
 engine and predicates agree print the same lines.  The file name does not
@@ -85,6 +87,12 @@ def feed(h, g):
     h.update(repr(tuple(p(g) for p in PREDICATES)).encode())
 
 
+def feed_payoff(h, g):
+    items = sorted(g.payoff.items())
+    h.update(repr(items).encode())
+    h.update(repr([type(v).__name__ for _, v in items]).encode())
+
+
 def main():
     total = hashlib.sha256()
     for name, games in (
@@ -95,6 +103,8 @@ def main():
         h = hashlib.sha256()
         count = 0
         for g in games:
+            if name == "potentials":
+                feed_payoff(h, g)
             feed(h, g)
             feed(h, dual(g))
             count += 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hngame import fixtures
 from hngame.abelian import FiniteAbelianGroup, coprimary_game
-from hngame.cli import main
+from hngame.cli import build_parser, main
 from hngame.errors import SchemaError
 from hngame.io import (
     emit_game,
@@ -185,6 +185,23 @@ def test_cli_input_error_exit_two(tmp_path):
     code = main(["dm", "--input", str(REPO / "fixtures" / "gmod.json"),
                  "--output", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_cli_parser_is_reused_after_a_usage_error(tmp_path, capsys):
+    # The parser is built once per process: a usage error, and a value given
+    # in one call, leave the next call as it would be in a fresh process.
+    assert build_parser() is build_parser()
+    code = main(["coprimary", "--orders", "12", "--no-such-flag"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    code = main(["coprimary", "--orders", "12", "--max-size", "5"])
+    assert code == 2
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    code = main(["coprimary", "--orders", "12", "--output", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "z12_coprimary.json").read_bytes()
 
 
 _SQUARE = {

@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from hngame import fixtures
-from hngame.errors import AdditivityViolation, ZeroRankNonpositiveDegree
+from hngame.errors import (
+    AdditivityViolation,
+    HNGameError,
+    NegativeRank,
+    ZeroRankNonpositiveDegree,
+)
 from hngame.game import is_slope_like, seesaw_classify, VIOLATION
-from hngame.order import _iter_bits
+from hngame.order import _iter_bits, linear_extension
 from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
-from hngame.sweeps import random_quotient_game
+from hngame.sweeps import random_lattice, random_potentials, random_quotient_game
 from hngame.values import POS_INF
 
-from oracles import slope_oracle
+from oracles import potential_payoff_oracle, slope_oracle
 
 
 def test_gmod_from_potentials():
@@ -133,3 +138,88 @@ def test_common_scaling_leaves_payoff_unchanged():
         {p: v * Fraction(5, 3) for p, v in base.degree.items()},
     )
     assert quotient_payoff(l, base).payoff == quotient_payoff(l, scaled).payoff
+
+
+def _check_against_oracle(lattice, data):
+    """quotient_payoff and PotentialData.tables agree with the literal
+    per-pair Fraction computation: equal payoffs of equal types, or the same
+    error class and message.  Returns the error, or None."""
+    try:
+        expected = potential_payoff_oracle(
+            lattice, data.rank_potential, data.degree_potential
+        )
+    except HNGameError as exc:
+        for build in (quotient_payoff, lambda l, d: d.tables(l)):
+            with pytest.raises(HNGameError) as err:
+                build(lattice, data)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+        return exc
+    payoff = quotient_payoff(lattice, data).payoff
+    assert payoff == expected
+    assert {p: type(v) for p, v in payoff.items()} == {
+        p: type(v) for p, v in expected.items()
+    }
+    tables = data.tables(lattice)
+    names = lattice.names
+    for x, y in lattice.strict_pairs():
+        for table, potential in (
+            (tables.rank, data.rank_potential),
+            (tables.degree, data.degree_potential),
+        ):
+            value = table[(x, y)]
+            assert type(value) is Fraction
+            assert value == Fraction(potential[names[y]]) - Fraction(
+                potential[names[x]]
+            )
+    return None
+
+
+def test_random_potentials_match_oracle():
+    rng = random.Random(90210)
+    for _ in range(150):
+        lattice = random_lattice(rng, rng.randint(2, 9))
+        for flat_chance in (0.0, 0.25, 0.6):
+            data = random_potentials(rng, lattice, flat_chance=flat_chance)
+            assert _check_against_oracle(lattice, data) is None
+
+
+def _mixed_fraction(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7, 12)))
+
+
+def test_mixed_denominator_potentials_match_oracle():
+    # Increasing ranks along a linear extension give valid potentials;
+    # arbitrary ranks mostly fail, at the pair the oracle names.
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(300):
+        lattice = random_lattice(rng, rng.randint(2, 8))
+        names = lattice.names
+        rank, degree, r_acc = {}, {}, Fraction(0)
+        valid = rng.random() < 0.5
+        for e in linear_extension(lattice):
+            if valid:
+                r_acc += _mixed_fraction(rng, 0, 4)
+                rank[names[e]] = r_acc
+            else:
+                rank[names[e]] = _mixed_fraction(rng, -3, 3)
+            degree[names[e]] = _mixed_fraction(rng, -9, 9)
+        exc = _check_against_oracle(lattice, PotentialData(rank, degree))
+        outcomes.add(type(exc))
+    assert outcomes == {type(None), NegativeRank, ZeroRankNonpositiveDegree}
+
+
+def test_first_failing_pair_need_not_be_a_cover():
+    l = fixtures.c3()
+    bot, a, top = l.bot, l.index("a"), l.top
+    # (bot, top) comes before the cover (a, top) in strict_pairs() order.
+    assert l.strict_pairs() == ((bot, a), (bot, top), (a, top))
+    assert (bot, top) not in l.covers()
+    data = PotentialData(
+        {"bot": 0, "a": Fraction(1, 2), "top": 0},
+        {"bot": Fraction(1, 3), "a": 1, "top": Fraction(-2, 7)},
+    )
+    exc = _check_against_oracle(l, data)
+    assert isinstance(exc, ZeroRankNonpositiveDegree)
+    assert exc.pair == ("bot", "top")
