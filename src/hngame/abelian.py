@@ -84,14 +84,31 @@ def _index_primes(subgroups, lo, hi):
 
 
 def _addition_table(group):
-    """``table[i][j]`` is the index of ``elements[i] + elements[j]``."""
+    """``table[i][j]`` is the index of ``elements[i] + elements[j]``.
+
+    Row x is the translation by x.  The first element not yet reached
+    becomes a generator g, and its row is the one computed by ``group.add``;
+    every reached x then gives row(x + g) as row(g) composed with row(x),
+    one ``map`` per row, so the reached set grows to the subgroup the
+    generators so far generate.  A product of k cyclic groups takes k rows
+    of additions.
+    """
     elements = group.elements
     index = {e: k for k, e in enumerate(elements)}
-    n = len(elements)
-    table = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elements):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = index[group.add(a, elements[j])]
+    table = [None] * len(elements)
+    zero = index[group.zero]
+    table[zero] = list(range(len(elements)))
+    reached = [zero]
+    for g, a in enumerate(elements):
+        if table[g] is not None:
+            continue
+        shift = [index[group.add(a, b)] for b in elements]
+        step = shift.__getitem__
+        for x in reached:
+            y = shift[x]
+            if table[y] is None:
+                table[y] = list(map(step, table[x]))
+                reached.append(y)
     return table
 
 

@@ -6,6 +6,12 @@ operations.  A :class:`BoundedLattice` is a :class:`FinitePoset` that also
 carries its bounds and meet/join tables, so every poset query applies to a
 lattice directly.  Everything is immutable after construction; element
 identity is index-based internally and label-based at the I/O boundary.
+
+Each closed structure is built once from its generators: a poset from its
+generating pairs in one topological pass, its covers by peeling minimal
+elements off each up-set, a dual by swapping masks and tables, an interval
+lattice by slicing the ambient one.  Only the public :class:`FinitePoset`
+constructor and :func:`as_bounded_lattice` verify what they are given.
 """
 
 from __future__ import annotations
@@ -33,9 +39,12 @@ class FinitePoset:
     """A finite partially ordered set over labelled elements.
 
     ``up[i]`` is the bitmask of ``{j | i <= j}`` and ``down[j]`` the bitmask
-    of ``{i | i <= j}``.  The constructor verifies reflexivity, antisymmetry
-    and transitivity; use :func:`build_poset` to close an arbitrary relation
-    first.
+    of ``{i | i <= j}``.  The public constructor verifies reflexivity,
+    antisymmetry and transitivity; use :func:`build_poset` to close an
+    arbitrary relation first.  Masks that are closed by construction (the
+    closure :func:`build_poset` computes, the swapped masks of a dual, the
+    induced order on an interval) go through :meth:`_trusted` instead and
+    are not verified again.
     """
 
     __slots__ = ("n", "names", "up", "down", "_index")
@@ -73,6 +82,21 @@ class FinitePoset:
         self.down = tuple(down)
         self._index = {name: i for i, name in enumerate(names)}
 
+    @classmethod
+    def _trusted(cls, names, up, down, index=None):
+        """A poset from label and mask tuples that already form a closed
+        order, taken over without verification.  ``index`` may share the
+        label map of a poset on the same labels."""
+        self = object.__new__(cls)
+        self.n = len(names)
+        self.names = names
+        self.up = up
+        self.down = down
+        self._index = (
+            {name: i for i, name in enumerate(names)} if index is None else index
+        )
+        return self
+
     def index(self, label):
         try:
             return self._index[label]
@@ -101,17 +125,39 @@ class FinitePoset:
         return self.up[lo] & self.down[hi]
 
     def covers(self):
-        """List of cover pairs (i, j): i < j with nothing strictly between."""
+        """List of cover pairs (i, j): i < j with nothing strictly between,
+        ordered by i and then j.
+
+        The upper covers of i are the minimal elements of its strict up-set.
+        They are peeled off one at a time: probe the lowest remaining index,
+        step down to a lower remaining element until the probe has none
+        below it, record that cover and drop its whole up-set from the
+        remainder.  When indices follow the order or its reverse (chains,
+        subgroup lattices, labels listed bottom up, and their duals) each
+        cover takes at most two probes; in any case an element is probed at
+        most once per up-set.
+        """
+        up, down = self.up, self.down
         out = []
         for i in range(self.n):
-            for j in _iter_bits(self.up[i] & ~(1 << i)):
-                if not self.strictly_between(i, j):
-                    out.append((i, j))
+            rest = up[i] ^ (1 << i)
+            found = []
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                below = down[j] & rest
+                while below != 1 << j:
+                    j = (below ^ (1 << j)).bit_length() - 1
+                    below = down[j] & rest
+                found.append(j)
+                rest &= ~up[j]
+            found.sort()
+            out.extend((i, j) for j in found)
         return out
 
     def dual(self):
-        """The order-dual poset on the same labels."""
-        return FinitePoset(self.names, self.down)
+        """The order-dual poset on the same labels: the two mask tuples
+        swap roles, so nothing is recomputed or verified again."""
+        return FinitePoset._trusted(self.names, self.down, self.up, self._index)
 
     def is_total(self):
         """Whether every element is comparable to every other one."""
@@ -136,39 +182,86 @@ def build_poset(names, relation_pairs):
     """Build a poset from generating pairs, taking the reflexive-transitive
     closure.
 
-    Raises :class:`CycleError` if the closure violates antisymmetry and
-    :class:`UnknownLabel` for pairs referencing undeclared labels.
+    The pairs are sorted topologically (Kahn); then one pass in reverse
+    order fills each up-set as the union of its successors' up-sets, and one
+    pass forward fills the down-sets likewise, so the closure takes
+    O(n + m) mask unions for n labels and m pairs.  Pairs may repeat, and a
+    pair (a, a) adds nothing.  The result is closed by construction and is
+    not verified again.
+
+    Raises :class:`CycleError` if the closure violates antisymmetry, naming
+    the lowest index on a cycle and the lowest other index in its strongly
+    connected component, and :class:`UnknownLabel` for pairs referencing
+    undeclared labels.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
         raise ValueError("element labels must be distinct")
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    up = [1 << i for i in range(n)]
+    succ = [[] for _ in range(n)]
+    indegree = [0] * n
     for a, b in relation_pairs:
         if a not in index:
             raise UnknownLabel(f"unknown element label {a!r}")
         if b not in index:
             raise UnknownLabel(f"unknown element label {b!r}")
-        up[index[a]] |= 1 << index[b]
-    # Warshall closure over bitmask rows.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in _iter_bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    for i in range(n):
-        for j in _iter_bits(up[i]):
-            if i != j and (up[j] >> i) & 1:
-                raise CycleError(
-                    f"pairs force {names[i]} <= {names[j]} and {names[j]} <= {names[i]}"
-                )
-    return FinitePoset(names, up)
+        i, j = index[a], index[b]
+        if i != j:
+            succ[i].append(j)
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        raise _cycle_error(names, succ, [i for i in range(n) if indegree[i]])
+    up = [1 << i for i in range(n)]
+    for i in reversed(order):
+        acc = up[i]
+        for j in succ[i]:
+            acc |= up[j]
+        up[i] = acc
+    down = [1 << i for i in range(n)]
+    for i in order:
+        below = down[i]
+        for j in succ[i]:
+            down[j] |= below
+    return FinitePoset._trusted(names, tuple(up), tuple(down), index)
+
+
+def _cycle_error(names, succ, stuck):
+    """The :class:`CycleError` for a relation whose topological sort left
+    ``stuck`` (every element on a cycle or after one) unplaced.
+
+    It names the lowest element i on a cycle and the lowest other element j
+    of its strongly connected component, the elements both reachable from i
+    and reaching it.
+    """
+    pred = [[] for _ in names]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+
+    def reach(start, edges):
+        seen, stack = 1 << start, [start]
+        while stack:
+            for j in edges[stack.pop()]:
+                if not seen >> j & 1:
+                    seen |= 1 << j
+                    stack.append(j)
+        return seen
+
+    for i in stuck:
+        component = reach(i, succ) & ~(1 << i)
+        if component:
+            component &= reach(i, pred)
+        if component:
+            a, b = names[i], names[(component & -component).bit_length() - 1]
+            return CycleError(f"pairs force {a} <= {b} and {b} <= {a}")
+    raise AssertionError("a relation without a topological order has a cycle")
 
 
 class BoundedLattice(FinitePoset):
@@ -176,9 +269,10 @@ class BoundedLattice(FinitePoset):
     meet/join tables.
 
     Use :func:`as_bounded_lattice` to build one from a poset with full
-    verification; the constructor takes over the fields of that already
-    verified poset without checking them again.  ``meet[i][j]`` /
-    ``join[i][j]`` give element indices.
+    verification of the lattice laws; the constructor takes over the fields
+    of that poset without checking them again.  A dual or an interval
+    lattice is derived from a lattice already built and is not verified
+    again.  ``meet[i][j]`` / ``join[i][j]`` give element indices.
     """
 
     __slots__ = ("bot", "top", "meet", "join", "_cache")
@@ -328,27 +422,41 @@ class Interval:
         return (self.members >> i) & 1 == 1
 
     def as_lattice(self):
-        """The interval as a bounded lattice carrying the ambient labels.
+        """The interval as a bounded lattice carrying the ambient labels,
+        built once per ``(lo, hi)`` and cached on the ambient lattice.
 
-        The meet/join tables are sliced from the ambient ones; no re-derivation
-        is needed because intervals of lattices are closed under both.
+        The induced order and the meet/join tables are sliced from the
+        ambient ones; no re-derivation or verification is needed because
+        intervals of lattices are lattices closed under both.  Everything
+        computed later on the result, such as its cover index, belongs to
+        the interval lattice itself.
         """
         amb = self.lattice
+        key = ("interval", self.lo, self.hi)
+        cached = amb._cache.get(key)
+        if cached is not None:
+            return cached
+        members = self.members
         elems = self.member_indices()
         pos = {e: k for k, e in enumerate(elems)}
+
+        def induced(masks):
+            return tuple(
+                sum(1 << pos[j] for j in _iter_bits(masks[e] & members))
+                for e in elems
+            )
+
         names = tuple(amb.names[e] for e in elems)
-        up = tuple(
-            sum(1 << pos[j] for j in _iter_bits(amb.up[e] & self.members))
-            for e in elems
-        )
-        poset = FinitePoset(names, up)
+        poset = FinitePoset._trusted(names, induced(amb.up), induced(amb.down))
         meet = tuple(
             tuple(pos[amb.meet[a][b]] for b in elems) for a in elems
         )
         join = tuple(
             tuple(pos[amb.join[a][b]] for b in elems) for a in elems
         )
-        return BoundedLattice(poset, pos[self.lo], pos[self.hi], meet, join)
+        cached = BoundedLattice(poset, pos[self.lo], pos[self.hi], meet, join)
+        amb._cache[key] = cached
+        return cached
 
     def __eq__(self, other):
         return (

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from hngame.errors import (
+    CycleError,
     HNGameError,
     NegativeRank,
     NoBounds,
@@ -177,6 +178,58 @@ def jh_filtrations_oracle(g):
         for chain in all_bot_top_chains(l)
         if all(step_ok(lo, hi) for lo, hi in zip(chain, chain[1:]))
     }
+
+
+def relation_closure_oracle(names, relation_pairs):
+    """The up-set masks of the reflexive-transitive closure of the pairs,
+    by Warshall sweeps repeated until nothing changes.
+
+    Elements are scanned by index and each up-set by index: the first
+    element i with some j != i in its closure that also reaches back to i
+    raises the :class:`CycleError` the library raises for it.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    up = [1 << i for i in range(n)]
+    for a, b in relation_pairs:
+        up[index[a]] |= 1 << index[b]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = up[i]
+            for j in range(n):
+                if acc >> j & 1:
+                    acc |= up[j]
+            if acc != up[i]:
+                up[i] = acc
+                changed = True
+    for i in range(n):
+        for j in range(n):
+            if i != j and up[i] >> j & 1 and up[j] >> i & 1:
+                raise CycleError(
+                    f"pairs force {names[i]} <= {names[j]} and {names[j]} <= {names[i]}"
+                )
+    return tuple(up)
+
+
+def down_sets_oracle(up):
+    """The down-set masks transposed from the up-set masks."""
+    n = len(up)
+    return tuple(
+        sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+    )
+
+
+def covers_oracle(p):
+    """Cover pairs (i, j), by i and then j: i < j with no z strictly between,
+    testing every strict pair against every element."""
+    return [
+        (i, j)
+        for i in p.elements()
+        for j in p.elements()
+        if p.lt(i, j) and not any(p.lt(i, z) and p.lt(z, j) for z in p.elements())
+    ]
 
 
 def upper_bounds_oracle(p, members):

@@ -16,6 +16,13 @@ is_stable, is_slope_like and has_nash_equilibrium:
   the payoff itself, as the ``repr`` of its sorted items and the type name
   of each value, so it pins how the payoffs are built.
 
+- structure: the fields of every order the games above stand on, and of
+  more: names, up- and down-sets and ``covers()`` of each poset, plus bot,
+  top, meet and join of each lattice, for the divisor lattices D(m) of a
+  few m, chains, random lattices and random posets, the lattice classes
+  with 2 to 6 elements, the interval lattices of D(360), the subgroup
+  lattices of the ``groups`` games, and the dual of each.
+
 One line per section, then one over all of them.  Two checkouts whose table
 engine and predicates agree print the same lines.  The file name does not
 start with ``test_``, so pytest does not collect it.
@@ -33,6 +40,7 @@ from hngame.abelian import (  # noqa: E402
     FiniteAbelianGroup,
     coprimary_game,
     iter_invariant_factor_groups,
+    subgroup_lattice,
 )
 from hngame.game import (  # noqa: E402
     dual,
@@ -43,11 +51,18 @@ from hngame.game import (  # noqa: E402
     is_slope_like,
     is_stable,
 )
-from hngame.order import as_bounded_lattice, build_poset  # noqa: E402
+from hngame.order import (  # noqa: E402
+    BoundedLattice,
+    Interval,
+    as_bounded_lattice,
+    build_poset,
+)
 from hngame.slopes import quotient_payoff  # noqa: E402
 from hngame.sweeps import (  # noqa: E402
     iter_sweep_games,
     lattice_iso_classes,
+    random_lattice,
+    random_poset,
     random_potentials,
 )
 
@@ -62,11 +77,15 @@ def sweep_games():
         yield from iter_sweep_games(lattice)
 
 
-def group_games():
+def benchmark_groups():
     groups = iter_invariant_factor_groups(64, 3)
     groups += [FiniteAbelianGroup((2,) * 4), FiniteAbelianGroup((2,) * 5)]
     assert len(groups) == 110
-    for group in groups:
+    return groups
+
+
+def group_games():
+    for group in benchmark_groups():
         yield coprimary_game(group)
 
 
@@ -82,35 +101,57 @@ def potentials_games():
             yield quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
 
 
-def feed(h, g):
-    h.update(repr(g.tables()).encode())
-    h.update(repr(tuple(p(g) for p in PREDICATES)).encode())
+def structures():
+    rng = random.Random(3)
+    d360 = divisor_lattice(360)
+    yield from (divisor_lattice(m) for m in (12, 30, 36, 210, 720))
+    yield d360
+    yield from (fixtures.chain(k) for k in (2, 3, 10, 120))
+    yield from (random_lattice(rng, n) for n in range(2, 25))
+    yield from (
+        random_poset(rng, n, density) for n in range(1, 25) for density in (0.2, 0.5)
+    )
+    yield from lattice_iso_classes(6)
+    yield from (Interval(d360, *pair).as_lattice() for pair in d360.strict_pairs())
+    yield from (subgroup_lattice(group).lattice for group in benchmark_groups())
 
 
-def feed_payoff(h, g):
+def feed_structure(h, p):
+    for q in (p, p.dual()):
+        h.update(repr((q.names, q.up, q.down, q.covers())).encode())
+        if isinstance(q, BoundedLattice):
+            h.update(repr((q.bot, q.top, q.meet, q.join)).encode())
+
+
+def feed_game(h, g):
+    for d in (g, dual(g)):
+        h.update(repr(d.tables()).encode())
+        h.update(repr(tuple(p(d) for p in PREDICATES)).encode())
+
+
+def feed_potentials_game(h, g):
     items = sorted(g.payoff.items())
     h.update(repr(items).encode())
     h.update(repr([type(v).__name__ for _, v in items]).encode())
+    feed_game(h, g)
 
 
 def main():
     total = hashlib.sha256()
-    for name, games in (
-        ("sweep", sweep_games()),
-        ("groups", group_games()),
-        ("potentials", potentials_games()),
+    for name, items, kind, feed in (
+        ("structure", structures(), "orders", feed_structure),
+        ("sweep", sweep_games(), "games", feed_game),
+        ("groups", group_games(), "games", feed_game),
+        ("potentials", potentials_games(), "games", feed_potentials_game),
     ):
         h = hashlib.sha256()
         count = 0
-        for g in games:
-            if name == "potentials":
-                feed_payoff(h, g)
-            feed(h, g)
-            feed(h, dual(g))
+        for item in items:
+            feed(h, item)
             count += 1
         digest = h.hexdigest()
         total.update(digest.encode())
-        print(f"{name} {count} games and duals: {digest}", flush=True)
+        print(f"{name} {count} {kind} and duals: {digest}", flush=True)
     print(f"all: {total.hexdigest()}")
 
 

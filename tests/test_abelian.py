@@ -2,6 +2,7 @@ import pytest
 
 from hngame.abelian import (
     FiniteAbelianGroup,
+    _addition_table,
     coprimary_filtration,
     coprimary_game,
     enumerate_coprimary_filtrations,
@@ -72,6 +73,25 @@ def test_meet_is_intersection_and_join_is_sum():
                 h_plus_k = {group.add(a, b) for a in h for b in k}
                 assert subgroups[l.meet[i][j]] == h & k
                 assert subgroups[l.join[i][j]] == h_plus_k
+
+
+def _literal_addition_table(group):
+    elements = group.elements
+    index = {e: k for k, e in enumerate(elements)}
+    return [[index[group.add(a, b)] for b in elements] for a in elements]
+
+
+def test_addition_table_matches_literal_addition():
+    groups = iter_invariant_factor_groups(64, 3)
+    groups += [FiniteAbelianGroup((2,) * k) for k in (4, 5, 6)]
+    assert len(groups) == 111
+    for group in groups:
+        assert _addition_table(group) == _literal_addition_table(group), group
+    for orders in ([12], [2, 4], [2, 2, 2], [4, 6], [3, 9]):
+        sl = subgroup_lattice(FiniteAbelianGroup(orders))
+        for lo, hi in sl.lattice.strict_pairs():
+            q = quotient(sl, hi, lo)
+            assert _addition_table(q) == _literal_addition_table(q), (orders, q)
 
 
 def test_quotient_subgroups_sorted_by_element_index():

@@ -35,7 +35,14 @@ from hngame.sweeps import (
 )
 from hngame.values import PrimeFinsets
 
-from oracles import all_bot_top_chains, lattice_tables_oracle, lex_key_oracle
+from oracles import (
+    all_bot_top_chains,
+    covers_oracle,
+    down_sets_oracle,
+    lattice_tables_oracle,
+    lex_key_oracle,
+    relation_closure_oracle,
+)
 
 
 def test_singleton_poset():
@@ -53,8 +60,115 @@ def test_b2_incomparable_atoms():
 
 
 def test_cycle_detected():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match="^pairs force x <= y and y <= x$"):
         build_poset(["x", "y"], [("x", "y"), ("y", "x")])
+
+
+@pytest.mark.parametrize(
+    "names,pairs,message",
+    [
+        # a, below the cycle b -> c -> d -> b, is never on it; b is the
+        # lowest index on the cycle and c the lowest other one.
+        ("abcde", [("a", "b"), ("c", "d"), ("d", "b"), ("b", "c"), ("d", "e")],
+         "pairs force b <= c and c <= b"),
+        # x lies after the cycle, so the topological sort leaves it unplaced
+        # too, yet it is on no cycle.
+        ("xyz", [("y", "z"), ("z", "y"), ("z", "x")],
+         "pairs force y <= z and z <= y"),
+        # Two cycles: the one holding the lowest index is named.
+        ("pqrst", [("t", "s"), ("s", "t"), ("r", "q"), ("q", "r"), ("p", "p")],
+         "pairs force q <= r and r <= q"),
+    ],
+)
+def test_cycle_error_names_lowest_pair_of_lowest_cycle(names, pairs, message):
+    with pytest.raises(CycleError) as err:
+        build_poset(names, pairs)
+    assert str(err.value) == message
+    with pytest.raises(CycleError) as ref:
+        relation_closure_oracle(tuple(names), pairs)
+    assert str(ref.value) == message
+
+
+def _build_outcome(names, pairs):
+    """up, down and covers() of the built poset, or the CycleError's text."""
+    try:
+        p = build_poset(names, pairs)
+    except CycleError as exc:
+        return CycleError, str(exc)
+    return p.up, p.down, p.covers()
+
+
+def _oracle_outcome(names, pairs):
+    try:
+        up = relation_closure_oracle(names, pairs)
+    except CycleError as exc:
+        return CycleError, str(exc)
+    p = FinitePoset(names, up)
+    return up, down_sets_oracle(up), covers_oracle(p)
+
+
+def test_build_poset_and_covers_match_oracles_on_poset_classes():
+    for n in range(1, 7):
+        for p in poset_iso_classes(n):
+            for q in (p, p.dual()):
+                # Generated from its covers, last one first.
+                pairs = [(q.names[i], q.names[j]) for i, j in covers_oracle(q)][::-1]
+                built = _build_outcome(q.names, pairs)
+                assert built == _oracle_outcome(q.names, pairs), q
+                assert built[:2] == (q.up, q.down)
+                assert q.covers() == covers_oracle(q)
+
+
+def test_build_poset_and_covers_match_oracles_on_random_relations():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        names = tuple(f"v{k}" for k in rng.sample(range(20), n))
+        # Indices follow no order: pairs go up a hidden random ranking,
+        # against it with a small chance (making cycles), and repeat or
+        # loop on one element now and then.
+        rank = rng.sample(range(n), n)
+        pairs = []
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.choice(names), rng.choice(names)
+            if rank[names.index(a)] > rank[names.index(b)] and rng.random() < 0.9:
+                a, b = b, a
+            pairs.append((a, b))
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))
+        built = _build_outcome(names, pairs)
+        assert built == _oracle_outcome(names, pairs), (names, pairs)
+        kinds.add(built[0] is CycleError)
+    assert kinds == {True, False}
+
+
+def test_build_poset_on_a_tall_chain_listed_top_down():
+    n = 20_000
+    names = [f"c{k}" for k in reversed(range(n))]
+    p = build_poset(names, [(f"c{k}", f"c{k + 1}") for k in range(n - 1)])
+    # Index i holds c{n-1-i}: everything of higher index lies below it.
+    full = (1 << n) - 1
+    assert all(u == (1 << (i + 1)) - 1 for i, u in enumerate(p.up))
+    assert all(d == full ^ ((1 << i) - 1) for i, d in enumerate(p.down))
+    assert p.covers() == [(i + 1, i) for i in range(n - 1)]
+    assert p.dual().covers() == [(i, i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize(
+    "names,up,message",
+    [
+        ("ab", (0b01, 0b10, 0b100), "relation size does not match element count"),
+        ("ab", (0b101, 0b10), "relation references unknown elements"),
+        ("ab", (0b01, 0b00), "relation not reflexive at b"),
+        ("ab", (0b11, 0b11), "relation not antisymmetric on a, b"),
+        ("abc", (0b011, 0b110, 0b100), "relation not transitive through a <= b"),
+        ("aa", (0b01, 0b10), "element labels must be distinct"),
+    ],
+)
+def test_public_poset_constructor_verifies(names, up, message):
+    with pytest.raises(ValueError) as err:
+        FinitePoset(names, up)
+    assert str(err.value) == message
 
 
 def test_unknown_label():
@@ -195,6 +309,27 @@ def test_interval_inherits_meets_and_joins():
                 for j in range(sub.n):
                     assert amb[sub.meet[i][j]] == l.meet[amb[i]][amb[j]]
                     assert amb[sub.join[i][j]] == l.join[amb[i]][amb[j]]
+
+
+def test_interval_lattice_is_built_once_per_interval():
+    for make in (fixtures.b3, fixtures.n5, lambda: fixtures.b3().dual()):
+        l = make()
+        for lo, hi in l.strict_pairs():
+            ival = Interval(l, lo, hi)
+            sub = ival.as_lattice()
+            assert Interval(l, lo, hi).as_lattice() is sub
+            members = ival.member_indices()
+            fresh = as_bounded_lattice(FinitePoset(
+                [l.names[e] for e in members],
+                [
+                    sum(1 << k for k, f in enumerate(members) if l.le(e, f))
+                    for e in members
+                ],
+            ))
+            assert sub == fresh
+            assert (sub.down, sub.meet, sub.join) == (
+                fresh.down, fresh.meet, fresh.join
+            )
 
 
 def _interval_lattice():
