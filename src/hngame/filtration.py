@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
-from .game import _mu_a_code, interval_semistable, is_convex
+from .game import _mu_a_code, _value, interval_semistable, is_convex
 from .order import _iter_bits, check_chain, iter_chains
 
 MAX_ENUMERATION_ELEMENTS = 16
@@ -156,11 +156,10 @@ def validate_hn(g, f):
     l = g.lattice
     steps = check_chain(l, f, l.bot, l.top)
     pairs = tuple(zip(steps, steps[1:]))
-    mu_a = g.tables().mu_a
-    mu_steps = tuple(mu_a[p] for p in pairs)
-    piecewise = tuple(interval_semistable(g, a, b) for a, b in pairs)
     code = _mu_a_code(g)
     codes = [code(a, b) for a, b in pairs]
+    mu_steps = tuple(map(_value(g), codes))
+    piecewise = tuple(interval_semistable(g, a, b) for a, b in pairs)
     le = g.values.code_order.le
     decreasing = tuple(not le(a, b) for a, b in zip(codes, codes[1:]))
     return HNReport(

@@ -12,25 +12,34 @@ and all witness sets only involve elements between x and y, so the values of
 the series on a pair inside an interval agree with the ambient ones.  Every
 per-interval notion (semistability on [lo, hi], the maximal-destabilizer set,
 ...) is therefore computed from ambient pair tables, and the test suite
-verifies exhaustively that this matches honest restriction.  The table engine
-fills those tables by interval size with a Hasse-diagram recursion, as sups
-and infs are associative: mu_max(x, y) = sup(mu(x, y), mu_max(x, c) : c a
-lower cover of y, x < c), mu_a(x, y) = inf(mu_max(x, y), mu_a(c, y) : c an
-upper cover of x, c < y), mu_min and mu_b dually, and all four equal the
-payoff on a cover.
+verifies exhaustively that this matches honest restriction.
+
+The table engine is one kernel, :func:`_peel`, that fills a series line by
+line: a row x holds the pairs (x, y), a column y the pairs (x, y).  mu_max
+is a sup along rows, reaching from (x, w) every (x, y) with w <= y; mu_min
+an inf along columns, reaching from (w, y) every (x, y) with x <= w; mu_a
+peels mu_max the way mu_min peels the payoff, and mu_b peels mu_min the way
+mu_max does.  For a total value kind the kernel visits a line's pairs best
+first and writes each source value to the pairs it reaches that are not
+written yet, so every pair is written once; for a non-total one it folds
+all the values that reach a pair.  Each series is computed on first use, so
+a caller that reads only mu_a builds mu_max and mu_a and nothing else.  No
+cover index is kept.
 
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
-``strict_pairs()``.  The public constructor encodes while it validates, and a
-trusted game, such as a restriction or a dual, encodes on first use.  The
-table recursion and the convexity, slope-like and interval (semi)stability
-predicates read only codes and the code tables, compared and folded by
+``strict_pairs()``.  The public constructor encodes while it validates, a
+dual takes the codes of its game, and a trusted game, such as a restriction,
+encodes on first use.  The kernel and the convexity, slope-like and interval
+(semi)stability predicates read only codes, compared and folded by
 ``values.code_order`` (builtins for total value kinds); the searches of
 :mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read them through
-:func:`_payoff_code` and :func:`_mu_a_code`.  Decoding happens once, where
-:meth:`Game.tables` builds the public :class:`MuTables` dicts; ``payoff`` and
-every value handed out are values, not codes.
+:func:`_payoff_code` and :func:`_mu_a_code`.  Values are decoded only where
+they are handed out: all pairs at once in the :class:`MuTables` dicts of
+:meth:`Game.tables`, one pair at a time in the point reads
+(:func:`mu_max`, ...).  ``payoff`` and every value handed out are values,
+not codes.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .errors import (
     TheoremViolation,
 )
 from .order import _iter_bits
+from .values import INT_ORDER
 
 INCREASING, DECREASING, FLAT, VIOLATION = (
     "increasing",
@@ -71,21 +81,8 @@ class Game:
     )
 
     def __init__(self, lattice, values, payoff):
-        pairs = lattice.strict_pairs()
-        if set(payoff) != set(pairs):
-            missing = set(pairs) - set(payoff)
-            extra = set(payoff) - set(pairs)
-            raise ValueError(
-                "payoff must be defined on exactly the strict pairs; "
-                f"missing {sorted(missing)}, extra {sorted(extra)}"
-            )
-        self.lattice = lattice
-        self.values = values
-        self.payoff = dict(payoff)
-        self._codes = None
-        self._series = None
-        self._tables = None
-        self._slope_like = None
+        _check_pairs(lattice, payoff)
+        _set_fields(self, lattice, values, dict(payoff))
         try:
             _codes(self)
         except ValueError:
@@ -100,13 +97,17 @@ class Game:
     def _trusted(cls, lattice, values, payoff):
         """Construction bypassing domain validation; for internal sweeps."""
         g = cls.__new__(cls)
-        g.lattice = lattice
-        g.values = values
-        g.payoff = payoff
-        g._codes = None
-        g._series = None
-        g._tables = None
-        g._slope_like = None
+        _set_fields(g, lattice, values, payoff)
+        return g
+
+    @classmethod
+    def _encoded(cls, lattice, values, payoff, codes):
+        """A game whose caller has already encoded its payoff values as
+        ``codes``, the ``(codes, decode)`` pair of ``values.encode``; only
+        the pairs are checked."""
+        _check_pairs(lattice, payoff)
+        g = cls._trusted(lattice, values, payoff)
+        g._codes = codes
         return g
 
     def mu(self, x, y):
@@ -118,12 +119,11 @@ class Game:
 
     def tables(self):
         if self._tables is None:
-            self._series = _compute_tables(self)
             decode = _codes(self)[1].__getitem__
             pairs = self.lattice.strict_pairs()
-            self._tables = MuTables(
-                *(dict(zip(pairs, map(decode, s))) for s in self._series)
-            )
+            self._tables = MuTables(*(
+                dict(zip(pairs, map(decode, _series(self, i)))) for i in range(4)
+            ))
         return self._tables
 
     def __eq__(self, other):
@@ -136,6 +136,28 @@ class Game:
 
     def __repr__(self):
         return f"Game({self.lattice!r}, {self.values!r}, {len(self.payoff)} pairs)"
+
+
+def _set_fields(g, lattice, values, payoff):
+    g.lattice = lattice
+    g.values = values
+    g.payoff = payoff
+    g._codes = None
+    g._series = [None] * 4
+    g._tables = None
+    g._slope_like = None
+
+
+def _check_pairs(lattice, payoff):
+    """Raise ValueError unless ``payoff`` is keyed by exactly the strict
+    pairs of ``lattice``."""
+    pairs = set(lattice.strict_pairs())
+    if payoff.keys() != pairs:
+        raise ValueError(
+            "payoff must be defined on exactly the strict pairs; "
+            f"missing {sorted(pairs - payoff.keys())}, "
+            f"extra {sorted(payoff.keys() - pairs)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,10 +175,38 @@ def _pair_ids(lattice):
     the strict pair (x, y) in ``strict_pairs()``."""
     cached = lattice._cache.get("pair_ids")
     if cached is None:
-        cached = [{} for _ in lattice.elements()]
-        for k, (x, y) in enumerate(lattice.strict_pairs()):
-            cached[x][y] = k
+        pairs = lattice.strict_pairs()
+        cached = []
+        start = 0
+        for up in lattice.up:
+            stop = start + up.bit_count() - 1
+            cached.append(dict(zip(
+                map(operator.itemgetter(1), pairs[start:stop]), range(start, stop)
+            )))
+            start = stop
         lattice._cache["pair_ids"] = cached
+    return cached
+
+
+def _lines(lattice, rows):
+    """The nonempty rows (or columns) of the strict pairs, cached on the
+    lattice, as ``(ends, ids)`` per line: ``ids`` maps the free end of each
+    pair of the line (y for (x, y) in row x, x for (x, y) in column y), in
+    ascending order, to the pair's id, and ``ends`` is the bitmask of those
+    free ends."""
+    key = "rows" if rows else "columns"
+    cached = lattice._cache.get(key)
+    if cached is None:
+        if rows:
+            by_line = _pair_ids(lattice)
+        else:
+            by_line = [{} for _ in lattice.elements()]
+            for x, row in enumerate(_pair_ids(lattice)):
+                for y, k in row.items():
+                    by_line[y][x] = k
+        reach = lattice.up if rows else lattice.down
+        cached = [(reach[e] ^ (1 << e), ids) for e, ids in enumerate(by_line) if ids]
+        lattice._cache[key] = cached
     return cached
 
 
@@ -170,12 +220,67 @@ def _codes(g):
     return g._codes
 
 
-def _series(g):
-    """mu_max, mu_min, mu_a and mu_b as code lists by pair id, computed with
-    the tables."""
-    if g._series is None:
-        g.tables()
-    return g._series
+def _series(g, i):
+    """Series i of g as a code list by pair id, computed on first use; i
+    indexes the fields of :class:`MuTables` (mu_max, mu_min, mu_a, mu_b).
+
+    mu_max and mu_b are sups along rows, mu_min and mu_a infs along columns;
+    mu_a peels mu_max and mu_b peels mu_min.
+    """
+    s = g._series[i]
+    if s is None:
+        l = g.lattice
+        src = _codes(g)[0] if i < 2 else _series(g, i - 2)
+        rows = i in (0, 3)
+        reach = l.up if rows else l.down
+        s = _peel(src, _lines(l, rows), reach, g.values.code_order, rows)
+        g._series[i] = s
+    return s
+
+
+def _peel(src, lines, reach, order, top_first):
+    """One series as a code list indexed like ``src``.
+
+    ``lines`` holds ``(ends, ids)`` per line as :func:`_lines` gives them,
+    and ``reach[w]`` is the up-set (for rows) or down-set (for columns) of
+    w.  A pair gets the sup (``top_first``) or the inf under ``order`` of
+    ``src`` over the pairs of its line whose free end w has the pair's free
+    end in ``reach[w]``.
+
+    For the integer order a line's pairs are visited best code first, and
+    each writes its code to the pairs it reaches that are still unwritten,
+    so every pair is written once.  For other orders all codes reaching a
+    pair are folded with the order's sup or inf.
+    """
+    out = [None] * len(src)
+    get = src.__getitem__
+    fold = order.sup if top_first else order.inf
+    for rest, ids in lines:
+        if len(ids) == 1:
+            # A lone pair reaches only itself.
+            for k in ids.values():
+                out[k] = src[k]
+            continue
+        ranked = zip(map(get, ids.values()), ids)
+        if order is INT_ORDER:
+            for c, w in sorted(ranked, reverse=top_first):
+                hit = reach[w] & rest
+                if not hit:
+                    continue
+                rest ^= hit
+                while hit:
+                    low = hit & -hit
+                    out[ids[low.bit_length() - 1]] = c
+                    hit ^= low
+                if not rest:
+                    break
+        else:
+            reached = {}
+            for c, w in ranked:
+                reached[c] = reached.get(c, 0) | reach[w]
+            for y, k in ids.items():
+                out[k] = fold([c for c, m in reached.items() if m >> y & 1])
+    return out
 
 
 def _payoff_code(g):
@@ -190,57 +295,13 @@ def _payoff_code(g):
 
 def _mu_a_code(g):
     """The mu_a code lookup of g: ``code(x, y)`` for a strict pair x < y."""
-    ta, pid = _series(g)[2], _pair_ids(g.lattice)
+    ta, pid = _series(g, 2), _pair_ids(g.lattice)
     return lambda x, y: ta[pid[x][y]]
 
 
-def _cover_ids(lattice):
-    """Per-pair cover index lists, cached on the lattice.
-
-    For pair p = (x, y): below[p] indexes the pairs (x, c) with c a lower
-    cover of y and x < c, above[p] the pairs (c, y) with c an upper cover of x
-    and c < y.  Both are empty exactly on covers; ``order`` lists the other
-    pairs by interval size, so every pair comes after the pairs it reads.
-    """
-    cached = lattice._cache.get("covers")
-    if cached is not None:
-        return cached
-    pairs = lattice.strict_pairs()
-    pid = _pair_ids(lattice)
-    up, down = lattice.up, lattice.down
-    below = [[] for _ in pairs]
-    above = [[] for _ in pairs]
-    # Each cover a < b feeds the pairs (x, b) with x < a and the pairs (a, y)
-    # with b < y; covers come in ascending order, so every list ends up
-    # sorted by its cover element.
-    for a, b in lattice.covers():
-        for x in _iter_bits(down[a] & ~(1 << a)):
-            row = pid[x]
-            below[row[b]].append(row[a])
-        from_a, from_b = pid[a], pid[b]
-        for y in _iter_bits(up[b] & ~(1 << b)):
-            above[from_a[y]].append(from_b[y])
-    size = [(up[x] & down[y]).bit_count() for x, y in pairs]
-    order = sorted((k for k in range(len(pairs)) if below[k]), key=size.__getitem__)
-    cached = (pairs, below, above, order)
-    lattice._cache["covers"] = cached
-    return cached
-
-
-def _compute_tables(g):
-    """The four series as code lists by pair id, along the cover index."""
-    _, below, above, order = _cover_ids(g.lattice)
-    codes = _codes(g)[0]
-    sup, inf = g.values.code_order.sup, g.values.code_order.inf
-    tmax, tmin, ta, tb = codes[:], codes[:], codes[:], codes[:]
-    gmax, gmin = tmax.__getitem__, tmin.__getitem__
-    ga, gb = ta.__getitem__, tb.__getitem__
-    for k in order:
-        tmax[k] = sup([codes[k], *map(gmax, below[k])])
-        tmin[k] = inf([codes[k], *map(gmin, above[k])])
-        ta[k] = inf([tmax[k], *map(ga, above[k])])
-        tb[k] = sup([tmin[k], *map(gb, below[k])])
-    return tmax, tmin, ta, tb
+def _value(g):
+    """The map from a code of g back to its value: ``value(code)``."""
+    return _codes(g)[1].__getitem__
 
 
 def _require_strict(g, x, y):
@@ -250,26 +311,28 @@ def _require_strict(g, x, y):
         )
 
 
+def _point(g, i, x, y):
+    """The value of series i of g at the strict pair (x, y)."""
+    _require_strict(g, x, y)
+    return _codes(g)[1][_series(g, i)[_pair_ids(g.lattice)[x][y]]]
+
+
 def mu_max(g, x, y):
     """Best payoff the first mover can force in one step inside [x, y]."""
-    _require_strict(g, x, y)
-    return g.tables().mu_max[(x, y)]
+    return _point(g, 0, x, y)
 
 
 def mu_min(g, x, y):
-    _require_strict(g, x, y)
-    return g.tables().mu_min[(x, y)]
+    return _point(g, 1, x, y)
 
 
 def mu_a(g, x, y):
     """Second-mover optimum against the best one-step response."""
-    _require_strict(g, x, y)
-    return g.tables().mu_a[(x, y)]
+    return _point(g, 2, x, y)
 
 
 def mu_b(g, x, y):
-    _require_strict(g, x, y)
-    return g.tables().mu_b[(x, y)]
+    return _point(g, 3, x, y)
 
 
 def mu_a_star(g):
@@ -322,10 +385,28 @@ def dual(g):
 
     The payoff of the dual pair (x, y) is the original payoff of (y, x); the
     star values swap roles, mu_b* of the dual being mu_a* of the original.
+    A game that is already encoded hands its codes down, permuted into the
+    dual's pair order and re-encoded by ``dual_codes``.
     """
     l = g.lattice
     payoff = {(j, i): v for (i, j), v in g.payoff.items()}
-    return Game._trusted(l.dual(), g.values.dual(), payoff)
+    d = Game._trusted(l.dual(), g.values.dual(), payoff)
+    if g._codes is not None:
+        codes, decode = g._codes
+        ids = _dual_ids(l)
+        d._codes = g.values.dual_codes(list(map(codes.__getitem__, ids)), decode)
+    return d
+
+
+def _dual_ids(lattice):
+    """The pair ids of ``lattice`` in the pair order of its dual, cached on
+    the lattice: the dual's pairs are the pairs of the lattice column by
+    column."""
+    cached = lattice._cache.get("dual_ids")
+    if cached is None:
+        cached = [k for _, ids in _lines(lattice, False) for k in ids.values()]
+        lattice._cache["dual_ids"] = cached
+    return cached
 
 
 def is_convex(g):
@@ -379,7 +460,7 @@ def interval_semistable(g, lo, hi):
     greater than mu_a(lo, hi).  For non-total value lattices this is weaker
     than mu_a(lo, x) <= mu_a(lo, hi).
     """
-    ta = _series(g)[2]
+    ta = _series(g, 2)
     row = _pair_ids(g.lattice)[lo]
     ref = ta[row[hi]]
     lt = g.values.code_order.lt
@@ -392,7 +473,7 @@ def interval_semistable(g, lo, hi):
 def interval_stable(g, lo, hi):
     """Stability of the restriction of g to [lo, hi]: semistable and no
     proper intermediate x attains mu_a(lo, hi)."""
-    ta = _series(g)[2]
+    ta = _series(g, 2)
     row = _pair_ids(g.lattice)[lo]
     ref = ta[row[hi]]
     lt = g.values.code_order.lt

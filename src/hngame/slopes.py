@@ -6,20 +6,24 @@ have strictly positive degree.  Rationals keep every check exact; data can be
 given as raw pair tables (fully validated) or as per-element potentials,
 whose differences are additive by construction.  Potentials are scaled once
 to integers over the least common denominator of all their values, so the
-differences along the strict pairs are int subtractions and each slope is
-one exact ``Fraction`` of two ints.
+differences along the strict pairs are int subtractions, each distinct slope
+is one exact ``Fraction`` of two ints, and the slopes are ranked once, which
+gives the game its value codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import compress
 from math import lcm
+from operator import eq, itemgetter, not_, sub, truediv
 
 from .errors import AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
 from .game import Game
 from .order import _iter_bits
-from .values import POS_INF, ExtendedRationals
+from .values import NEG_INF, POS_INF, ExtendedRationals
 
 
 @dataclass(frozen=True)
@@ -66,23 +70,22 @@ class PotentialData:
     degree_potential: dict
 
     def tables(self, lattice):
-        scale, increments = _scaled_increments(lattice, self)
-        rank, degree = {}, {}
-        for pair, rv, dv in increments:
-            rank[pair] = Fraction(rv, scale)
-            degree[pair] = Fraction(dv, scale)
+        scale, rvs, dvs = _scaled_increments(lattice, self)
+        pairs = lattice.strict_pairs()
+        rank = {p: Fraction(rv, scale) for p, rv in zip(pairs, rvs)}
+        degree = {p: Fraction(dv, scale) for p, dv in zip(pairs, dvs)}
         return RankDegreeData(lattice, rank, degree)
 
 
 def _scaled_increments(lattice, data):
     """The potentials of ``data`` as ints, validated along the strict pairs.
 
-    Returns ``(L, increments)``: L is the least common denominator of every
-    rank and degree potential, and ``increments`` yields ``(pair, rv, dv)``
-    for each strict pair (x, y) in ``strict_pairs()`` order, where
-    rv = L (R(y) - R(x)) and dv = L (D(y) - D(x)) are ints.  It raises
-    :class:`NegativeRank` or :class:`ZeroRankNonpositiveDegree` at the first
-    pair whose rank is negative, or zero with a nonpositive degree.
+    Returns ``(L, rvs, dvs)``: L is the least common denominator of every
+    rank and degree potential, and for the k-th strict pair (x, y) of
+    ``strict_pairs()``, ``rvs[k]`` = L (R(y) - R(x)) and ``dvs[k]`` =
+    L (D(y) - D(x)) are ints.  It raises :class:`NegativeRank` or
+    :class:`ZeroRankNonpositiveDegree` at the first pair whose rank is
+    negative, or zero with a nonpositive degree.
     """
     names = lattice.names
     r = [Fraction(data.rank_potential[name]) for name in names]
@@ -90,21 +93,20 @@ def _scaled_increments(lattice, data):
     scale = lcm(*(f.denominator for f in r), *(f.denominator for f in d))
     ri = [f.numerator * (scale // f.denominator) for f in r]
     di = [f.numerator * (scale // f.denominator) for f in d]
-
-    def increments():
-        for pair in lattice.strict_pairs():
-            x, y = pair
-            rv = ri[y] - ri[x]
+    pairs = lattice.strict_pairs()
+    lo = list(map(itemgetter(0), pairs))
+    hi = list(map(itemgetter(1), pairs))
+    rvs = list(map(sub, map(ri.__getitem__, hi), map(ri.__getitem__, lo)))
+    dvs = list(map(sub, map(di.__getitem__, hi), map(di.__getitem__, lo)))
+    if min(rvs) < 0 or min(compress(dvs, map(not_, rvs)), default=1) <= 0:
+        for (x, y), rv, dv in zip(pairs, rvs, dvs):
             if rv < 0:
                 raise NegativeRank(
                     f"rank potential decreases along {names[x]} < {names[y]}"
                 )
-            dv = di[y] - di[x]
             if rv == 0 and dv <= 0:
                 raise ZeroRankNonpositiveDegree(names[x], names[y])
-            yield pair, rv, dv
-
-    return scale, increments()
+    return scale, rvs, dvs
 
 
 def quotient_payoff(lattice, data):
@@ -112,20 +114,84 @@ def quotient_payoff(lattice, data):
 
     ``data`` is a :class:`RankDegreeData` (already validated) or a
     :class:`PotentialData` (validated on expansion).  For potentials the
-    common denominator cancels, so each payoff is ``Fraction(dv, rv)`` of the
-    scaled int increments of :func:`_scaled_increments`, with no Fraction
-    arithmetic per pair.  Values are extended rationals; -inf never occurs.
+    common denominator cancels, so each payoff is the slope dv/rv of the
+    scaled int increments of :func:`_scaled_increments`; the slopes are
+    ranked and encoded in one pass (:func:`_ranked_slopes`), so the game
+    gets its codes without encoding its values again.  Values are extended
+    rationals; -inf never occurs.
     """
+    values = ExtendedRationals()
     if isinstance(data, PotentialData):
-        _, increments = _scaled_increments(lattice, data)
-        payoff = {
-            pair: Fraction(dv, rv) if rv else POS_INF
-            for pair, rv, dv in increments
-        }
-    else:
-        degree = data.degree
-        payoff = {
-            pair: degree[pair] / r if r > 0 else POS_INF
-            for pair, r in data.rank.items()
-        }
-    return Game(lattice, ExtendedRationals(), payoff)
+        _, rvs, dvs = _scaled_increments(lattice, data)
+        slopes, codes, decode = _ranked_slopes(rvs, dvs)
+        payoff = dict(zip(lattice.strict_pairs(), slopes))
+        return Game._encoded(lattice, values, payoff, (codes, decode))
+    degree = data.degree
+    payoff = {
+        pair: degree[pair] / r if r > 0 else POS_INF
+        for pair, r in data.rank.items()
+    }
+    return Game(lattice, values, payoff)
+
+
+def _nearest_float(dv, rv):
+    """The float nearest dv / rv for ints with rv >= 0: +inf at rv = 0 (where
+    dv > 0), and ±inf beyond the float range."""
+    if not rv:
+        return POS_INF
+    try:
+        return dv / rv
+    except OverflowError:
+        return POS_INF if dv > 0 else NEG_INF
+
+
+def _ranked_slopes(rvs, dvs):
+    """The slopes dv/rv of int increments, with the codes that
+    ``ExtendedRationals.encode`` gives them.
+
+    Returns ``(slopes, codes, decode)``: ``slopes[k]`` is
+    ``Fraction(dvs[k], rvs[k])``, or +inf where ``rvs[k]`` is 0 (so
+    ``dvs[k]`` > 0), with one object per distinct slope; ``codes[k]`` is its
+    rank among the distinct slopes and ``decode`` maps each rank back to its
+    slope.  One sort by the nearest floats orders the slopes up to runs of
+    equal floats; only such a run is compared exactly, by cross-multiplying,
+    which also ranks +inf above every finite slope, even one beyond the float
+    range.
+    """
+    n = len(rvs)
+    try:
+        near = list(map(truediv, dvs, rvs))
+    except (OverflowError, ZeroDivisionError):
+        near = list(map(_nearest_float, dvs, rvs))
+    order = sorted(range(n), key=near.__getitem__)
+
+    def exact(i, j):
+        return dvs[i] * rvs[j] - dvs[j] * rvs[i]
+
+    # Position p ties when order[p - 1] and order[p] have the same float.
+    sorted_near = list(map(near.__getitem__, order))
+    ties = list(compress(range(1, n), map(eq, sorted_near, sorted_near[1:])))
+    done = 0
+    for p in ties:
+        if p > done:
+            done = p
+            while done + 1 < n and sorted_near[done + 1] == sorted_near[p]:
+                done += 1
+            order[p - 1:done + 1] = sorted(
+                order[p - 1:done + 1], key=cmp_to_key(exact)
+            )
+    new_rank = [True] * n
+    for p in ties:
+        if not exact(order[p - 1], order[p]):
+            new_rank[p] = False
+    codes = [0] * n
+    rank = -1
+    for k, new in zip(order, new_rank):
+        if new:
+            rank += 1
+        codes[k] = rank
+    distinct = [
+        Fraction(dvs[k], rvs[k]) if rvs[k] else POS_INF
+        for k in compress(order, new_rank)
+    ]
+    return list(map(distinct.__getitem__, codes)), codes, dict(enumerate(distinct))

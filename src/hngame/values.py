@@ -21,11 +21,16 @@ and ``code_order`` compares and folds codes.  Per kind:
 - the dual of a total kind negates the codes, and the dual of lattice values
   keeps the indices under the dual lattice.
 
-For the integer codes ``code_order`` is :data:`INT_ORDER`, whose operations
-are builtins.  Equal values get equal codes, so ``==`` on codes is ``==`` on
-values.  The value-level methods (``leq``, ``sup``, ...) stay the public
-interface; :mod:`hngame.game` decodes codes back to values only where it
-hands results out.
+``dual_codes`` turns codes of a kind into codes of its dual without looking
+at the values, so a dual game takes the codes of its game; as the dual of
+the dual is the kind itself, ``dual_codes`` of a dual kind is that of the
+kind.  For the integer codes ``code_order`` is :data:`INT_ORDER`, whose
+operations are builtins.  Equal values get equal codes, so ``==`` on codes
+is ``==`` on values.  The value-level methods (``leq``, ``sup``, ...) stay
+the public interface.  :mod:`hngame.game` decodes a code back to a value
+only when it hands that value out: a whole series for ``Game.tables``, one
+pair for a point read, so a caller that reads a few pairs decodes a few
+codes.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class ValueLattice:
 
     def dual_codes(self, codes, decode):
         """The same values encoded for the dual lattice: negated codes."""
-        return [-c for c in codes], {-c: v for c, v in decode.items()}
+        return list(map(operator.neg, codes)), {-c: v for c, v in decode.items()}
 
     def leq(self, a, b):
         raise NotImplementedError
@@ -393,6 +398,10 @@ class _DualValues(ValueLattice):
 
     def encode(self, values):
         return self.inner.dual_codes(*self.inner.encode(values))
+
+    def dual_codes(self, codes, decode):
+        """The inner kind's codes back: its ``dual_codes`` is an involution."""
+        return self.inner.dual_codes(codes, decode)
 
     def dual(self):
         return self.inner

@@ -62,6 +62,44 @@ def mu_b_oracle(g, x, y):
     return g.values.sup(witnesses)
 
 
+def cover_recursion_oracle(g):
+    """The four series as dicts over the strict pairs, by the Hasse-diagram
+    recursion.
+
+    Sups and infs are associative, so along the covers of ``covers()``:
+    mu_max(x, y) = sup(mu(x, y), mu_max(x, c) : c a lower cover of y, x < c),
+    mu_min(x, y) = inf(mu(x, y), mu_min(c, y) : c an upper cover of x, c < y),
+    mu_a(x, y) = inf(mu_max(x, y), mu_a(c, y) : c an upper cover of x, c < y),
+    mu_b(x, y) = sup(mu_min(x, y), mu_b(x, c) : c a lower cover of y, x < c),
+    and all four equal the payoff on a cover.  Pairs are filled by interval
+    size, so each comes after the pairs it reads.  Returns the tuple
+    (mu_max, mu_min, mu_a, mu_b).
+    """
+    l = g.lattice
+    pairs = l.strict_pairs()
+    lower = {e: [] for e in l.elements()}
+    upper = {e: [] for e in l.elements()}
+    for a, b in l.covers():
+        upper[a].append(b)
+        lower[b].append(a)
+    below = {(x, y): [(x, c) for c in lower[y] if l.lt(x, c)] for x, y in pairs}
+    above = {(x, y): [(c, y) for c in upper[x] if l.lt(c, y)] for x, y in pairs}
+
+    def size(pair):
+        x, y = pair
+        return sum(1 for z in l.elements() if l.le(x, z) and l.le(z, y))
+
+    sup, inf = g.values.sup, g.values.inf
+    tmax, tmin, ta, tb = {}, {}, {}, {}
+    for p in sorted(pairs, key=size):
+        v = g.payoff[p]
+        tmax[p] = sup([v] + [tmax[q] for q in below[p]])
+        tmin[p] = inf([v] + [tmin[q] for q in above[p]])
+        ta[p] = inf([tmax[p]] + [ta[q] for q in above[p]])
+        tb[p] = sup([tmin[p]] + [tb[q] for q in below[p]])
+    return tmax, tmin, ta, tb
+
+
 def semistable_oracle(g):
     l = g.lattice
     ref = mu_a_oracle(g, l.bot, l.top)

@@ -14,7 +14,10 @@ is_stable, is_slope_like and has_nash_equilibrium:
 - potentials: quotient games of five seeded potentials each on a 40-element
   chain and on the divisor lattice of 360.  For these the digest also takes
   the payoff itself, as the ``repr`` of its sorted items and the type name
-  of each value, so it pins how the payoffs are built.
+  of each value, so it pins how the payoffs are built;
+- explicit: games with non-total values, the lattices N5 and M3 as
+  ``FiniteLatticeValues``, with 20 seeded payoffs for each on every lattice
+  class with 2 to 5 elements.
 
 - structure: the fields of every order the games above stand on, and of
   more: names, up- and down-sets and ``covers()`` of each poset, plus bot,
@@ -43,6 +46,7 @@ from hngame.abelian import (  # noqa: E402
     subgroup_lattice,
 )
 from hngame.game import (  # noqa: E402
+    Game,
     dual,
     has_nash_equilibrium,
     is_affine,
@@ -65,6 +69,7 @@ from hngame.sweeps import (  # noqa: E402
     random_poset,
     random_potentials,
 )
+from hngame.values import FiniteLatticeValues  # noqa: E402
 
 PREDICATES = (
     is_convex, is_affine, is_semistable, is_stable, is_slope_like,
@@ -99,6 +104,17 @@ def potentials_games():
     for lattice in (fixtures.chain(40), divisor_lattice(360)):
         for seed in range(5):
             yield quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
+
+
+def explicit_games():
+    rng = random.Random(11)
+    kinds = [FiniteLatticeValues(fixtures.n5()), FiniteLatticeValues(fixtures.m3())]
+    for lattice in lattice_iso_classes(5):
+        pairs = lattice.strict_pairs()
+        for values in kinds:
+            for _ in range(20):
+                payoff = {p: rng.choice(values.elements) for p in pairs}
+                yield Game(lattice, values, payoff)
 
 
 def structures():
@@ -143,6 +159,7 @@ def main():
         ("sweep", sweep_games(), "games", feed_game),
         ("groups", group_games(), "games", feed_game),
         ("potentials", potentials_games(), "games", feed_potentials_game),
+        ("explicit", explicit_games(), "games", feed_game),
     ):
         h = hashlib.sha256()
         count = 0

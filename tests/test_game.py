@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -13,6 +14,8 @@ from hngame.game import (
     VIOLATION,
     Game,
     MuTables,
+    _codes,
+    _peel,
     dual,
     has_nash_equilibrium,
     interval_semistable,
@@ -38,6 +41,7 @@ from hngame.order import Interval, as_bounded_lattice, build_poset
 from hngame.slopes import quotient_payoff
 from hngame.sweeps import iter_payoff_tables, lattice_iso_classes, random_potentials
 from hngame.values import (
+    INT_ORDER,
     NEG_INF,
     POS_INF,
     ExtendedRationals,
@@ -51,6 +55,7 @@ from oracles import (
     NotAntitone,
     compress_antitone,
     convexity_oracle,
+    cover_recursion_oracle,
     divisors,
     hn_filtrations_oracle,
     interval_semistable_oracle,
@@ -492,3 +497,87 @@ def test_engine_matches_value_level_oracles(kind, dualize):
             payoff = {p: rng.choice(pool) for p in pairs}
             _assert_engine_matches_oracles(Game(lattice, values, payoff))
             _assert_engine_matches_oracles(dual(Game._trusted(lattice, values, payoff)))
+
+
+def _assert_tables_match_cover_recursion(g):
+    t = g.tables()
+    assert (t.mu_max, t.mu_min, t.mu_a, t.mu_b) == cover_recursion_oracle(g)
+
+
+@pytest.mark.parametrize("kind", ["chain3", "n5", "m3"])
+def test_peel_matches_cover_recursion(kind):
+    # Every lattice class with 2 to 6 elements and its dual, seeded payoffs.
+    # N5 and M3 are non-total, so the kernel folds instead of peeling, also
+    # under their dual order.
+    if kind == "chain3":
+        base = FiniteChain((0, 1, 2))
+    else:
+        base = FiniteLatticeValues(getattr(fixtures, kind)())
+    pool = base.elements
+    rng = random.Random(kind)
+    for lattice in lattice_iso_classes(6):
+        pairs = lattice.strict_pairs()
+        for values in (base, base.dual()):
+            for _ in range(12):
+                g = Game(lattice, values, {p: rng.choice(pool) for p in pairs})
+                _assert_tables_match_cover_recursion(g)
+                _assert_tables_match_cover_recursion(dual(g))
+
+
+def test_peel_on_a_2000_chain_is_a_running_extremum():
+    # On a chain a series line is a running extremum: row x reads
+    # mu_max(x, y) = max(mu(x, w) for x < w <= y), column y reads
+    # mu_min(x, y) = min(mu(w, y) for x <= w < y), and mu_b and mu_a read
+    # mu_min and mu_max the same way.  Whole rows and columns of a
+    # 2,000-element chain, the longest included, each source line listed in
+    # the order its extremum runs.
+    n = 2000
+    full = (1 << n) - 1
+    up = [full >> i << i for i in range(n)]
+    down = [(2 << i) - 1 for i in range(n)]
+    for reach, top_first, picks in ((up, True, (0, 1, 999, 1998)),
+                                    (down, False, (1999, 1998, 1000, 1))):
+        lines, src, expect = [], [], []
+        for e in picks:
+            ends = range(e + 1, n) if top_first else range(e - 1, -1, -1)
+            line = [(37 * w + 11 * e) % 101 for w in ends]
+            ids = dict(zip(ends, range(len(src), len(src) + len(line))))
+            lines.append((reach[e] ^ (1 << e), ids))
+            src += line
+            expect += accumulate(line, max if top_first else min)
+        assert _peel(src, lines, reach, INT_ORDER, top_first) == expect
+
+
+# Every value kind, with the values its payoffs are drawn from: the
+# rationals (both infinities included), a finite chain, prime sets, lattice
+# values on a 3-chain, which are total, and on N5, which are not.
+DUAL_CODE_KINDS = {
+    "rationals": VALUE_KINDS["rationals"],
+    "chain": VALUE_KINDS["chain"],
+    "primes": VALUE_KINDS["primes"],
+    "total_lattice": lambda: _lattice_kind(fixtures.c3()),
+    "n5": VALUE_KINDS["n5"],
+}
+
+
+def _fresh_codes(g):
+    return g.values.encode([g.payoff[p] for p in g.lattice.strict_pairs()])
+
+
+@pytest.mark.parametrize("kind", sorted(DUAL_CODE_KINDS))
+def test_dual_inherits_codes_of_every_kind(kind):
+    values, pool = DUAL_CODE_KINDS[kind]()
+    rng = random.Random(kind)
+    for lattice in (fixtures.n5(), fixtures.b2(), fixtures.chain(5)):
+        pairs = lattice.strict_pairs()
+        for _ in range(10):
+            g = Game(lattice, values, {p: rng.choice(pool) for p in pairs})
+            d = dual(g)
+            assert d._codes is not None
+            assert _codes(d) == _fresh_codes(d)
+            dd = dual(d)
+            assert dd.values == values
+            assert _codes(dd) == _fresh_codes(dd) == _codes(g)
+            fresh = dual(Game._trusted(lattice, values, g.payoff))
+            assert repr(d.tables()) == repr(fresh.tables())
+

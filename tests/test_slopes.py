@@ -10,11 +10,11 @@ from hngame.errors import (
     NegativeRank,
     ZeroRankNonpositiveDegree,
 )
-from hngame.game import is_slope_like, seesaw_classify, VIOLATION
+from hngame.game import _codes, is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits, linear_extension
 from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
 from hngame.sweeps import random_lattice, random_potentials, random_quotient_game
-from hngame.values import POS_INF
+from hngame.values import POS_INF, ExtendedRationals
 
 from oracles import potential_payoff_oracle, slope_oracle
 
@@ -223,3 +223,73 @@ def test_first_failing_pair_need_not_be_a_cover():
     exc = _check_against_oracle(l, data)
     assert isinstance(exc, ZeroRankNonpositiveDegree)
     assert exc.pair == ("bot", "top")
+
+
+def _chain_potentials(rank, degree):
+    """The potentials ``rank`` and ``degree``, listed bottom up, on a chain."""
+    lattice = fixtures.chain(len(rank))
+    return lattice, PotentialData(
+        dict(zip(lattice.names, rank)), dict(zip(lattice.names, degree))
+    )
+
+
+BIG = 10**20
+TINY = Fraction(1, 10**400)
+SLOPE_CASES = {
+    # Every slope is 1.0 as a float; exactly, there are four.
+    "float_ties": ([0, BIG, 2 * BIG, 2 * BIG + 1],
+                   [0, BIG + 1, 2 * BIG + 1, 2 * BIG + 2]),
+    # Slopes beyond the float range of both signs, under a zero-rank +inf.
+    "beyond_floats": ([0, TINY, 3 * TINY, 3 * TINY],
+                      [0, 1, -1, 5]),
+    # 2/4, 1/2 and 3/6, one slope from unreduced increments.
+    "unreduced": ([0, 4, 6], [0, 2, 3]),
+    "negative": ([0, 1, 3, Fraction(7, 2), 5], [0, -2, -3, -10, Fraction(-21, 2)]),
+}
+
+
+def _literal_payoff(lattice, data):
+    return potential_payoff_oracle(
+        lattice, data.rank_potential, data.degree_potential
+    )
+
+
+def test_slope_cases_reach_their_edges():
+    ties = _literal_payoff(*_chain_potentials(*SLOPE_CASES["float_ties"]))
+    assert {float(v) for v in ties.values()} == {1.0}
+    assert len(set(ties.values())) == 4
+    beyond = _literal_payoff(*_chain_potentials(*SLOPE_CASES["beyond_floats"]))
+    assert any(v != POS_INF and v > 10**300 for v in beyond.values())
+    assert any(v < -(10**300) for v in beyond.values())
+    assert POS_INF in beyond.values()
+    unreduced = _literal_payoff(*_chain_potentials(*SLOPE_CASES["unreduced"]))
+    assert set(unreduced.values()) == {Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+def test_ranked_slopes_encode_like_extended_rationals(case):
+    lattice, data = _chain_potentials(*SLOPE_CASES[case])
+    assert _check_against_oracle(lattice, data) is None
+    expected = _literal_payoff(lattice, data)
+    pairs = lattice.strict_pairs()
+    g = quotient_payoff(lattice, data)
+    codes, decode = _codes(g)
+    fresh = ExtendedRationals().encode([expected[p] for p in pairs])
+    assert (codes, decode) == fresh
+    assert repr(decode) == repr(fresh[1])
+    assert repr(sorted(g.payoff.items())) == repr(sorted(expected.items()))
+    assert [type(g.payoff[p]).__name__ for p in pairs] == [
+        type(expected[p]).__name__ for p in pairs
+    ]
+    # One value object per distinct slope.
+    assert len({id(v) for v in g.payoff.values()}) == len(decode)
+
+
+@pytest.mark.parametrize("rank, degree, error", [
+    ([0, TINY, 0], [0, 10**400, 1], NegativeRank),
+    ([0, TINY, TINY], [0, 1, -(10**400)], ZeroRankNonpositiveDegree),
+    ([0, BIG, BIG + 1, BIG + 1], [0, BIG + 1, BIG, BIG], ZeroRankNonpositiveDegree),
+])
+def test_slope_edge_errors_unchanged(rank, degree, error):
+    lattice, data = _chain_potentials(rank, degree)
+    assert isinstance(_check_against_oracle(lattice, data), error)
