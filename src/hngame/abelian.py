@@ -252,7 +252,7 @@ def coprimary_filtration(group, max_order=MAX_GROUP_ORDER):
     steps = report.filtration.steps
     primes, coprimary = [], []
     for step in zip(steps, steps[1:]):
-        ass = game.payoff[step]
+        ass = game.mu(*step)
         coprimary.append(len(ass) == 1)
         primes.append(min(ass))
     decreasing = all(p > q for p, q in zip(primes, primes[1:]))

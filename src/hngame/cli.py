@@ -29,7 +29,11 @@ from .game import (
     is_semistable,
     is_slope_like,
     is_stable,
+    mu_a,
+    mu_b,
     mu_b_star,
+    mu_max,
+    mu_min,
     nash_tfae_report,
 )
 from .abelian import MAX_GROUP_ORDER, FiniteAbelianGroup, coprimary_filtration
@@ -78,8 +82,7 @@ def _enc(game, v):
 
 def cmd_check(args):
     game, name = _load_game(args)
-    t = game.tables()
-    bt = (game.lattice.bot, game.lattice.top)
+    bot, top = game.lattice.bot, game.lattice.top
     payload = {
         "command": "check",
         "name": name,
@@ -92,11 +95,11 @@ def cmd_check(args):
             "nash_equilibrium": has_nash_equilibrium(game),
         },
         "mu_series": {
-            "payoff": _enc(game, game.payoff[bt]),
-            "mu_max": _enc(game, t.mu_max[bt]),
-            "mu_min": _enc(game, t.mu_min[bt]),
-            "mu_a": _enc(game, t.mu_a[bt]),
-            "mu_b": _enc(game, t.mu_b[bt]),
+            "payoff": _enc(game, game.mu(bot, top)),
+            "mu_max": _enc(game, mu_max(game, bot, top)),
+            "mu_min": _enc(game, mu_min(game, bot, top)),
+            "mu_a": _enc(game, mu_a(game, bot, top)),
+            "mu_b": _enc(game, mu_b(game, bot, top)),
         },
         "dual_first_mover_value": _enc(game, mu_b_star(dual(game))),
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
-from .game import _mu_a_code, _value, interval_semistable, is_convex
+from .game import _series_code, _value, interval_semistable, is_convex
 from .order import _iter_bits, check_chain, iter_chains
 
 MAX_ENUMERATION_ELEMENTS = 16
@@ -53,7 +53,7 @@ def _st_set_on(g, lo, hi):
     mu_a(lo, x), and every y attaining mu_a(lo, x) sits below x.
     """
     l = g.lattice
-    code = _mu_a_code(g)
+    code = _series_code(g, 2)
     members = list(_iter_bits(l.between(lo, hi) & ~(1 << lo)))
     mu = {x: code(lo, x) for x in members}
     lt = g.values.code_order.lt
@@ -96,15 +96,18 @@ def _greatest_st_on(g, lo, hi):
 
 
 def mu_admissible(g):
-    """Total values, or the infimum defining mu_a attained on every pair."""
+    """Total values, or the infimum defining mu_a attained on every pair.
+
+    Equal codes are equal values, so the series are compared as codes.
+    """
     if g.values.is_total:
         return True
-    t = g.tables()
     l = g.lattice
+    code_max, code_a = _series_code(g, 0), _series_code(g, 2)
     for x, y in l.strict_pairs():
-        target = t.mu_a[(x, y)]
+        target = code_a(x, y)
         witnesses = [x] + list(_iter_bits(l.strictly_between(x, y)))
-        if all(t.mu_max[(a, y)] != target for a in witnesses):
+        if all(code_max(a, y) != target for a in witnesses):
             return False
     return True
 
@@ -156,7 +159,7 @@ def validate_hn(g, f):
     l = g.lattice
     steps = check_chain(l, f, l.bot, l.top)
     pairs = tuple(zip(steps, steps[1:]))
-    code = _mu_a_code(g)
+    code = _series_code(g, 2)
     codes = [code(a, b) for a, b in pairs]
     mu_steps = tuple(map(_value(g), codes))
     piecewise = tuple(interval_semistable(g, a, b) for a, b in pairs)
@@ -180,7 +183,7 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
     """
     l = g.lattice
     TooLarge.check("lattice size", l.n, max_elements)
-    code = _mu_a_code(g)
+    code = _series_code(g, 2)
     le = g.values.code_order.le
 
     def step_ok(chain, nxt):

@@ -30,16 +30,22 @@ The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
 ``strict_pairs()``.  The public constructor encodes while it validates, a
-dual takes the codes of its game, and a trusted game, such as a restriction,
-encodes on first use.  The kernel and the convexity, slope-like and interval
-(semi)stability predicates read only codes, compared and folded by
-``values.code_order`` (builtins for total value kinds); the searches of
-:mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read them through
-:func:`_payoff_code` and :func:`_mu_a_code`.  Values are decoded only where
-they are handed out: all pairs at once in the :class:`MuTables` dicts of
-:meth:`Game.tables`, one pair at a time in the point reads
-(:func:`mu_max`, ...).  ``payoff`` and every value handed out are values,
-not codes.
+dual takes the codes of its game, a potentials game is built from codes
+(:func:`hngame.slopes.quotient_payoff`), and a trusted game, such as a
+restriction, encodes on first use.  The kernel and the convexity,
+slope-like and interval (semi)stability predicates read only codes,
+compared and folded by ``values.code_order`` (builtins for total value
+kinds); the searches of :mod:`hngame.filtration` and
+:mod:`hngame.jordan_holder` read them through :func:`_payoff_code` and
+:func:`_series_code`.
+
+Values are built only where they are handed out.  A game built from values
+keeps the payoff dict it was given; a game built from codes builds it on
+the first read of ``payoff``, and until then :meth:`Game.mu` decodes the
+one code it reads.  :meth:`Game.tables` computes the four series, and each
+:class:`MuTables` field decodes its dict on first access; the point reads
+(:func:`mu_max`, ...) decode one code each.  ``payoff`` and every value
+handed out are values, not codes.
 """
 
 from __future__ import annotations
@@ -71,13 +77,14 @@ class Game:
 
     ``payoff`` maps each strict pair to its value.  The engine reads the
     payoff codes instead (see the module docstring): the public constructor
-    validates and encodes the values in one pass, while :meth:`_trusted`
-    leaves the encoding to the first computation that needs it.
+    validates and encodes the values in one pass, :meth:`_trusted` leaves
+    the encoding to the first computation that needs it, and
+    :meth:`_encoded` leaves the payoff dict to its first read.
     """
 
     __slots__ = (
-        "lattice", "values", "payoff", "_codes", "_series", "_tables",
-        "_slope_like",
+        "lattice", "values", "_payoff", "_codes", "_series", "_tables",
+        "_slope_like", "__weakref__",
     )
 
     def __init__(self, lattice, values, payoff):
@@ -101,29 +108,44 @@ class Game:
         return g
 
     @classmethod
-    def _encoded(cls, lattice, values, payoff, codes):
-        """A game whose caller has already encoded its payoff values as
-        ``codes``, the ``(codes, decode)`` pair of ``values.encode``; only
-        the pairs are checked."""
-        _check_pairs(lattice, payoff)
-        g = cls._trusted(lattice, values, payoff)
+    def _encoded(cls, lattice, values, codes):
+        """A game given by ``codes``, the ``(codes, decode)`` pair of
+        ``values.encode`` over ``strict_pairs()``, with no payoff dict until
+        it is read; only the number of codes is checked."""
+        n = len(lattice.strict_pairs())
+        if len(codes[0]) != n:
+            raise ValueError(f"need {n} payoff codes, got {len(codes[0])}")
+        g = cls._trusted(lattice, values, None)
         g._codes = codes
         return g
+
+    @property
+    def payoff(self):
+        """The value of each strict pair, as a dict built on first read."""
+        if self._payoff is None:
+            codes, decode = self._codes
+            self._payoff = dict(
+                zip(self.lattice.strict_pairs(), map(decode.__getitem__, codes))
+            )
+        return self._payoff
 
     def mu(self, x, y):
         if not self.lattice.lt(x, y):
             raise NotStrict(
                 f"payoff needs {self.lattice.names[x]} < {self.lattice.names[y]}"
             )
-        return self.payoff[(x, y)]
+        if self._payoff is not None:
+            return self._payoff[(x, y)]
+        codes, decode = self._codes
+        return decode[codes[_pair_ids(self.lattice)[x][y]]]
 
     def tables(self):
         if self._tables is None:
-            decode = _codes(self)[1].__getitem__
-            pairs = self.lattice.strict_pairs()
-            self._tables = MuTables(*(
-                dict(zip(pairs, map(decode, _series(self, i)))) for i in range(4)
-            ))
+            self._tables = MuTables._from_codes(
+                self.lattice.strict_pairs(),
+                [_series(self, i) for i in range(4)],
+                _codes(self)[1],
+            )
         return self._tables
 
     def __eq__(self, other):
@@ -135,13 +157,14 @@ class Game:
         )
 
     def __repr__(self):
-        return f"Game({self.lattice!r}, {self.values!r}, {len(self.payoff)} pairs)"
+        pairs = len(self.lattice.strict_pairs())
+        return f"Game({self.lattice!r}, {self.values!r}, {pairs} pairs)"
 
 
 def _set_fields(g, lattice, values, payoff):
     g.lattice = lattice
     g.values = values
-    g.payoff = payoff
+    g._payoff = payoff
     g._codes = None
     g._series = [None] * 4
     g._tables = None
@@ -160,14 +183,51 @@ def _check_pairs(lattice, payoff):
         )
 
 
-@dataclass(frozen=True)
 class MuTables:
-    """All four series tabulated over every strict pair."""
+    """All four series tabulated over every strict pair, one dict each.
 
-    mu_max: dict
-    mu_min: dict
-    mu_a: dict
-    mu_b: dict
+    The fields are read-only, and ``==`` and ``repr`` are those of the
+    four dicts.  :meth:`Game.tables` builds the tables from the game's code
+    series and decode map, not from the game, and each field decodes its
+    dict on first access.
+    """
+
+    __slots__ = ("_dicts", "_pairs", "_series", "_decode")
+    _FIELDS = ("mu_max", "mu_min", "mu_a", "mu_b")
+
+    def __init__(self, mu_max, mu_min, mu_a, mu_b):
+        self._dicts = [mu_max, mu_min, mu_a, mu_b]
+
+    @classmethod
+    def _from_codes(cls, pairs, series, decode):
+        t = cls.__new__(cls)
+        t._dicts = [None] * 4
+        t._pairs, t._series, t._decode = pairs, series, decode
+        return t
+
+    def _field(self, i):
+        d = self._dicts[i]
+        if d is None:
+            d = self._dicts[i] = dict(
+                zip(self._pairs, map(self._decode.__getitem__, self._series[i]))
+            )
+        return d
+
+    mu_max = property(lambda self: self._field(0))
+    mu_min = property(lambda self: self._field(1))
+    mu_a = property(lambda self: self._field(2))
+    mu_b = property(lambda self: self._field(3))
+
+    def __eq__(self, other):
+        if not isinstance(other, MuTables):
+            return NotImplemented
+        return all(self._field(i) == other._field(i) for i in range(4))
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = (f"{name}={self._field(i)!r}" for i, name in enumerate(self._FIELDS))
+        return f"MuTables({', '.join(fields)})"
 
 
 def _pair_ids(lattice):
@@ -286,17 +346,18 @@ def _peel(src, lines, reach, order, top_first):
 def _payoff_code(g):
     """The payoff code lookup of g: ``code(x, y)`` for a strict pair x < y.
 
-    With :func:`_mu_a_code`, the way other modules read codes, so that the
+    With :func:`_series_code`, the way other modules read codes, so that the
     code layout stays inside this module.
     """
     codes, pid = _codes(g)[0], _pair_ids(g.lattice)
     return lambda x, y: codes[pid[x][y]]
 
 
-def _mu_a_code(g):
-    """The mu_a code lookup of g: ``code(x, y)`` for a strict pair x < y."""
-    ta, pid = _series(g, 2), _pair_ids(g.lattice)
-    return lambda x, y: ta[pid[x][y]]
+def _series_code(g, i):
+    """The code lookup of series i of g (see :func:`_series`): ``code(x, y)``
+    for a strict pair x < y."""
+    s, pid = _series(g, i), _pair_ids(g.lattice)
+    return lambda x, y: s[pid[x][y]]
 
 
 def _value(g):
@@ -357,16 +418,14 @@ class MuSeries:
 
 def mu_series(g, ival):
     """Evaluate the series at the endpoints of an interval of g's lattice."""
-    t = g.tables()
-    pair = (ival.lo, ival.hi)
-    star = (g.lattice.bot, g.lattice.top)
+    lo, hi = ival.lo, ival.hi
     return MuSeries(
-        mu_max=t.mu_max[pair],
-        mu_min=t.mu_min[pair],
-        mu_a=t.mu_a[pair],
-        mu_b=t.mu_b[pair],
-        mu_a_star=t.mu_a[star],
-        mu_b_star=t.mu_b[star],
+        mu_max=mu_max(g, lo, hi),
+        mu_min=mu_min(g, lo, hi),
+        mu_a=mu_a(g, lo, hi),
+        mu_b=mu_b(g, lo, hi),
+        mu_a_star=mu_a_star(g),
+        mu_b_star=mu_b_star(g),
     )
 
 
@@ -386,16 +445,17 @@ def dual(g):
     The payoff of the dual pair (x, y) is the original payoff of (y, x); the
     star values swap roles, mu_b* of the dual being mu_a* of the original.
     A game that is already encoded hands its codes down, permuted into the
-    dual's pair order and re-encoded by ``dual_codes``.
+    dual's pair order and re-encoded by ``dual_codes``, and the dual builds
+    its payoff dict only when it is read.
     """
     l = g.lattice
-    payoff = {(j, i): v for (i, j), v in g.payoff.items()}
-    d = Game._trusted(l.dual(), g.values.dual(), payoff)
-    if g._codes is not None:
-        codes, decode = g._codes
-        ids = _dual_ids(l)
-        d._codes = g.values.dual_codes(list(map(codes.__getitem__, ids)), decode)
-    return d
+    if g._codes is None:
+        payoff = {(j, i): v for (i, j), v in g.payoff.items()}
+        return Game._trusted(l.dual(), g.values.dual(), payoff)
+    codes, decode = g._codes
+    ids = _dual_ids(l)
+    dual_codes = g.values.dual_codes(list(map(codes.__getitem__, ids)), decode)
+    return Game._encoded(l.dual(), g.values.dual(), dual_codes)
 
 
 def _dual_ids(lattice):
@@ -558,7 +618,7 @@ def seesaw_classify(g, x, y, z):
         raise NotAChain(
             f"need {l.names[x]} < {l.names[y]} < {l.names[z]}"
         )
-    vxy, vxz, vyz = g.payoff[(x, y)], g.payoff[(x, z)], g.payoff[(y, z)]
+    vxy, vxz, vyz = g.mu(x, y), g.mu(x, z), g.mu(y, z)
     lt = g.values.lt
     if lt(vxy, vxz) and lt(vxz, vyz):
         return INCREASING
@@ -621,14 +681,14 @@ def nash_tfae_report(g):
         raise PreconditionFailed("value lattice is totally ordered")
     if not is_slope_like(g):
         raise PreconditionFailed("payoff is slope-like")
-    t = g.tables()
-    bt = (g.lattice.bot, g.lattice.top)
-    v = g.payoff[bt]
+    bot, top = g.lattice.bot, g.lattice.top
+    v = g.mu(bot, top)
+    vmax, vmin = mu_max(g, bot, top), mu_min(g, bot, top)
     report = NashReport(
-        mu_max_attains_payoff=t.mu_max[bt] == v,
-        mu_min_attains_payoff=t.mu_min[bt] == v,
-        mu_min_equals_mu_max=t.mu_min[bt] == t.mu_max[bt],
-        nash=t.mu_a[bt] == t.mu_b[bt],
+        mu_max_attains_payoff=vmax == v,
+        mu_min_attains_payoff=vmin == v,
+        mu_min_equals_mu_max=vmin == vmax,
+        nash=mu_a(g, bot, top) == mu_b(g, bot, top),
         semistable=is_semistable(g),
     )
     if len(set(report.items)) != 1:

@@ -53,7 +53,7 @@ class JHValidation:
 
 
 def _game_value(g):
-    return g.payoff[(g.lattice.bot, g.lattice.top)]
+    return g.mu(g.lattice.bot, g.lattice.top)
 
 
 def _first_deviation(g, lower, upper):
@@ -122,7 +122,7 @@ def validate_jh(g, f):
     total = _game_value(g)
     cond1, cond2, witness = [], [], []
     for upper, lower in zip(steps, steps[1:]):
-        cond1.append(g.payoff[(lower, upper)] == total)
+        cond1.append(g.mu(lower, upper) == total)
         bad = _first_deviation(g, lower, upper)
         cond2.append(bad is None)
         witness.append(bad)

@@ -6,13 +6,15 @@ have strictly positive degree.  Rationals keep every check exact; data can be
 given as raw pair tables (fully validated) or as per-element potentials,
 whose differences are additive by construction.  Potentials are scaled once
 to integers over the least common denominator of all their values, so the
-differences along the strict pairs are int subtractions, each distinct slope
-is one exact ``Fraction`` of two ints, and the slopes are ranked once, which
-gives the game its value codes.
+differences along the strict pairs are int subtractions, and the slopes
+are ranked once as int quotients, which gives the game its value codes.  A
+slope becomes an exact ``Fraction`` of two ints only when it is read, once
+per distinct slope.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -115,17 +117,16 @@ def quotient_payoff(lattice, data):
     ``data`` is a :class:`RankDegreeData` (already validated) or a
     :class:`PotentialData` (validated on expansion).  For potentials the
     common denominator cancels, so each payoff is the slope dv/rv of the
-    scaled int increments of :func:`_scaled_increments`; the slopes are
-    ranked and encoded in one pass (:func:`_ranked_slopes`), so the game
-    gets its codes without encoding its values again.  Values are extended
+    scaled int increments of :func:`_scaled_increments`.  The slopes are
+    ranked once (:func:`_ranked_slopes`) and the game is built from those
+    codes: no slope is a value until it is read, and the payoff dict is
+    built on first access of ``Game.payoff``.  Values are extended
     rationals; -inf never occurs.
     """
     values = ExtendedRationals()
     if isinstance(data, PotentialData):
         _, rvs, dvs = _scaled_increments(lattice, data)
-        slopes, codes, decode = _ranked_slopes(rvs, dvs)
-        payoff = dict(zip(lattice.strict_pairs(), slopes))
-        return Game._encoded(lattice, values, payoff, (codes, decode))
+        return Game._encoded(lattice, values, _ranked_slopes(rvs, dvs))
     degree = data.degree
     payoff = {
         pair: degree[pair] / r if r > 0 else POS_INF
@@ -146,17 +147,16 @@ def _nearest_float(dv, rv):
 
 
 def _ranked_slopes(rvs, dvs):
-    """The slopes dv/rv of int increments, with the codes that
-    ``ExtendedRationals.encode`` gives them.
+    """The slopes dv/rv of int increments, encoded as
+    ``ExtendedRationals.encode`` encodes them.
 
-    Returns ``(slopes, codes, decode)``: ``slopes[k]`` is
-    ``Fraction(dvs[k], rvs[k])``, or +inf where ``rvs[k]`` is 0 (so
-    ``dvs[k]`` > 0), with one object per distinct slope; ``codes[k]`` is its
-    rank among the distinct slopes and ``decode`` maps each rank back to its
-    slope.  One sort by the nearest floats orders the slopes up to runs of
-    equal floats; only such a run is compared exactly, by cross-multiplying,
-    which also ranks +inf above every finite slope, even one beyond the float
-    range.
+    Returns ``(codes, decode)``: ``codes[k]`` is the rank of the slope
+    ``Fraction(dvs[k], rvs[k])``, or of +inf where ``rvs[k]`` is 0 (so
+    ``dvs[k]`` > 0), among the distinct slopes, and ``decode`` maps each
+    rank back to its slope (:class:`_Slopes`), built on first lookup.  One
+    sort by the nearest floats orders the slopes up to runs of equal floats;
+    only such a run is compared exactly, by cross-multiplying, which also
+    ranks +inf above every finite slope, even one beyond the float range.
     """
     n = len(rvs)
     try:
@@ -190,8 +190,35 @@ def _ranked_slopes(rvs, dvs):
         if new:
             rank += 1
         codes[k] = rank
-    distinct = [
-        Fraction(dvs[k], rvs[k]) if rvs[k] else POS_INF
-        for k in compress(order, new_rank)
-    ]
-    return list(map(distinct.__getitem__, codes)), codes, dict(enumerate(distinct))
+    firsts = list(compress(order, new_rank))
+    return codes, _Slopes(
+        list(map(dvs.__getitem__, firsts)), list(map(rvs.__getitem__, firsts))
+    )
+
+
+class _Slopes(Mapping):
+    """Slopes by rank: rank c is dvs[c] / rvs[c], +inf where rvs[c] is 0.
+
+    Each slope is built on its first lookup and kept, so every lookup of a
+    rank returns the same object.
+    """
+
+    __slots__ = ("dvs", "rvs", "built")
+
+    def __init__(self, dvs, rvs):
+        self.dvs, self.rvs, self.built = dvs, rvs, {}
+
+    def __getitem__(self, c):
+        v = self.built.get(c)
+        if v is None:
+            if not 0 <= c < len(self.rvs):
+                raise KeyError(c)
+            rv = self.rvs[c]
+            v = self.built[c] = Fraction(self.dvs[c], rv) if rv else POS_INF
+        return v
+
+    def __iter__(self):
+        return iter(range(len(self.rvs)))
+
+    def __len__(self):
+        return len(self.rvs)

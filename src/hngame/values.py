@@ -22,20 +22,26 @@ and ``code_order`` compares and folds codes.  Per kind:
   keeps the indices under the dual lattice.
 
 ``dual_codes`` turns codes of a kind into codes of its dual without looking
-at the values, so a dual game takes the codes of its game; as the dual of
-the dual is the kind itself, ``dual_codes`` of a dual kind is that of the
-kind.  For the integer codes ``code_order`` is :data:`INT_ORDER`, whose
-operations are builtins.  Equal values get equal codes, so ``==`` on codes
-is ``==`` on values.  The value-level methods (``leq``, ``sup``, ...) stay
-the public interface.  :mod:`hngame.game` decodes a code back to a value
-only when it hands that value out: a whole series for ``Game.tables``, one
-pair for a point read, so a caller that reads a few pairs decodes a few
-codes.
+at the values, so a dual game takes the codes of its game: a total kind
+negates the codes and reads code c of the dual as code -c of the kind, so
+not even the decode map is copied.  As the dual of the dual is the kind
+itself, ``dual_codes`` of a dual kind is that of the kind.  For the integer
+codes ``code_order`` is :data:`INT_ORDER`, whose operations are builtins.
+Equal values get equal codes, so ``==`` on codes is ``==`` on values.  The
+value-level methods (``leq``, ``sup``, ...) stay the public interface.
+
+A decode map is anything indexed by code: a dict, a tuple, a view such as
+:class:`_NegatedCodes`, or the slopes of a potentials game, which build
+each value on first lookup.  :mod:`hngame.game` decodes a code
+only when it hands the value out (a point read, a payoff entry, a
+:class:`~hngame.game.MuTables` field on first access), so a caller that
+reads a few pairs decodes a few codes.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
@@ -73,6 +79,24 @@ def _nearest_float(v):
     raise _not_a_value(v)
 
 
+class _NegatedCodes(Mapping):
+    """The decode map of negated codes: code c reads ``decode[-c]``."""
+
+    __slots__ = ("decode",)
+
+    def __init__(self, decode):
+        self.decode = decode
+
+    def __getitem__(self, c):
+        return self.decode[-c]
+
+    def __iter__(self):
+        return map(operator.neg, self.decode)
+
+    def __len__(self):
+        return len(self.decode)
+
+
 class ValueLattice:
     """Common interface: order queries plus finite sup/inf with top/bot, and
     the integer codes of values with their order."""
@@ -94,7 +118,7 @@ class ValueLattice:
 
     def dual_codes(self, codes, decode):
         """The same values encoded for the dual lattice: negated codes."""
-        return list(map(operator.neg, codes)), {-c: v for c, v in decode.items()}
+        return list(map(operator.neg, codes)), _NegatedCodes(decode)
 
     def leq(self, a, b):
         raise NotImplementedError

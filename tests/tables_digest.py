@@ -12,9 +12,11 @@ is_stable, is_slope_like and has_nash_equilibrium:
   workload (every abelian group of order <= 64 with at most three invariant
   factors, (Z/2)^4 and (Z/2)^5);
 - potentials: quotient games of five seeded potentials each on a 40-element
-  chain and on the divisor lattice of 360.  For these the digest also takes
-  the payoff itself, as the ``repr`` of its sorted items and the type name
-  of each value, so it pins how the payoffs are built;
+  chain and on the divisor lattice of 360, and of one each on a 120-element
+  chain and on the divisor lattice of 720720 (240 elements).  For these the
+  digest also takes the payoff itself, as the ``repr`` of its sorted items,
+  the type name of each value and the number of distinct value objects, so
+  it pins how the payoffs are built and that equal slopes share one object;
 - explicit: games with non-total values, the lattices N5 and M3 as
   ``FiniteLatticeValues``, with 20 seeded payoffs for each on every lattice
   class with 2 to 5 elements.
@@ -104,6 +106,8 @@ def potentials_games():
     for lattice in (fixtures.chain(40), divisor_lattice(360)):
         for seed in range(5):
             yield quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
+    for lattice in (fixtures.chain(120), divisor_lattice(720720)):
+        yield quotient_payoff(lattice, random_potentials(random.Random(12), lattice))
 
 
 def explicit_games():
@@ -149,6 +153,7 @@ def feed_potentials_game(h, g):
     items = sorted(g.payoff.items())
     h.update(repr(items).encode())
     h.update(repr([type(v).__name__ for _, v in items]).encode())
+    h.update(repr(len({id(v) for _, v in items})).encode())
     feed_game(h, g)
 
 

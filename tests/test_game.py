@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import accumulate
 
@@ -6,7 +8,12 @@ import pytest
 
 from hngame import fixtures
 from hngame.errors import NotAChain, NotStrict, PreconditionFailed
-from hngame.filtration import _st_set_on, enumerate_hn_filtrations, st_set
+from hngame.filtration import (
+    _st_set_on,
+    canonical_hn_filtration,
+    enumerate_hn_filtrations,
+    st_set,
+)
 from hngame.game import (
     DECREASING,
     FLAT,
@@ -581,3 +588,107 @@ def test_dual_inherits_codes_of_every_kind(kind):
             fresh = dual(Game._trusted(lattice, values, g.payoff))
             assert repr(d.tables()) == repr(fresh.tables())
 
+
+
+def _potentials_game(lattice, seed=7):
+    return quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
+
+
+# Games whose tables decode through each kind of decode map: the lazy slopes
+# of a potentials game, the negated view of its dual, a chain's dict and the
+# index tuple of non-total lattice values.
+LAZY_TABLE_GAMES = {
+    "potentials": lambda: _potentials_game(_divisor_lattice(360)),
+    "potentials_dual": lambda: dual(_potentials_game(fixtures.chain(12))),
+    "chain": lambda: _seeded_game(fixtures.n5(), FiniteChain((0, 1, 2))),
+    "n5_values": lambda: dual(
+        _seeded_game(fixtures.b2(), FiniteLatticeValues(fixtures.n5()))
+    ),
+}
+
+
+def _seeded_game(lattice, values):
+    rng = random.Random(3)
+    return Game(lattice, values, {p: rng.choice(values.elements)
+                                  for p in lattice.strict_pairs()})
+
+
+def _eager_tables(g):
+    pairs = g.lattice.strict_pairs()
+    return MuTables(
+        *({p: oracle(g, *p) for p in pairs}
+          for oracle in (mu_max_oracle, mu_min_oracle, mu_a_oracle, mu_b_oracle))
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_TABLE_GAMES))
+def test_lazy_tables_equal_eager_tables(kind):
+    make = LAZY_TABLE_GAMES[kind]
+    expect = _eager_tables(make())
+    # Equal, and the same repr, before any field is read and after.
+    t = make().tables()
+    assert repr(t) == repr(expect)
+    t = make().tables()
+    assert t == expect and expect == t
+    assert repr(t) == repr(expect)
+    for name in ("mu_max", "mu_min", "mu_a", "mu_b"):
+        field = getattr(t, name)
+        assert field == getattr(expect, name)
+        assert getattr(t, name) is field
+        with pytest.raises(AttributeError):
+            setattr(t, name, {})
+    assert t != MuTables(expect.mu_max, expect.mu_min, expect.mu_a, {})
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_TABLE_GAMES))
+def test_tables_hold_no_reference_to_their_game(kind):
+    g = LAZY_TABLE_GAMES[kind]()
+    t = g.tables()
+    mu_a_field = t.mu_a
+    expect = _eager_tables(g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert t.mu_a is mu_a_field
+    assert t == expect
+
+
+def test_dual_of_encoded_potentials_game_matches_dual_of_value_game():
+    for lattice in (fixtures.chain(12), _divisor_lattice(360), fixtures.n5()):
+        for seed in range(3):
+            g = _potentials_game(lattice, seed)
+            d = dual(g)
+            assert d._payoff is None
+            ref = dual(Game(lattice, g.values, dict(g.payoff)))
+            assert d.payoff == ref.payoff
+            assert d.tables() == ref.tables()
+            assert repr(d.tables()) == repr(ref.tables())
+            assert dual(d).payoff == g.payoff
+
+
+def test_check_path_leaves_potentials_payoff_undecoded():
+    # What a check and an hn report read, through codes and point reads:
+    # no payoff dict is built, and only the values handed out are decoded.
+    for lattice in (fixtures.chain(30), _divisor_lattice(360)):
+        g = _potentials_game(lattice)
+        l = g.lattice
+        for predicate in (is_convex, is_affine, is_semistable, is_stable,
+                          is_slope_like, has_nash_equilibrium):
+            predicate(g)
+        report = nash_tfae_report(g)
+        reads = [g.mu(l.bot, l.top)] + [
+            read(g, l.bot, l.top) for read in (mu_max, mu_min, mu_a, mu_b)
+        ]
+        d = dual(g)
+        assert mu_b_star(d) == mu_a_star(g)
+        steps = ()
+        if is_convex(g):
+            steps = canonical_hn_filtration(g).filtration.mu_a_steps
+        assert g._payoff is None and d._payoff is None
+        assert len(_codes(g)[1].built) <= len(reads) + len(steps)
+        assert report.items == (report.nash,) * 4
+        assert reads[0] == g.payoff[(l.bot, l.top)]

@@ -184,6 +184,27 @@ def test_random_potentials_match_oracle():
             assert _check_against_oracle(lattice, data) is None
 
 
+def test_potentials_payoff_shares_one_object_per_slope():
+    # Point reads taken before the payoff dict exists, and the dict built
+    # afterwards, hand out one object per distinct slope.
+    rng = random.Random(5)
+    for _ in range(60):
+        lattice = random_lattice(rng, rng.randint(2, 9))
+        data = random_potentials(rng, lattice, flat_chance=0.5)
+        expected = _literal_payoff(lattice, data)
+        g = quotient_payoff(lattice, data)
+        reads = {p: g.mu(*p) for p in lattice.strict_pairs()}
+        assert g._payoff is None
+        assert g.payoff == expected
+        assert [type(v).__name__ for v in g.payoff.values()] == [
+            type(expected[p]).__name__ for p in g.payoff
+        ]
+        first = {}
+        for p, v in g.payoff.items():
+            assert reads[p] is v
+            assert first.setdefault(v, v) is v
+
+
 def _mixed_fraction(rng, lo, hi):
     return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7, 12)))
 
@@ -274,9 +295,12 @@ def test_ranked_slopes_encode_like_extended_rationals(case):
     pairs = lattice.strict_pairs()
     g = quotient_payoff(lattice, data)
     codes, decode = _codes(g)
-    fresh = ExtendedRationals().encode([expected[p] for p in pairs])
-    assert (codes, decode) == fresh
-    assert repr(decode) == repr(fresh[1])
+    fresh_codes, fresh_decode = ExtendedRationals().encode([expected[p] for p in pairs])
+    assert codes == fresh_codes
+    # decode builds its values on lookup: compare them code by code.
+    assert len(decode) == len(fresh_decode)
+    for c in fresh_decode:
+        assert repr(decode[c]) == repr(fresh_decode[c])
     assert repr(sorted(g.payoff.items())) == repr(sorted(expected.items()))
     assert [type(g.payoff[p]).__name__ for p in pairs] == [
         type(expected[p]).__name__ for p in pairs
