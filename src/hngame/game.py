@@ -30,14 +30,25 @@ The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
 ``strict_pairs()``.  The public constructor encodes while it validates, a
-dual takes the codes of its game, a potentials game is built from codes
-(:func:`hngame.slopes.quotient_payoff`), and a trusted game, such as a
-restriction, encodes on first use.  The kernel and the convexity,
-slope-like and interval (semi)stability predicates read only codes,
+dual takes the codes of its game, a restriction slices them, a potentials
+game is built from codes (:func:`hngame.slopes.quotient_payoff`), and a
+trusted game encodes on first use.  The kernel and the convexity,
+slope-like, seesaw and interval (semi)stability predicates read only codes,
 compared and folded by ``values.code_order`` (builtins for total value
 kinds); the searches of :mod:`hngame.filtration` and
 :mod:`hngame.jordan_holder` read them through :func:`_payoff_code` and
 :func:`_series_code`.
+
+The slope-like check, :func:`is_slope_like`, runs once per strict pair
+(x, z), not once per chain triple.  Under a total code order the four
+disjunctions on x < y < z say that mu(x, y) and mu(y, z) lie on opposite
+sides of mu(x, z), or both equal it, so the pair passes iff two pairs of
+element sets agree on the elements strictly between x and z.  Each set is
+read off a line of codes sorted once, with the OR of the free-end bits over
+every prefix, by one ``bisect``; a line's first use checks its pair element
+by element instead, and only a line used again is sorted, so the many games
+that fail at once pay for no sorting.  A non-total code order checks the
+four disjunctions element by element.
 
 Values are built only where they are handed out.  A game built from values
 keeps the payoff dict it was given; a game built from codes builds it on
@@ -52,8 +63,9 @@ from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 from .errors import (
     NotAChain,
@@ -430,13 +442,21 @@ def mu_series(g, ival):
 
 
 def restrict(g, ival):
-    """The game induced on an interval; payoff agrees with the ambient one."""
+    """The game induced on an interval; payoff agrees with the ambient one.
+
+    A game that is already encoded hands down its codes, sliced through the
+    pair ids, with the same decode map, so the restriction decodes nothing.
+    """
     sub = ival.as_lattice()
     amb = ival.member_indices()
-    payoff = {
-        (i, j): g.payoff[(amb[i], amb[j])] for (i, j) in sub.strict_pairs()
-    }
-    return Game._trusted(sub, g.values, payoff)
+    pairs = sub.strict_pairs()
+    if g._codes is None:
+        payoff = {(i, j): g.payoff[(amb[i], amb[j])] for (i, j) in pairs}
+        return Game._trusted(sub, g.values, payoff)
+    codes, decode = g._codes
+    pid = _pair_ids(g.lattice)
+    sliced = [codes[pid[amb[i]][amb[j]]] for i, j in pairs]
+    return Game._encoded(sub, g.values, (sliced, decode))
 
 
 def dual(g):
@@ -559,22 +579,6 @@ def is_stable(g):
     return interval_stable(g, g.lattice.bot, g.lattice.top)
 
 
-def _chain_triples(lattice):
-    """The pair ids (x, y), (x, z), (y, z) of every chain x < y < z; cached
-    on the lattice."""
-    cached = lattice._cache.get("triples")
-    if cached is not None:
-        return cached
-    pid = _pair_ids(lattice)
-    cached = [
-        (pid[x][y], pxz, pid[y][z])
-        for pxz, (x, z) in enumerate(lattice.strict_pairs())
-        for y in _iter_bits(lattice.strictly_between(x, z))
-    ]
-    lattice._cache["triples"] = cached
-    return cached
-
-
 def is_slope_like(g):
     """The four disjunctions of the slope-like condition on every chain triple.
 
@@ -584,6 +588,18 @@ def is_slope_like(g):
       (3) mu(x,z) <  mu(x,y)  or  mu(x,z) <= mu(y,z)
       (4) mu(x,z) <= mu(x,y)  or  mu(x,z) <  mu(y,z)
 
+    The check runs once per strict pair (x, z) over the bits of
+    I = ``strictly_between(x, z)``.  Under a total code order, with
+    a = mu(x,y), b = mu(x,z) and c = mu(y,z), the disjunctions allow exactly
+    a < b < c, a > b > c and a = b = c, so the pair passes iff the y in I
+    with a < b are the y in I with c > b, and those with a > b the ones with
+    c < b.  Each row x and column z of codes is then sorted once, with the
+    OR of the free-end bits over every prefix, and the four sets are two
+    ``bisect`` lookups per line.  A line's first use checks its pair
+    directly, y by y, and its sorted form is built on a later use, so a game
+    that fails early builds none; the sorted lines live for one call.  A
+    non-total code order checks the four disjunctions y by y.
+
     The verdict is cached on the game, like its tables.
     """
     if g._slope_like is None:
@@ -592,19 +608,90 @@ def is_slope_like(g):
 
 
 def _scan_slope_like(g):
+    l = g.lattice
     codes = _codes(g)[0]
-    leq, lt = g.values.code_order.le, g.values.code_order.lt
-    for pxy, pxz, pyz in _chain_triples(g.lattice):
-        vxy, vxz, vyz = codes[pxy], codes[pxz], codes[pyz]
-        if not (leq(vxy, vxz) or lt(vyz, vxz)):
-            return False
-        if not (lt(vxy, vxz) or leq(vyz, vxz)):
-            return False
-        if not (lt(vxz, vxy) or leq(vxz, vyz)):
-            return False
-        if not (leq(vxz, vxy) or lt(vxz, vyz)):
-            return False
+    pid = _pair_ids(l)
+    down = l.down
+    order = g.values.code_order
+    if order is not INT_ORDER:
+        leq, lt = order.le, order.lt
+        for ends, ids in _lines(l, True):
+            for z, k in ids.items():
+                b = codes[k]
+                for y in _iter_bits((ends & down[z]) ^ (1 << z)):
+                    a, c = codes[ids[y]], codes[pid[y][z]]
+                    if not (
+                        (leq(a, b) or lt(c, b)) and (lt(a, b) or leq(c, b))
+                        and (lt(b, a) or leq(b, c)) and (leq(b, a) or lt(b, c))
+                    ):
+                        return False
+        return True
+    # A line is None before its first use, False after it, and its sorted
+    # form from its second use on.
+    cols = {}
+    for ends, ids in _lines(l, True):
+        row = None
+        for z, k in ids.items():
+            inside = (ends & down[z]) ^ (1 << z)
+            if not inside:
+                continue
+            b = codes[k]
+            col = cols.get(z)
+            if row is None or col is None:
+                if row is None:
+                    row = False
+                if col is None:
+                    cols[z] = False
+                # The bits inline, not through _iter_bits: most small games
+                # fail here, where a generator costs more than the check.
+                rest = inside
+                while rest:
+                    low = rest & -rest
+                    y = low.bit_length() - 1
+                    a, c = codes[ids[y]], codes[pid[y][z]]
+                    if (a < b) != (b < c) or (b < a) != (c < b):
+                        return False
+                    rest ^= low
+                continue
+            if not row:
+                row = _ranked_line(codes, ids.items())
+            if not col:
+                col = cols[z] = _ranked_line(
+                    codes, ((y, pid[y][z]) for y in _iter_bits(down[z] ^ (1 << z)))
+                )
+            rkeys, rpre = row
+            ckeys, cpre = col
+            # On I, {a < b} and {c <= b} must split it, as must {a <= b}
+            # and {c < b}.
+            if (
+                (rpre[bisect_left(rkeys, b)] ^ cpre[bisect_right(ckeys, b)])
+                & inside != inside
+                or (rpre[bisect_right(rkeys, b)] ^ cpre[bisect_left(ckeys, b)])
+                & inside != inside
+            ):
+                return False
     return True
+
+
+def _ranked_line(codes, ends):
+    """A line's codes, sorted, and the OR of ``1 << y`` over each prefix of
+    that order, given ``(y, pair id)`` per free end y: ``pre[bisect_left(
+    keys, b)]`` is the set of free ends with code below b, and
+    ``pre[bisect_right(keys, b)]`` of those with code at most b."""
+    ranked = sorted((codes[k], y) for y, k in ends)
+    keys = [c for c, _ in ranked]
+    pre = list(accumulate((1 << y for _, y in ranked), operator.or_, initial=0))
+    return keys, pre
+
+
+def _classify(lt, vxy, vxz, vyz):
+    if lt(vxy, vxz) and lt(vxz, vyz):
+        return INCREASING
+    if lt(vxz, vxy) and lt(vyz, vxz):
+        return DECREASING
+    if vxy == vxz == vyz:
+        return FLAT
+    return VIOLATION
 
 
 def seesaw_classify(g, x, y, z):
@@ -618,25 +705,23 @@ def seesaw_classify(g, x, y, z):
         raise NotAChain(
             f"need {l.names[x]} < {l.names[y]} < {l.names[z]}"
         )
-    vxy, vxz, vyz = g.mu(x, y), g.mu(x, z), g.mu(y, z)
-    lt = g.values.lt
-    if lt(vxy, vxz) and lt(vxz, vyz):
-        return INCREASING
-    if lt(vxz, vxy) and lt(vyz, vxz):
-        return DECREASING
-    if vxy == vxz == vyz:
-        return FLAT
-    return VIOLATION
+    code = _payoff_code(g)
+    return _classify(g.values.code_order.lt, code(x, y), code(x, z), code(y, z))
 
 
 def has_seesaw_violation(g):
     """Whether some chain triple x < y < z classifies as a violation."""
     l = g.lattice
-    return any(
-        seesaw_classify(g, x, y, z) == VIOLATION
-        for x, z in l.strict_pairs()
-        for y in _iter_bits(l.strictly_between(x, z))
-    )
+    codes = _codes(g)[0]
+    pid = _pair_ids(l)
+    lt = g.values.code_order.lt
+    for x, row in enumerate(pid):
+        for z, k in row.items():
+            b = codes[k]
+            for y in _iter_bits(l.strictly_between(x, z)):
+                if _classify(lt, codes[row[y]], b, codes[pid[y][z]]) == VIOLATION:
+                    return True
+    return False
 
 
 def has_nash_equilibrium(g):

@@ -151,6 +151,61 @@ def slope_like_oracle(g):
     return True
 
 
+def seesaw_violation_oracle(g):
+    """Whether some chain x < y < z is neither increasing
+    (mu(x,y) < mu(x,z) < mu(y,z)), decreasing (mu(x,y) > mu(x,z) > mu(y,z))
+    nor flat (all three equal), by the value methods."""
+    l = g.lattice
+    lt = g.values.lt
+    for x in l.elements():
+        for y in l.elements():
+            for z in l.elements():
+                if not (l.lt(x, y) and l.lt(y, z)):
+                    continue
+                vxy, vxz, vyz = g.payoff[(x, y)], g.payoff[(x, z)], g.payoff[(y, z)]
+                increasing = lt(vxy, vxz) and lt(vxz, vyz)
+                decreasing = lt(vxz, vxy) and lt(vyz, vxz)
+                flat = vxy == vxz == vyz
+                if not (increasing or decreasing or flat):
+                    return True
+    return False
+
+
+def cover_step_slope_like_tables(n, k):
+    """Every payoff table with values in range(k) on the chain
+    0 < 1 < ... < n-1 whose chain triples x < y < z with a cover step
+    (y = x + 1 or z = y + 1) pass the four disjunctions of the slope-like
+    condition; the other triples are left unchecked.  Each table is a dict
+    over the strict pairs (x, z), found by backtracking over the pairs by z
+    and then x, so a triple is checked when its pair (y, z) is filled."""
+    pairs = [(x, z) for z in range(n) for x in range(z)]
+    table, found = {}, []
+
+    def passes(a, b, c):
+        return (
+            (a <= b or c < b) and (a < b or c <= b)
+            and (b < a or b <= c) and (b <= a or b < c)
+        )
+
+    def fill(i):
+        if i == len(pairs):
+            found.append(dict(table))
+            return
+        y, z = pairs[i]
+        for v in range(k):
+            table[(y, z)] = v
+            if all(
+                passes(table[(x, y)], table[(x, z)], v)
+                for x in range(y)
+                if x + 1 == y or y + 1 == z
+            ):
+                fill(i + 1)
+        del table[(y, z)]
+
+    fill(0)
+    return found
+
+
 def _strictly_inside(l, lo, hi):
     return [x for x in l.elements() if l.lt(lo, x) and l.lt(x, hi)]
 

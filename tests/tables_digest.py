@@ -21,6 +21,13 @@ is_stable, is_slope_like and has_nash_equilibrium:
   ``FiniteLatticeValues``, with 20 seeded payoffs for each on every lattice
   class with 2 to 5 elements.
 
+- slope_like: the verdicts of is_slope_like and has_seesaw_violation alone,
+  on the 101 games on the 5-chain with values 0 to 4 whose chain triples
+  with a cover step pass the slope-like condition (44 of them fail it at
+  the one triple without), and on the seeded potentials games on a
+  40-element chain and on the divisor lattice of 360, each with three
+  copies that have one payoff perturbed.
+
 - structure: the fields of every order the games above stand on, and of
   more: names, up- and down-sets and ``covers()`` of each poset, plus bot,
   top, meet and join of each lattice, for the divisor lattices D(m) of a
@@ -36,6 +43,7 @@ start with ``test_``, so pytest does not collect it.
 import hashlib
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -51,6 +59,7 @@ from hngame.game import (  # noqa: E402
     Game,
     dual,
     has_nash_equilibrium,
+    has_seesaw_violation,
     is_affine,
     is_convex,
     is_semistable,
@@ -71,7 +80,9 @@ from hngame.sweeps import (  # noqa: E402
     random_poset,
     random_potentials,
 )
-from hngame.values import FiniteLatticeValues  # noqa: E402
+from hngame.values import FiniteChain, FiniteLatticeValues  # noqa: E402
+
+from oracles import cover_step_slope_like_tables  # noqa: E402
 
 PREDICATES = (
     is_convex, is_affine, is_semistable, is_stable, is_slope_like,
@@ -121,6 +132,24 @@ def explicit_games():
                 yield Game(lattice, values, payoff)
 
 
+def slope_like_games():
+    lattice = fixtures.chain(5)
+    values = FiniteChain(range(5))
+    for table in cover_step_slope_like_tables(5, 5):
+        yield Game(lattice, values, table)
+    rng = random.Random(5)
+    for lattice in (fixtures.chain(40), divisor_lattice(360)):
+        for seed in range(5):
+            g = quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
+            yield g
+            for _ in range(3):
+                payoff = dict(g.payoff)
+                pairs = sorted(payoff)
+                shift = rng.choice((0, Fraction(1, 7), Fraction(-1, 7)))
+                payoff[rng.choice(pairs)] = payoff[rng.choice(pairs)] + shift
+                yield Game(lattice, g.values, payoff)
+
+
 def structures():
     rng = random.Random(3)
     d360 = divisor_lattice(360)
@@ -149,6 +178,11 @@ def feed_game(h, g):
         h.update(repr(tuple(p(d) for p in PREDICATES)).encode())
 
 
+def feed_slope_like(h, g):
+    for d in (g, dual(g)):
+        h.update(repr((is_slope_like(d), has_seesaw_violation(d))).encode())
+
+
 def feed_potentials_game(h, g):
     items = sorted(g.payoff.items())
     h.update(repr(items).encode())
@@ -165,6 +199,7 @@ def main():
         ("groups", group_games(), "games", feed_game),
         ("potentials", potentials_games(), "games", feed_potentials_game),
         ("explicit", explicit_games(), "games", feed_game),
+        ("slope_like", slope_like_games(), "games", feed_slope_like),
     ):
         h = hashlib.sha256()
         count = 0

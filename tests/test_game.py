@@ -7,6 +7,7 @@ from itertools import accumulate
 import pytest
 
 from hngame import fixtures
+from hngame import game as hgame
 from hngame.errors import NotAChain, NotStrict, PreconditionFailed
 from hngame.filtration import (
     _st_set_on,
@@ -25,6 +26,7 @@ from hngame.game import (
     _peel,
     dual,
     has_nash_equilibrium,
+    has_seesaw_violation,
     interval_semistable,
     interval_stable,
     is_affine,
@@ -63,6 +65,7 @@ from oracles import (
     compress_antitone,
     convexity_oracle,
     cover_recursion_oracle,
+    cover_step_slope_like_tables,
     divisors,
     hn_filtrations_oracle,
     interval_semistable_oracle,
@@ -72,6 +75,7 @@ from oracles import (
     mu_b_oracle,
     mu_max_oracle,
     mu_min_oracle,
+    seesaw_violation_oracle,
     slope_like_oracle,
     st_set_on_oracle,
 )
@@ -692,3 +696,126 @@ def test_check_path_leaves_potentials_payoff_undecoded():
         assert len(_codes(g)[1].built) <= len(reads) + len(steps)
         assert report.items == (report.nash,) * 4
         assert reads[0] == g.payoff[(l.bot, l.top)]
+
+
+def _assert_slope_like_matches_oracles(g):
+    for d in (g, dual(g)):
+        # The seesaw trichotomy is its own scan, not the slope-like verdict.
+        assert has_seesaw_violation(d) == seesaw_violation_oracle(d)
+        assert d._slope_like is None
+        assert is_slope_like(d) == slope_like_oracle(d)
+
+
+def test_slope_like_is_not_cover_local():
+    # On the 5-chain every chain triple but (0, 2, 4) has a cover step, so
+    # these tables differ only there; a check that read cover steps alone
+    # would call all 101 slope-like.
+    tables = cover_step_slope_like_tables(5, 5)
+    assert len(tables) == 101
+    lattice = fixtures.chain(5)
+    assert all(lattice.lt(i, i + 1) for i in range(4))
+    only_024 = {(0, 1): 0, (0, 2): 1, (0, 3): 1, (0, 4): 2, (1, 2): 4,
+                (1, 3): 2, (1, 4): 3, (2, 3): 1, (2, 4): 2, (3, 4): 4}
+    assert only_024 in tables
+    verdicts = []
+    for values in (FiniteChain(range(5)), FiniteLatticeValues(fixtures.chain(5))):
+        for table in tables:
+            payoff = {p: values.elements[v] for p, v in table.items()}
+            g = Game(lattice, values, payoff)
+            _assert_slope_like_matches_oracles(g)
+            verdicts.append(is_slope_like(g))
+            if table == only_024:
+                assert not is_slope_like(g)
+                assert seesaw_classify(g, 0, 2, 4) == VIOLATION
+    assert verdicts.count(False) == 2 * 44
+
+
+def _perturbed(g, rng):
+    # One payoff moved to another value of the game, or just past one.
+    payoff = dict(g.payoff)
+    pair = rng.choice(sorted(payoff))
+    other = payoff[rng.choice(sorted(payoff))]
+    payoff[pair] = other + rng.choice((0, Fraction(1, 7), Fraction(-1, 7)))
+    return Game(g.lattice, g.values, payoff)
+
+
+def test_slope_like_on_perturbed_potentials_games():
+    rng = random.Random(13)
+    verdicts = set()
+    for lattice in (fixtures.chain(9), fixtures.chain(24), _divisor_lattice(60),
+                    _divisor_lattice(360)):
+        for seed in range(3):
+            g = _potentials_game(lattice, seed)
+            _assert_slope_like_matches_oracles(g)
+            assert is_slope_like(g)
+            for _ in range(4):
+                p = _perturbed(g, rng)
+                _assert_slope_like_matches_oracles(p)
+                verdicts.add(is_slope_like(p))
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("kind", ["b2", "m3", "n5"])
+def test_slope_like_on_non_total_values(kind):
+    values, pool = VALUE_KINDS[kind]()
+    rng = random.Random(kind)
+    verdicts = set()
+    for lattice in (fixtures.chain(6), fixtures.b2(), fixtures.n5(),
+                    _divisor_lattice(12)):
+        pairs = lattice.strict_pairs()
+        for _ in range(40):
+            # Few distinct values, so that some games pass.
+            few = rng.sample(pool, 2)
+            g = Game(lattice, values, {p: rng.choice(few) for p in pairs})
+            _assert_slope_like_matches_oracles(g)
+            verdicts.add(is_slope_like(g))
+    assert verdicts == {False, True}
+
+
+def test_slope_like_violation_on_first_and_later_line_use(monkeypatch):
+    # mu(x, z) = x + z on the 5-chain is slope-like: x + y < x + z < y + z.
+    # Pairs are checked row by row, (0, 2), (0, 3), (0, 4), (1, 3), (1, 4),
+    # ...; a line is sorted only on a use after its first.
+    built = []
+    ranked_line = hgame._ranked_line
+    monkeypatch.setattr(
+        hgame, "_ranked_line", lambda *args: built.append(1) or ranked_line(*args)
+    )
+    lattice = fixtures.chain(5)
+    values = FiniteChain(range(8))
+    base = {(x, z): x + z for x, z in lattice.strict_pairs()}
+
+    def verdict(changes):
+        g = Game(lattice, values, {**base, **changes})
+        built.clear()
+        result = is_slope_like(g)
+        assert result == slope_like_oracle(g)
+        return result, len(built)
+
+    slope_like, sorted_lines = verdict({})
+    assert slope_like and sorted_lines > 0
+    # mu(0, 2) = mu(0, 1) < mu(1, 2) fails (0, 1, 2), on row 0's first use.
+    assert verdict({(0, 2): 1}) == (False, 0)
+    # mu(1, 4) = mu(2, 4) fails only (1, 2, 4), found once row 1 and column
+    # 4 are both sorted.
+    assert verdict({(1, 4): 6}) == (False, 2)
+
+
+def test_restrict_potentials_game_slices_codes():
+    for lattice in (fixtures.chain(12), _divisor_lattice(360)):
+        g = _potentials_game(lattice)
+        l = g.lattice
+        for lo, hi in l.strict_pairs()[::7]:
+            ival = Interval(l, lo, hi)
+            sub = restrict(g, ival)
+            amb = ival.member_indices()
+            ref = Game(sub.lattice, g.values, {
+                (i, j): g.mu(amb[i], amb[j]) for i, j in sub.lattice.strict_pairs()
+            })
+            assert sub._payoff is None
+            assert sub.tables() == ref.tables()
+            assert repr(dual(sub).tables()) == repr(dual(ref).tables())
+            assert dual(sub).payoff == dual(ref).payoff
+            assert sub.payoff == ref.payoff
+            assert is_slope_like(sub) and is_slope_like(dual(sub))
+        assert g._payoff is None
