@@ -444,16 +444,14 @@ def mu_series(g, ival):
 def restrict(g, ival):
     """The game induced on an interval; payoff agrees with the ambient one.
 
-    A game that is already encoded hands down its codes, sliced through the
-    pair ids, with the same decode map, so the restriction decodes nothing.
+    The ambient codes, sliced through the pair ids, are handed down with the
+    same decode map, so the restriction decodes nothing.  The sub-game keeps
+    that map, and with it every value of the ambient game, alive.
     """
     sub = ival.as_lattice()
     amb = ival.member_indices()
     pairs = sub.strict_pairs()
-    if g._codes is None:
-        payoff = {(i, j): g.payoff[(amb[i], amb[j])] for (i, j) in pairs}
-        return Game._trusted(sub, g.values, payoff)
-    codes, decode = g._codes
+    codes, decode = _codes(g)
     pid = _pair_ids(g.lattice)
     sliced = [codes[pid[amb[i]][amb[j]]] for i, j in pairs]
     return Game._encoded(sub, g.values, (sliced, decode))

@@ -819,3 +819,25 @@ def test_restrict_potentials_game_slices_codes():
             assert sub.payoff == ref.payoff
             assert is_slope_like(sub) and is_slope_like(dual(sub))
         assert g._payoff is None
+
+
+def test_restrict_trusted_game_encodes_once_and_slices():
+    # A game built from its payoff dict is encoded on its first restriction
+    # and each sub-game is sliced from those codes.
+    for lattice, values in ((fixtures.n5(), FiniteChain((0, 1, 2))),
+                            (fixtures.b2(), FiniteLatticeValues(fixtures.n5()))):
+        g = Game._trusted(lattice, values, _seeded_game(lattice, values).payoff)
+        assert g._codes is None
+        for lo, hi in lattice.strict_pairs():
+            ival = Interval(lattice, lo, hi)
+            sub = restrict(g, ival)
+            amb = ival.member_indices()
+            ref = Game(sub.lattice, values, {
+                (i, j): g.payoff[(amb[i], amb[j])]
+                for i, j in sub.lattice.strict_pairs()
+            })
+            assert sub._payoff is None
+            assert sub.payoff == ref.payoff
+            assert sub.tables() == ref.tables()
+            assert dual(sub).tables() == dual(ref).tables()
+        assert g._codes is not None
