@@ -1,10 +1,14 @@
 """Exhaustive and randomized generators backing the brute-force oracles.
 
-Small lattices are enumerated as isomorphism-class representatives: every
-poset admits a linear extension, so enumerating upper-triangular transitive
-relations and canonicalizing under index permutations visits each class
-exactly once.  Payoff sweeps over all tables are label-invariant, which is
-why one representative per class suffices.
+Small lattices are enumerated as isomorphism-class representatives, grown
+one element at a time by coatom extension: removing a coatom from a lattice
+with at least 3 elements leaves a lattice, so every lattice on n + 1
+elements is one on n elements plus a new coatom whose lower covers form a
+nonempty antichain below the top.  Each class on n elements is extended by
+every such antichain, the candidates that are lattices are kept, and the
+duplicates are dropped by a canonical form under index permutations.
+Payoff sweeps over all tables are label-invariant, which is why one
+representative per class suffices.
 """
 
 from __future__ import annotations
@@ -14,35 +18,15 @@ from fractions import Fraction
 
 from .errors import NotALattice, NoBounds
 from .game import Game
-from .order import FinitePoset, as_bounded_lattice, build_poset, linear_extension
+from .order import (
+    FinitePoset,
+    _iter_bits,
+    as_bounded_lattice,
+    build_poset,
+    linear_extension,
+)
 from .slopes import PotentialData, quotient_payoff
 from .values import FiniteChain
-
-
-def _triangular_posets(n):
-    """All posets on indices 0..n-1 whose identity order is a linear
-    extension (le[i][j] implies i <= j)."""
-    if n == 0:
-        return
-    strict_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for bits in itertools.product((0, 1), repeat=len(strict_pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), b in zip(strict_pairs, bits):
-            if b:
-                up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            acc = up[i]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= up[low.bit_length() - 1]
-                m ^= low
-            if acc != up[i]:
-                ok = False
-                break
-        if ok:
-            yield tuple(up)
 
 
 def _canonical_form(n, up):
@@ -89,37 +73,71 @@ def _canonical_form(n, up):
     return best
 
 
-_POSET_CLASS_CACHE = {}
+def _coatom_extensions(n, up):
+    """The up-set tuples of the lattices on n + 1 elements that are the
+    lattice ``up`` on n elements plus a new coatom c, index n.
 
+    The lower covers of c form a nonempty antichain A of L minus top, so c
+    is fixed by the down-closure D of A.  Joins exist once meets do (L has a
+    top), and the meet of c with x != top has lower bounds D & down(x), so
+    the candidate is a lattice iff every such mask is the down-set of an
+    element of L.
+    """
+    full = (1 << n) - 1
+    down = [0] * n
+    for i in range(n):
+        for j in _iter_bits(up[i]):
+            down[j] |= 1 << i
+    top = down.index(full)
+    principal = set(down)
+    below_top = [e for e in range(n) if e != top]
+    comparable = [up[e] | down[e] for e in range(n)]
+    new = 1 << n
+    coatom_up = new | 1 << top
 
-def poset_iso_classes(n):
-    """Canonical representatives of all posets on exactly n elements."""
-    cached = _POSET_CLASS_CACHE.get(n)
-    if cached is not None:
-        return cached
-    seen = set()
-    out = []
-    for up in _triangular_posets(n):
-        canon = _canonical_form(n, up)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    names = tuple(f"x{i}" for i in range(n))
-    result = [FinitePoset(names, up) for up in sorted(out)]
-    _POSET_CLASS_CACHE[n] = result
-    return result
+    def closures(start, blocked, closure):
+        # The down-closures of the antichains that extend one with the
+        # given down-closure by elements of below_top[start:].
+        for k in range(start, len(below_top)):
+            e = below_top[k]
+            if not blocked >> e & 1:
+                d = closure | down[e]
+                yield d
+                yield from closures(k + 1, blocked | comparable[e], d)
+
+    for d in closures(0, 0, 0):
+        if all(d & down[x] in principal for x in below_top):
+            yield tuple(
+                u | new if d >> i & 1 else u for i, u in enumerate(up)
+            ) + (coatom_up,)
 
 
 def lattice_iso_classes(max_n, min_n=2):
     """Canonical representatives of all bounded lattices with min_n..max_n
-    elements."""
+    elements, by size and then by canonical form.
+
+    The classes on n + 1 elements are generated from those on n by
+    :func:`_coatom_extensions`.  This is complete: a coatom c of a lattice
+    with at least 3 elements can be removed and what is left is a lattice,
+    since x ^ y = c forces x, y in {c, top} and a finite meet-semilattice
+    with a top is a lattice.  So every class on n + 1 elements is the
+    extension of a class on n elements by the antichain of lower covers of
+    one of its coatoms.  Candidates are deduplicated by their canonical
+    form, and each class is the poset on that form, labelled x0, x1, ...,
+    verified by ``FinitePoset`` and :func:`as_bounded_lattice`.
+    """
     out = []
-    for n in range(min_n, max_n + 1):
-        for p in poset_iso_classes(n):
-            try:
-                out.append(as_bounded_lattice(p))
-            except (NotALattice, NoBounds):
-                continue
+    level = [_canonical_form(2, (0b11, 0b10))]
+    for n in range(2, max_n + 1):
+        if n >= min_n:
+            names = tuple(f"x{i}" for i in range(n))
+            out += [as_bounded_lattice(FinitePoset(names, up)) for up in level]
+        if n < max_n:
+            level = sorted({
+                _canonical_form(n + 1, ext)
+                for up in level
+                for ext in _coatom_extensions(n, up)
+            })
     return out
 
 
@@ -136,11 +154,14 @@ def iter_payoff_tables(lattice, symbols):
 
 
 def iter_sweep_games(lattice, values=None):
-    """Every game on the lattice over the 3-chain (or given) value lattice."""
+    """Every game on the lattice over the 3-chain (or given) value lattice,
+    in the order of :func:`iter_payoff_tables`.  Each game is built from its
+    codes, so its payoff dict is built only if it is read."""
     if values is None:
         values = three_chain_values()
-    for table in iter_payoff_tables(lattice, values.elements):
-        yield Game._trusted(lattice, values, table)
+    codes, decode = values.encode(values.elements)
+    for combo in itertools.product(codes, repeat=len(lattice.strict_pairs())):
+        yield Game._encoded(lattice, values, (list(combo), decode))
 
 
 def random_poset(rng, n, density=0.4):

@@ -5,11 +5,15 @@ recomputed per pair by looping over lattice elements and building the witness
 set literally from its definition.  They stay slow and obvious on purpose.
 The group references build a quotient N2/N1 as explicit cosets and read its
 associated primes off the element orders, where the library reads them off
-the index.  Nothing here imports from ``hngame`` except ``hngame.errors``.
+the index.  The poset classes come from canonicalizing every triangular
+relation, where the library generates lattice classes by coatom extension.
+Nothing here imports from ``hngame`` except ``hngame.errors``.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from hngame.errors import (
     CycleError,
@@ -365,6 +369,82 @@ def lattice_tables_oracle(p):
             meet[i][j] = meet[j][i] = glb[0]
             join[i][j] = join[j][i] = lub[0]
     return bots[0], tops[0], tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def _triangular_posets(n):
+    """All posets on indices 0..n-1 whose identity order is a linear
+    extension (le[i][j] implies i <= j), as up-set tuples."""
+    if n == 0:
+        return
+    strict_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in itertools.product((0, 1), repeat=len(strict_pairs)):
+        up = [1 << i for i in range(n)]
+        for (i, j), b in zip(strict_pairs, bits):
+            if b:
+                up[i] |= 1 << j
+        ok = True
+        for i in range(n):
+            acc = up[i]
+            for j in range(n):
+                if acc >> j & 1:
+                    acc |= up[j]
+            if acc != up[i]:
+                ok = False
+                break
+        if ok:
+            yield tuple(up)
+
+
+def canonical_form_oracle(n, up):
+    """Lexicographically least relation matrix over the relabelings that
+    keep each element's (up-set size, down-set size) profile, with the
+    profiles in increasing order."""
+    down = down_sets_oracle(up)
+    profile = [(bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
+    blocks = [
+        [i for i in range(n) if profile[i] == key] for key in sorted(set(profile))
+    ]
+    best = None
+    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm = [0] * n
+        for slot, e in enumerate(itertools.chain.from_iterable(combo)):
+            perm[e] = slot
+        rows = [0] * n
+        for i in range(n):
+            rows[perm[i]] = sum(1 << perm[j] for j in range(n) if up[i] >> j & 1)
+        key = tuple(rows)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+_POSET_CLASS_CACHE = {}
+
+
+def poset_iso_classes(n):
+    """The canonical forms of all posets on exactly n elements, sorted: every
+    poset has a linear extension, so canonicalizing every triangular
+    relation visits each class."""
+    cached = _POSET_CLASS_CACHE.get(n)
+    if cached is None:
+        cached = sorted({canonical_form_oracle(n, up) for up in _triangular_posets(n)})
+        _POSET_CLASS_CACHE[n] = cached
+    return cached
+
+
+def lattice_classes_oracle(n):
+    """(up, bot, top, meet, join) of each bounded-lattice class on n
+    elements, in the order of :func:`poset_iso_classes`: the posets among
+    them that :func:`lattice_tables_oracle` accepts."""
+    out = []
+    names = tuple(f"x{i}" for i in range(n))
+    for up in poset_iso_classes(n):
+        p = SimpleNamespace(n=n, names=names, up=up, down=down_sets_oracle(up))
+        try:
+            out.append((up,) + lattice_tables_oracle(p))
+        except (NoBounds, NotALattice, TrivialLattice):
+            continue
+    return out
 
 
 def lex_key_oracle(base, subset):

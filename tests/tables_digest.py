@@ -35,6 +35,9 @@ is_stable, is_slope_like and has_nash_equilibrium:
   with 2 to 6 elements, the interval lattices of D(360), the subgroup
   lattices of the ``groups`` games, and the dual of each.
 
+- lattices: names, up-sets, bot and top of every lattice class with 2 to 7
+  elements, in the order ``lattice_iso_classes`` lists them.
+
 One line per section, then one over all of them.  Two checkouts whose table
 engine and predicates agree print the same lines.  The file name does not
 start with ``test_``, so pytest does not collect it.
@@ -172,6 +175,10 @@ def feed_structure(h, p):
             h.update(repr((q.bot, q.top, q.meet, q.join)).encode())
 
 
+def feed_lattice_class(h, l):
+    h.update(repr((l.names, l.up, l.bot, l.top)).encode())
+
+
 def feed_game(h, g):
     for d in (g, dual(g)):
         h.update(repr(d.tables()).encode())
@@ -194,12 +201,13 @@ def feed_potentials_game(h, g):
 def main():
     total = hashlib.sha256()
     for name, items, kind, feed in (
-        ("structure", structures(), "orders", feed_structure),
-        ("sweep", sweep_games(), "games", feed_game),
-        ("groups", group_games(), "games", feed_game),
-        ("potentials", potentials_games(), "games", feed_potentials_game),
-        ("explicit", explicit_games(), "games", feed_game),
-        ("slope_like", slope_like_games(), "games", feed_slope_like),
+        ("structure", structures(), "orders and duals", feed_structure),
+        ("sweep", sweep_games(), "games and duals", feed_game),
+        ("groups", group_games(), "games and duals", feed_game),
+        ("potentials", potentials_games(), "games and duals", feed_potentials_game),
+        ("explicit", explicit_games(), "games and duals", feed_game),
+        ("slope_like", slope_like_games(), "games and duals", feed_slope_like),
+        ("lattices", lattice_iso_classes(7), "classes", feed_lattice_class),
     ):
         h = hashlib.sha256()
         count = 0
@@ -208,7 +216,7 @@ def main():
             count += 1
         digest = h.hexdigest()
         total.update(digest.encode())
-        print(f"{name} {count} {kind} and duals: {digest}", flush=True)
+        print(f"{name} {count} {kind}: {digest}", flush=True)
     print(f"all: {total.hexdigest()}")
 
 

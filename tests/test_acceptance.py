@@ -57,12 +57,11 @@ from hngame.jordan_holder import (
     piecewise_stability,
     validate_jh,
 )
-from hngame.order import Interval, _iter_bits, is_modular
+from hngame.order import FinitePoset, Interval, _iter_bits, is_modular
 from hngame.sweeps import (
     _canonical_form,
     iter_sweep_games,
     lattice_iso_classes,
-    poset_iso_classes,
     random_poset,
     random_quotient_game,
     three_chain_values,
@@ -75,6 +74,7 @@ from oracles import (
     mu_b_oracle,
     mu_max_oracle,
     mu_min_oracle,
+    poset_iso_classes,
     quotient,
 )
 
@@ -248,7 +248,8 @@ def test_criterion_06_dedekind_macneille():
         assert _same_shape(cl.as_lattice(), l)
     # Galois connection and closure laws, exhaustive on posets <= 5 elements.
     for n in range(1, 6):
-        for p in poset_iso_classes(n):
+        names = tuple(f"x{i}" for i in range(n))
+        for p in (FinitePoset(names, up) for up in poset_iso_classes(n)):
             uppers = [upper_bounds(p, a) for a in range(1 << p.n)]
             lowers = [lower_bounds(p, a) for a in range(1 << p.n)]
             for a in range(1 << p.n):
