@@ -60,13 +60,22 @@ def _read_input(args):
     return hio.load_path(args.input)
 
 
-def _write_report(args, payload):
-    text = hio.emit_report(payload)
-    if args.output:
+def _write_output(args, text):
+    """Write ``text`` to --output, or to stdout when none is given."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise HNGameError(
+            f"cannot write {args.output}: {exc.strerror or exc}"
+        ) from None
+
+
+def _write_report(args, payload):
+    _write_output(args, hio.emit_report(payload))
 
 
 def _load_game(args):
@@ -260,12 +269,7 @@ def cmd_export_dot(args):
     if args.hn:
         report = canonical_hn_filtration(game)
         highlight = list(report.filtration.labels(game.lattice))
-    text = hio.export_dot(game.lattice, highlight=highlight, title=name)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args, hio.export_dot(game.lattice, highlight=highlight, title=name))
     print(f"export-dot: {game.lattice.n} nodes", file=sys.stderr)
     return OK
 

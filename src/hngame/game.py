@@ -29,10 +29,11 @@ cover index is kept.
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
-``strict_pairs()``.  The public constructor encodes while it validates, a
-dual takes the codes of its game, a restriction slices them, a potentials
-game is built from codes (:func:`hngame.slopes.quotient_payoff`), and a
-trusted game encodes on first use.  The kernel and the convexity,
+``strict_pairs()``.  Every game holds its codes from construction: the
+public constructor encodes while it validates, a dual takes the codes of
+its game, a restriction slices them, and a potentials game or a sweep game
+is built from codes (:func:`hngame.slopes.quotient_payoff`,
+:func:`hngame.sweeps.iter_sweep_games`).  The kernel and the convexity,
 slope-like, seesaw and interval (semi)stability predicates read only codes,
 compared and folded by ``values.code_order`` (builtins for total value
 kinds); the searches of :mod:`hngame.filtration` and
@@ -89,9 +90,8 @@ class Game:
 
     ``payoff`` maps each strict pair to its value.  The engine reads the
     payoff codes instead (see the module docstring): the public constructor
-    validates and encodes the values in one pass, :meth:`_trusted` leaves
-    the encoding to the first computation that needs it, and
-    :meth:`_encoded` leaves the payoff dict to its first read.
+    validates and encodes the values in one pass, and :meth:`_encoded`
+    takes codes and leaves the payoff dict to its first read.
     """
 
     __slots__ = (
@@ -101,23 +101,19 @@ class Game:
 
     def __init__(self, lattice, values, payoff):
         _check_pairs(lattice, payoff)
-        _set_fields(self, lattice, values, dict(payoff))
+        payoff = dict(payoff)
         try:
-            _codes(self)
+            codes = values.encode(
+                list(map(payoff.__getitem__, lattice.strict_pairs()))
+            )
         except ValueError:
             pair, v = next(
-                (p, v) for p, v in self.payoff.items() if not values.contains(v)
+                (p, v) for p, v in payoff.items() if not values.contains(v)
             )
             raise ValueError(
                 f"payoff value {v!r} at {pair} not in value lattice"
             ) from None
-
-    @classmethod
-    def _trusted(cls, lattice, values, payoff):
-        """Construction bypassing domain validation; for internal sweeps."""
-        g = cls.__new__(cls)
-        _set_fields(g, lattice, values, payoff)
-        return g
+        _set_fields(self, lattice, values, payoff, codes)
 
     @classmethod
     def _encoded(cls, lattice, values, codes):
@@ -127,8 +123,8 @@ class Game:
         n = len(lattice.strict_pairs())
         if len(codes[0]) != n:
             raise ValueError(f"need {n} payoff codes, got {len(codes[0])}")
-        g = cls._trusted(lattice, values, None)
-        g._codes = codes
+        g = cls.__new__(cls)
+        _set_fields(g, lattice, values, None, codes)
         return g
 
     @property
@@ -156,7 +152,7 @@ class Game:
             self._tables = MuTables._from_codes(
                 self.lattice.strict_pairs(),
                 [_series(self, i) for i in range(4)],
-                _codes(self)[1],
+                self._codes[1],
             )
         return self._tables
 
@@ -173,11 +169,11 @@ class Game:
         return f"Game({self.lattice!r}, {self.values!r}, {pairs} pairs)"
 
 
-def _set_fields(g, lattice, values, payoff):
+def _set_fields(g, lattice, values, payoff, codes):
     g.lattice = lattice
     g.values = values
     g._payoff = payoff
-    g._codes = None
+    g._codes = codes
     g._series = [None] * 4
     g._tables = None
     g._slope_like = None
@@ -282,16 +278,6 @@ def _lines(lattice, rows):
     return cached
 
 
-def _codes(g):
-    """The payoff codes by pair id and the map from code back to value,
-    encoded on first use."""
-    if g._codes is None:
-        g._codes = g.values.encode(
-            list(map(g.payoff.__getitem__, g.lattice.strict_pairs()))
-        )
-    return g._codes
-
-
 def _series(g, i):
     """Series i of g as a code list by pair id, computed on first use; i
     indexes the fields of :class:`MuTables` (mu_max, mu_min, mu_a, mu_b).
@@ -302,7 +288,7 @@ def _series(g, i):
     s = g._series[i]
     if s is None:
         l = g.lattice
-        src = _codes(g)[0] if i < 2 else _series(g, i - 2)
+        src = g._codes[0] if i < 2 else _series(g, i - 2)
         rows = i in (0, 3)
         reach = l.up if rows else l.down
         s = _peel(src, _lines(l, rows), reach, g.values.code_order, rows)
@@ -361,7 +347,7 @@ def _payoff_code(g):
     With :func:`_series_code`, the way other modules read codes, so that the
     code layout stays inside this module.
     """
-    codes, pid = _codes(g)[0], _pair_ids(g.lattice)
+    codes, pid = g._codes[0], _pair_ids(g.lattice)
     return lambda x, y: codes[pid[x][y]]
 
 
@@ -374,7 +360,7 @@ def _series_code(g, i):
 
 def _value(g):
     """The map from a code of g back to its value: ``value(code)``."""
-    return _codes(g)[1].__getitem__
+    return g._codes[1].__getitem__
 
 
 def _require_strict(g, x, y):
@@ -387,7 +373,7 @@ def _require_strict(g, x, y):
 def _point(g, i, x, y):
     """The value of series i of g at the strict pair (x, y)."""
     _require_strict(g, x, y)
-    return _codes(g)[1][_series(g, i)[_pair_ids(g.lattice)[x][y]]]
+    return g._codes[1][_series(g, i)[_pair_ids(g.lattice)[x][y]]]
 
 
 def mu_max(g, x, y):
@@ -451,7 +437,7 @@ def restrict(g, ival):
     sub = ival.as_lattice()
     amb = ival.member_indices()
     pairs = sub.strict_pairs()
-    codes, decode = _codes(g)
+    codes, decode = g._codes
     pid = _pair_ids(g.lattice)
     sliced = [codes[pid[amb[i]][amb[j]]] for i, j in pairs]
     return Game._encoded(sub, g.values, (sliced, decode))
@@ -462,14 +448,11 @@ def dual(g):
 
     The payoff of the dual pair (x, y) is the original payoff of (y, x); the
     star values swap roles, mu_b* of the dual being mu_a* of the original.
-    A game that is already encoded hands its codes down, permuted into the
-    dual's pair order and re-encoded by ``dual_codes``, and the dual builds
-    its payoff dict only when it is read.
+    The codes are handed down, permuted into the dual's pair order and
+    re-encoded by ``dual_codes``, and the dual builds its payoff dict only
+    when it is read.
     """
     l = g.lattice
-    if g._codes is None:
-        payoff = {(j, i): v for (i, j), v in g.payoff.items()}
-        return Game._trusted(l.dual(), g.values.dual(), payoff)
     codes, decode = g._codes
     ids = _dual_ids(l)
     dual_codes = g.values.dual_codes(list(map(codes.__getitem__, ids)), decode)
@@ -499,7 +482,7 @@ def is_affine(g):
 
 def _convexity(g, require_equal):
     left, right = _convexity_ids(g.lattice)
-    code = _codes(g)[0].__getitem__
+    code = g._codes[0].__getitem__
     holds = operator.eq if require_equal else g.values.code_order.le
     return all(map(holds, map(code, left), map(code, right)))
 
@@ -607,7 +590,7 @@ def is_slope_like(g):
 
 def _scan_slope_like(g):
     l = g.lattice
-    codes = _codes(g)[0]
+    codes = g._codes[0]
     pid = _pair_ids(l)
     down = l.down
     order = g.values.code_order
@@ -710,7 +693,7 @@ def seesaw_classify(g, x, y, z):
 def has_seesaw_violation(g):
     """Whether some chain triple x < y < z classifies as a violation."""
     l = g.lattice
-    codes = _codes(g)[0]
+    codes = g._codes[0]
     pid = _pair_ids(l)
     lt = g.values.code_order.lt
     for x, row in enumerate(pid):

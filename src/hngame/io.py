@@ -189,12 +189,13 @@ def parse_document(text):
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     version = _require(doc, "schema_version", int, "document")
-    if version != SCHEMA_VERSION:
+    # A JSON true is a bool, which Python counts as the int 1.
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise SchemaError(
             f"unsupported schema_version {version}", field="schema_version"
         )
     kind = _require(doc, "kind", str, "document")
-    name = doc.get("name")
+    name = _require(doc, "name", str, "document") if "name" in doc else None
     if kind == "poset":
         section = _require(doc, "poset", dict, "document")
         return "poset", _load_order_section(section, "poset"), name

@@ -3,13 +3,13 @@
 A game's payoff lands in a complete lattice S.  Three effective kinds cover
 everything this library needs: the extended rationals, an explicit finite
 lattice (total or not), and the Lex'-ordered finite subsets of a prime base.
-All sups and infs taken by the library are over finite sets, so completeness
-is only ever used through ``sup``/``inf`` on finite iterables.
+Each kind knows its values (``contains``), its bounds ``top`` and ``bot``,
+and its order dual (``dual``).
 
-Only the order of S matters to the game engine, so each value lattice also
-encodes values as ints: :meth:`ValueLattice.encode` validates a sequence of
-values and returns their codes together with a map from code back to value,
-and ``code_order`` compares and folds codes.  Per kind:
+Only the order of S matters to the game engine, and it sees that order only
+through codes: :meth:`ValueLattice.encode` validates a sequence of values
+and returns their codes together with a map from code back to value, and
+``code_order`` compares and folds codes.  Per kind:
 
 - ``ExtendedRationals``: the rank among the distinct values encoded together,
   so -inf and +inf get the least and the greatest code;
@@ -27,8 +27,8 @@ negates the codes and reads code c of the dual as code -c of the kind, so
 not even the decode map is copied.  As the dual of the dual is the kind
 itself, ``dual_codes`` of a dual kind is that of the kind.  For the integer
 codes ``code_order`` is :data:`INT_ORDER`, whose operations are builtins.
-Equal values get equal codes, so ``==`` on codes is ``==`` on values.  The
-value-level methods (``leq``, ``sup``, ...) stay the public interface.
+Equal values get equal codes, so ``==`` on codes is ``==`` on values.
+There is no value-level order: values are compared by comparing their codes.
 
 A decode map is anything indexed by code: a dict, a tuple, a view such as
 :class:`_NegatedCodes`, or the slopes of a potentials game, which build
@@ -37,23 +37,18 @@ only when it hands the value out (a point read, a payoff entry, a
 :class:`~hngame.game.MuTables` field on first access), so a caller that
 reads a few pairs decodes a few codes.
 """
-
 from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from types import SimpleNamespace
 
 from .errors import UnknownLabel
-from .order import _iter_bits
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
-
-LT, EQ, GT, INCOMPARABLE = "lt", "eq", "gt", "incomparable"
 
 
 # The order on integer codes.  A code order has ``le`` and ``lt``, which
@@ -98,8 +93,9 @@ class _NegatedCodes(Mapping):
 
 
 class ValueLattice:
-    """Common interface: order queries plus finite sup/inf with top/bot, and
-    the integer codes of values with their order."""
+    """Common interface: membership, the bounds ``top`` and ``bot``, the
+    dual, and the integer codes of values with ``code_order``, the only
+    order on them."""
 
     kind = None
     is_total = False
@@ -120,31 +116,6 @@ class ValueLattice:
         """The same values encoded for the dual lattice: negated codes."""
         return list(map(operator.neg, codes)), _NegatedCodes(decode)
 
-    def leq(self, a, b):
-        raise NotImplementedError
-
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
-
-    def gt(self, a, b):
-        return a != b and self.leq(b, a)
-
-    def compare(self, a, b):
-        """Four-way comparison; non-total lattices can return 'incomparable'."""
-        if a == b:
-            return EQ
-        if self.leq(a, b):
-            return LT
-        if self.leq(b, a):
-            return GT
-        return INCOMPARABLE
-
-    def sup(self, values):
-        raise NotImplementedError
-
-    def inf(self, values):
-        raise NotImplementedError
-
     def contains(self, v):
         raise NotImplementedError
 
@@ -163,15 +134,6 @@ class ExtendedRationals(ValueLattice):
     is_total = True
     top = POS_INF
     bot = NEG_INF
-
-    def leq(self, a, b):
-        return a <= b
-
-    def sup(self, values):
-        return max(values, default=NEG_INF)
-
-    def inf(self, values):
-        return min(values, default=POS_INF)
 
     def contains(self, v):
         return isinstance(v, Fraction) or v == POS_INF or v == NEG_INF
@@ -225,15 +187,6 @@ class FiniteChain(ValueLattice):
             raise ValueError("chain elements must be distinct")
         self._decode = dict(enumerate(elements))
 
-    def leq(self, a, b):
-        return self._rank[a] <= self._rank[b]
-
-    def sup(self, values):
-        return max(values, key=self._rank.__getitem__, default=self.bot)
-
-    def inf(self, values):
-        return min(values, key=self._rank.__getitem__, default=self.top)
-
     def contains(self, v):
         return v in self._rank
 
@@ -257,9 +210,9 @@ class FiniteChain(ValueLattice):
 class FiniteLatticeValues(ValueLattice):
     """Values forming an explicit finite lattice, not necessarily total.
 
-    Elements are the labels of a :class:`~hngame.order.BoundedLattice`; sups
-    and infs fold the join/meet tables.  A value's code is its element index,
-    ordered by the lattice, even when the lattice is a chain.
+    Elements are the labels of a :class:`~hngame.order.BoundedLattice`.  A
+    value's code is its element index, ordered, joined and met by the lattice
+    itself, even when the lattice is a chain.
     """
 
     kind = "explicit_lattice"
@@ -272,25 +225,6 @@ class FiniteLatticeValues(ValueLattice):
         self._index = {name: i for i, name in enumerate(lattice.names)}
         self.is_total = lattice.is_total()
         self.code_order = lattice
-
-    def leq(self, a, b):
-        return self.lattice.le(self._index[a], self._index[b])
-
-    def sup(self, values):
-        idx = reduce(
-            lambda acc, v: self.lattice.join[acc][self._index[v]],
-            values,
-            self.lattice.bot,
-        )
-        return self.lattice.names[idx]
-
-    def inf(self, values):
-        idx = reduce(
-            lambda acc, v: self.lattice.meet[acc][self._index[v]],
-            values,
-            self.lattice.top,
-        )
-        return self.lattice.names[idx]
 
     def contains(self, v):
         return v in self._index
@@ -349,22 +283,6 @@ class PrimeFinsets(ValueLattice):
         except KeyError as exc:
             raise UnknownLabel(f"{exc.args[0]!r} is not in the base chain") from None
 
-    def all_subsets(self):
-        """Every subset of the base, in increasing order."""
-        return [
-            frozenset(self.primes[k] for k in _iter_bits(mask))
-            for mask in range(1 << len(self.primes))
-        ]
-
-    def leq(self, a, b):
-        return self.key(a) <= self.key(b)
-
-    def sup(self, values):
-        return max(values, key=self.key, default=self.bot)
-
-    def inf(self, values):
-        return min(values, key=self.key, default=self.top)
-
     def contains(self, v):
         return isinstance(v, frozenset) and v <= self.top
 
@@ -407,15 +325,6 @@ class _DualValues(ValueLattice):
         # Total kinds negate their codes, so the integer order still applies.
         order = inner.code_order
         self.code_order = order if order is INT_ORDER else order.dual()
-
-    def leq(self, a, b):
-        return self.inner.leq(b, a)
-
-    def sup(self, values):
-        return self.inner.inf(values)
-
-    def inf(self, values):
-        return self.inner.sup(values)
 
     def contains(self, v):
         return self.inner.contains(v)

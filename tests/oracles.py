@@ -3,6 +3,8 @@
 These deliberately avoid the production table engine: each quantity is
 recomputed per pair by looping over lattice elements and building the witness
 set literally from its definition.  They stay slow and obvious on purpose.
+Values are compared by :func:`value_order_oracle`, an order built from the
+definition of each value kind, never by the library's codes.
 The group references build a quotient N2/N1 as explicit cosets and read its
 associated primes off the element orders, where the library reads them off
 the index.  The poset classes come from canonicalizing every triangular
@@ -10,7 +12,9 @@ relation, where the library generates lattice classes by coatom extension.
 Nothing here imports from ``hngame`` except ``hngame.errors``.
 """
 
+import functools
 import itertools
+import weakref
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -38,16 +42,91 @@ class TrivialModule(HNGameError):
     """Associated primes requested for a group of order one."""
 
 
+_VALUE_ORDERS = {}
+
+
+def value_order_oracle(values):
+    """The order of a value lattice, built from the definition of its kind.
+
+    ``leq`` and ``lt`` compare two values; ``sup`` and ``inf`` fold a finite
+    list, the empty sup being bot and the empty inf top.  The kind is read
+    off the value lattice's data attributes, and none of its methods is
+    called: a dual (``inner``) swaps the order of the lattice it dualizes,
+    extended rationals compare exactly, a chain by position in
+    ``elements``, prime sets by :func:`lex_key_oracle`, and explicit lattice
+    values by the up-sets of their lattice, with sup and inf folding the
+    tables of :func:`lattice_tables_oracle`.  Cached per value lattice
+    object for as long as it lives.
+    """
+    order = _VALUE_ORDERS.get(id(values))
+    if order is None:
+        order = _VALUE_ORDERS[id(values)] = _build_value_order(values)
+        weakref.finalize(values, _VALUE_ORDERS.pop, id(values), None)
+    return order
+
+
+def _build_value_order(values):
+    inner = getattr(values, "inner", None)
+    if inner is not None:
+        order = value_order_oracle(inner)
+        return SimpleNamespace(
+            leq=lambda a, b: order.leq(b, a),
+            lt=lambda a, b: order.lt(b, a),
+            sup=order.inf,
+            inf=order.sup,
+        )
+    if values.kind == "extended_rational":
+        return _total_order(lambda v: v, float("-inf"), float("inf"))
+    if values.kind == "prime_finsets":
+        base = sorted(values.primes)
+        return _total_order(
+            lambda v: lex_key_oracle(base, v), frozenset(), frozenset(base)
+        )
+    lattice = getattr(values, "lattice", None)
+    if lattice is None:
+        elements = values.elements
+        position = {v: k for k, v in enumerate(elements)}
+        return _total_order(position.__getitem__, elements[0], elements[-1])
+    bot, top, meet, join = lattice_tables_oracle(lattice)
+    names, up = lattice.names, lattice.up
+    index = {name: i for i, name in enumerate(names)}
+
+    def leq(a, b):
+        return bool(up[index[a]] >> index[b] & 1)
+
+    def fold(table, start):
+        return lambda vs: names[
+            functools.reduce(lambda acc, v: table[acc][index[v]], vs, start)
+        ]
+
+    return SimpleNamespace(
+        leq=leq,
+        lt=lambda a, b: a != b and leq(a, b),
+        sup=fold(join, bot),
+        inf=fold(meet, top),
+    )
+
+
+def _total_order(key, bot, top):
+    """The chain ordered by ``key``; sup and inf are its max and min."""
+    return SimpleNamespace(
+        leq=lambda a, b: key(a) <= key(b),
+        lt=lambda a, b: key(a) < key(b),
+        sup=lambda vs: max(vs, key=key, default=bot),
+        inf=lambda vs: min(vs, key=key, default=top),
+    )
+
+
 def mu_max_oracle(g, x, y):
     l = g.lattice
     witnesses = [g.payoff[(x, w)] for w in l.elements() if l.lt(x, w) and l.le(w, y)]
-    return g.values.sup(witnesses)
+    return value_order_oracle(g.values).sup(witnesses)
 
 
 def mu_min_oracle(g, x, y):
     l = g.lattice
     witnesses = [g.payoff[(w, y)] for w in l.elements() if l.le(x, w) and l.lt(w, y)]
-    return g.values.inf(witnesses)
+    return value_order_oracle(g.values).inf(witnesses)
 
 
 def mu_a_oracle(g, x, y):
@@ -55,7 +134,7 @@ def mu_a_oracle(g, x, y):
     witnesses = [
         mu_max_oracle(g, a, y) for a in l.elements() if l.le(x, a) and l.lt(a, y)
     ]
-    return g.values.inf(witnesses)
+    return value_order_oracle(g.values).inf(witnesses)
 
 
 def mu_b_oracle(g, x, y):
@@ -63,7 +142,7 @@ def mu_b_oracle(g, x, y):
     witnesses = [
         mu_min_oracle(g, x, b) for b in l.elements() if l.lt(x, b) and l.le(b, y)
     ]
-    return g.values.sup(witnesses)
+    return value_order_oracle(g.values).sup(witnesses)
 
 
 def cover_recursion_oracle(g):
@@ -93,7 +172,8 @@ def cover_recursion_oracle(g):
         x, y = pair
         return sum(1 for z in l.elements() if l.le(x, z) and l.le(z, y))
 
-    sup, inf = g.values.sup, g.values.inf
+    order = value_order_oracle(g.values)
+    sup, inf = order.sup, order.inf
     tmax, tmin, ta, tb = {}, {}, {}, {}
     for p in sorted(pairs, key=size):
         v = g.payoff[p]
@@ -107,18 +187,20 @@ def cover_recursion_oracle(g):
 def semistable_oracle(g):
     l = g.lattice
     ref = mu_a_oracle(g, l.bot, l.top)
+    lt = value_order_oracle(g.values).lt
     for x in l.elements():
         if x == l.bot:
             continue
-        if g.values.gt(mu_a_oracle(g, l.bot, x), ref):
+        if lt(ref, mu_a_oracle(g, l.bot, x)):
             return False
     return True
 
 
 def convexity_oracle(g, require_equal):
-    """Convexity (affinity when ``require_equal``) by the value methods:
-    mu(x ^ y, x) <= mu(y, x v y), or ==, whenever x is not below y."""
+    """Convexity (affinity when ``require_equal``) by the oracle value
+    order: mu(x ^ y, x) <= mu(y, x v y), or ==, whenever x is not below y."""
     l = g.lattice
+    leq = value_order_oracle(g.values).leq
     for x in l.elements():
         for y in l.elements():
             if l.le(x, y):
@@ -128,16 +210,17 @@ def convexity_oracle(g, require_equal):
             if require_equal:
                 if left != right:
                     return False
-            elif not g.values.leq(left, right):
+            elif not leq(left, right):
                 return False
     return True
 
 
 def slope_like_oracle(g):
     """The four disjunctions of the slope-like condition on every chain
-    x < y < z, by the value methods."""
+    x < y < z, by the oracle value order."""
     l = g.lattice
-    leq, lt = g.values.leq, g.values.lt
+    order = value_order_oracle(g.values)
+    leq, lt = order.leq, order.lt
     for x in l.elements():
         for y in l.elements():
             for z in l.elements():
@@ -158,9 +241,9 @@ def slope_like_oracle(g):
 def seesaw_violation_oracle(g):
     """Whether some chain x < y < z is neither increasing
     (mu(x,y) < mu(x,z) < mu(y,z)), decreasing (mu(x,y) > mu(x,z) > mu(y,z))
-    nor flat (all three equal), by the value methods."""
+    nor flat (all three equal), by the oracle value order."""
     l = g.lattice
-    lt = g.values.lt
+    lt = value_order_oracle(g.values).lt
     for x in l.elements():
         for y in l.elements():
             for z in l.elements():
@@ -218,7 +301,8 @@ def interval_semistable_oracle(g, lo, hi):
     """No x with lo < x < hi has mu_a(lo, x) strictly above mu_a(lo, hi)."""
     ref = mu_a_oracle(g, lo, hi)
     inside = _strictly_inside(g.lattice, lo, hi)
-    return not any(g.values.gt(mu_a_oracle(g, lo, x), ref) for x in inside)
+    lt = value_order_oracle(g.values).lt
+    return not any(lt(ref, mu_a_oracle(g, lo, x)) for x in inside)
 
 
 def interval_stable_oracle(g, lo, hi):
@@ -235,11 +319,12 @@ def st_set_on_oracle(g, lo, hi):
     l = g.lattice
     members = [x for x in l.elements() if l.lt(lo, x) and l.le(x, hi)]
     mu = {x: mu_a_oracle(g, lo, x) for x in members}
+    lt = value_order_oracle(g.values).lt
     return frozenset(
         x
         for x in members
         if not any(
-            g.values.gt(mu[y], mu[x]) or (mu[y] == mu[x] and not l.le(y, x))
+            lt(mu[x], mu[y]) or (mu[y] == mu[x] and not l.le(y, x))
             for y in members
         )
     )
@@ -249,11 +334,12 @@ def hn_filtrations_oracle(g):
     """Every bot-to-top chain whose steps are semistable and whose step values
     satisfy not(mu_a_i <= mu_a_{i+1}), with its step values."""
     out = []
+    leq = value_order_oracle(g.values).leq
     for chain in all_bot_top_chains(g.lattice):
         steps = list(zip(chain, chain[1:]))
         mu = [mu_a_oracle(g, a, b) for a, b in steps]
         if all(interval_semistable_oracle(g, a, b) for a, b in steps) and not any(
-            g.values.leq(u, v) for u, v in zip(mu, mu[1:])
+            leq(u, v) for u, v in zip(mu, mu[1:])
         ):
             out.append((chain, tuple(mu)))
     return out
@@ -264,10 +350,11 @@ def jh_filtrations_oracle(g):
     intermediate deviation strictly, as a set of tuples."""
     l = g.lattice
     total = g.payoff[(l.bot, l.top)]
+    lt = value_order_oracle(g.values).lt
 
     def step_ok(lo, hi):
         return g.payoff[(lo, hi)] == total and all(
-            g.values.lt(g.payoff[(lo, z)], total) for z in _strictly_inside(l, lo, hi)
+            lt(g.payoff[(lo, z)], total) for z in _strictly_inside(l, lo, hi)
         )
 
     return {
@@ -451,6 +538,16 @@ def lex_key_oracle(base, subset):
     """The Lex' sort key spelled out: base positions in decreasing order,
     compared as tuples (a proper prefix is smaller)."""
     return tuple(sorted((list(base).index(x) for x in subset), reverse=True))
+
+
+def lex_ordered_subsets_oracle(base):
+    """Every subset of the base, sorted by :func:`lex_key_oracle`."""
+    subsets = [
+        frozenset(c)
+        for r in range(len(base) + 1)
+        for c in itertools.combinations(base, r)
+    ]
+    return sorted(subsets, key=lambda s: lex_key_oracle(base, s))
 
 
 def compress_antitone(lattice, seq, pred=None):

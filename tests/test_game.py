@@ -22,7 +22,6 @@ from hngame.game import (
     VIOLATION,
     Game,
     MuTables,
-    _codes,
     _peel,
     dual,
     has_nash_equilibrium,
@@ -71,6 +70,7 @@ from oracles import (
     interval_semistable_oracle,
     interval_stable_oracle,
     jh_filtrations_oracle,
+    lex_ordered_subsets_oracle,
     mu_a_oracle,
     mu_b_oracle,
     mu_max_oracle,
@@ -78,6 +78,7 @@ from oracles import (
     seesaw_violation_oracle,
     slope_like_oracle,
     st_set_on_oracle,
+    value_order_oracle,
 )
 
 
@@ -165,7 +166,7 @@ def test_tables_match_oracles_on_non_total_values(value_lattice, dualize):
                 {p: rng.choice(base.elements) for p in pairs} for _ in range(300)
             )
         for table in tables:
-            _assert_series_match_oracles(Game._trusted(lattice, values, table))
+            _assert_series_match_oracles(Game(lattice, values, table))
 
 
 def test_restrict_agrees_with_ambient(gmod):
@@ -337,11 +338,11 @@ def test_non_total_values_incomparable_semistability():
         (l.index("b"), l.top): "b",
     }
     g = Game(l, values, payoff)
-    assert values.compare("a", "b") == "incomparable"
+    order = value_order_oracle(values)
+    assert not order.leq("a", "b") and not order.leq("b", "a")
     # mu_a(bot, a) = "a" while mu_a(bot, top) = top ^ b ^ b = "b".
     assert mu_a(g, l.bot, l.index("a")) == "a"
     assert mu_a(g, l.bot, l.top) == "b"
-    assert not values.leq("a", "b")
     assert is_semistable(g)
 
 
@@ -387,10 +388,11 @@ def test_witness_containment_over_sweep():
 
     for lattice in lattice_iso_classes(4):
         for g in iter_sweep_games(lattice):
+            leq = value_order_oracle(g.values).leq
             t = g.tables()
             for pair in lattice.strict_pairs():
-                assert g.values.leq(t.mu_a[pair], t.mu_max[pair])
-                assert g.values.leq(t.mu_min[pair], t.mu_b[pair])
+                assert leq(t.mu_a[pair], t.mu_max[pair])
+                assert leq(t.mu_min[pair], t.mu_b[pair])
 
 
 def test_affine_implies_convex_over_sweep():
@@ -457,7 +459,7 @@ VALUE_KINDS = {
         (NEG_INF, Fraction(-1, 3), Fraction(0), Fraction(2, 4), Fraction(1, 2),
          Fraction(5, 3), POS_INF),
     ),
-    "primes": lambda: (PrimeFinsets([2, 3, 5]), PrimeFinsets([2, 3, 5]).all_subsets()),
+    "primes": lambda: (PrimeFinsets([2, 3, 5]), lex_ordered_subsets_oracle([2, 3, 5])),
     "b2": lambda: _lattice_kind(fixtures.b2()),
     "m3": lambda: _lattice_kind(fixtures.m3()),
     "n5": lambda: _lattice_kind(fixtures.n5()),
@@ -498,7 +500,7 @@ def _assert_engine_matches_oracles(g):
 @pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
 def test_engine_matches_value_level_oracles(kind, dualize):
     # Every lattice class with up to 5 elements, seeded payoffs over the kind;
-    # the engine reads payoff codes, the oracles only the value methods.
+    # the engine reads payoff codes, the oracles their own value order.
     base, pool = VALUE_KINDS[kind]()
     values = base.dual() if dualize else base
     rng = random.Random(f"{kind}-{dualize}")
@@ -507,7 +509,7 @@ def test_engine_matches_value_level_oracles(kind, dualize):
         for _ in range(30):
             payoff = {p: rng.choice(pool) for p in pairs}
             _assert_engine_matches_oracles(Game(lattice, values, payoff))
-            _assert_engine_matches_oracles(dual(Game._trusted(lattice, values, payoff)))
+            _assert_engine_matches_oracles(dual(Game(lattice, values, payoff)))
 
 
 def _assert_tables_match_cover_recursion(g):
@@ -584,12 +586,12 @@ def test_dual_inherits_codes_of_every_kind(kind):
         for _ in range(10):
             g = Game(lattice, values, {p: rng.choice(pool) for p in pairs})
             d = dual(g)
-            assert d._codes is not None
-            assert _codes(d) == _fresh_codes(d)
+            assert d._codes == _fresh_codes(d)
             dd = dual(d)
             assert dd.values == values
-            assert _codes(dd) == _fresh_codes(dd) == _codes(g)
-            fresh = dual(Game._trusted(lattice, values, g.payoff))
+            assert dd._codes == _fresh_codes(dd) == g._codes
+            fresh = Game(lattice.dual(), values.dual(),
+                         {(j, i): v for (i, j), v in g.payoff.items()})
             assert repr(d.tables()) == repr(fresh.tables())
 
 
@@ -693,7 +695,7 @@ def test_check_path_leaves_potentials_payoff_undecoded():
         if is_convex(g):
             steps = canonical_hn_filtration(g).filtration.mu_a_steps
         assert g._payoff is None and d._payoff is None
-        assert len(_codes(g)[1].built) <= len(reads) + len(steps)
+        assert len(g._codes[1].built) <= len(reads) + len(steps)
         assert report.items == (report.nash,) * 4
         assert reads[0] == g.payoff[(l.bot, l.top)]
 
@@ -819,25 +821,3 @@ def test_restrict_potentials_game_slices_codes():
             assert sub.payoff == ref.payoff
             assert is_slope_like(sub) and is_slope_like(dual(sub))
         assert g._payoff is None
-
-
-def test_restrict_trusted_game_encodes_once_and_slices():
-    # A game built from its payoff dict is encoded on its first restriction
-    # and each sub-game is sliced from those codes.
-    for lattice, values in ((fixtures.n5(), FiniteChain((0, 1, 2))),
-                            (fixtures.b2(), FiniteLatticeValues(fixtures.n5()))):
-        g = Game._trusted(lattice, values, _seeded_game(lattice, values).payoff)
-        assert g._codes is None
-        for lo, hi in lattice.strict_pairs():
-            ival = Interval(lattice, lo, hi)
-            sub = restrict(g, ival)
-            amb = ival.member_indices()
-            ref = Game(sub.lattice, values, {
-                (i, j): g.payoff[(amb[i], amb[j])]
-                for i, j in sub.lattice.strict_pairs()
-            })
-            assert sub._payoff is None
-            assert sub.payoff == ref.payoff
-            assert sub.tables() == ref.tables()
-            assert dual(sub).tables() == dual(ref).tables()
-        assert g._codes is not None

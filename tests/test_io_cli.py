@@ -278,6 +278,10 @@ _SQUARE_GAME = {
         "payoff": {"source": "table",
                    "entries": [{"lo": "bot", "hi": "top", "value": [1]}]},
     }, id="list-as-lattice-value"),
+    pytest.param(["check"], dict(_SQUARE_GAME, name={"a": [1]}), id="object-name"),
+    pytest.param(["export-dot"], dict(_SQUARE_GAME, name=["sq"]), id="list-name-dot"),
+    pytest.param(["check"], dict(_SQUARE_GAME, schema_version=True),
+                 id="boolean-schema-version"),
 ])
 def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     if doc is not None:
@@ -289,6 +293,23 @@ def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "gmod.json"],
+    ["coprimary", "--orders", "12"],
+    ["export-dot", "--input", "gmod.json"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_output_is_input_error(tmp_path, capsys, argv, target):
+    argv = [str(REPO / "fixtures" / a) if a.endswith(".json") else a for a in argv]
+    output = tmp_path / "missing" / "r.out" if target == "missing-directory" else tmp_path
+    code = main(argv + ["--output", str(output)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"input error: cannot write {output}: ")
 
 
 def _limit_address_space():

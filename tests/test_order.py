@@ -36,6 +36,7 @@ from oracles import (
     down_sets_oracle,
     lattice_tables_oracle,
     lex_key_oracle,
+    lex_ordered_subsets_oracle,
     poset_iso_classes,
     relation_closure_oracle,
 )
@@ -389,9 +390,16 @@ def test_linear_extension_b2():
         assert position[x] < position[y]
 
 
+def _lex_codes(lex, *subsets):
+    """The codes ``PrimeFinsets.encode`` gives the subsets."""
+    return lex.encode([frozenset(s) for s in subsets])[0]
+
+
 def test_lex_finset_small_base():
     lex = PrimeFinsets([2, 3])
-    ordered = lex.all_subsets()
+    subsets = lex_ordered_subsets_oracle([3, 2])[::-1]
+    codes, decode = lex.encode(subsets)
+    ordered = [decode[c] for c in sorted(codes)]
     assert ordered == [
         frozenset(),
         frozenset({2}),
@@ -402,37 +410,38 @@ def test_lex_finset_small_base():
 
 def test_lex_finset_singletons_follow_base():
     lex = PrimeFinsets([2, 3, 5])
-    assert lex.lt(frozenset({2}), frozenset({3}))
-    assert lex.lt(frozenset({3}), frozenset({5}))
+    c2, c3, c5 = _lex_codes(lex, {2}, {3}, {5})
+    assert c2 < c3 < c5
 
 
 def test_lex_finset_max_first():
     lex = PrimeFinsets([2, 3, 5])
-    assert lex.lt(frozenset({3}), frozenset({2, 5}))
+    c3, c25 = _lex_codes(lex, {3}, {2, 5})
+    assert c3 < c25
 
 
 def test_lex_finset_extends_inclusion_exhaustively():
     base = [2, 3, 5, 7, 11]
     lex = PrimeFinsets(base)
-    subsets = [
-        frozenset(c)
-        for r in range(len(base) + 1)
-        for c in itertools.combinations(base, r)
-    ]
-    for a in subsets:
-        for b in subsets:
+    subsets = lex_ordered_subsets_oracle(base)
+    codes = lex.encode(subsets)[0]
+    for a, ca in zip(subsets, codes):
+        for b, cb in zip(subsets, codes):
             if a < b:
-                assert lex.lt(a, b)
+                assert ca < cb
             if a <= b:
-                assert lex.leq(a, b)
+                assert ca <= cb
 
 
 def test_lex_finset_key_matches_descending_tuple_oracle():
     base = [2, 3, 5, 7, 11, 13]
     lex = PrimeFinsets(base)
-    subsets = lex.all_subsets()
-    assert len(set(subsets)) == 64
-    assert subsets == sorted(subsets, key=lambda s: lex_key_oracle(base, s))
+    subsets = lex_ordered_subsets_oracle(base)
+    codes, decode = lex.encode(subsets)
+    assert len(set(codes)) == 64
+    assert [decode[c] for c in sorted(codes)] == sorted(
+        subsets, key=lambda s: lex_key_oracle(base, s)
+    )
     for a in subsets:
         for b in subsets:
             ka, kb = lex_key_oracle(base, a), lex_key_oracle(base, b)
@@ -451,16 +460,16 @@ def test_lex_finset_key_matches_descending_tuple_oracle():
 def test_lex_finset_is_a_total_order(a, b, c):
     lex = PrimeFinsets(range(10))
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
-    # Trichotomy.
-    assert (lex.compare(a, b) == "eq") == (a == b)
-    assert lex.leq(a, b) or lex.leq(b, a)
-    # Transitivity.
-    if lex.leq(a, b) and lex.leq(b, c):
-        assert lex.leq(a, c)
+    ca, cb, cc, c_empty = _lex_codes(lex, a, b, c, ())
+    # Codes are ints, so the order is total and transitive as soon as
+    # distinct subsets get distinct codes.
+    assert (ca == cb) == (a == b)
+    assert (cb == cc) == (b == c)
+    assert (ca < cb) == (lex_key_oracle(range(10), a) < lex_key_oracle(range(10), b))
     # Inclusion extension and empty-least.
     if a <= b:
-        assert lex.leq(a, b)
-    assert lex.leq(frozenset(), a)
+        assert ca <= cb
+    assert c_empty <= ca
 
 
 def test_absorption_laws():

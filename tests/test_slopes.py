@@ -10,7 +10,7 @@ from hngame.errors import (
     NegativeRank,
     ZeroRankNonpositiveDegree,
 )
-from hngame.game import _codes, is_slope_like, seesaw_classify, VIOLATION
+from hngame.game import is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits, linear_extension
 from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
 from hngame.sweeps import random_lattice, random_potentials, random_quotient_game
@@ -294,7 +294,7 @@ def test_ranked_slopes_encode_like_extended_rationals(case):
     expected = _literal_payoff(lattice, data)
     pairs = lattice.strict_pairs()
     g = quotient_payoff(lattice, data)
-    codes, decode = _codes(g)
+    codes, decode = g._codes
     fresh_codes, fresh_decode = ExtendedRationals().encode([expected[p] for p in pairs])
     assert codes == fresh_codes
     # decode builds its values on lookup: compare them code by code.

@@ -19,38 +19,47 @@ from hngame.values import (
     PrimeFinsets,
 )
 
+from oracles import value_order_oracle
+
 
 def test_extended_rationals_order_and_bounds():
     s = ExtendedRationals()
-    assert s.leq(NEG_INF, Fraction(-1000))
-    assert s.leq(Fraction(1000), POS_INF)
-    assert s.compare(Fraction(1, 3), Fraction(2, 6)) == "eq"
+    codes, _ = s.encode(
+        [NEG_INF, Fraction(-1000), Fraction(1, 3), Fraction(2, 6), Fraction(1000),
+         POS_INF]
+    )
+    assert codes == [0, 1, 2, 2, 3, 4]
+    assert (s.bot, s.top) == (NEG_INF, POS_INF)
     assert s.contains(Fraction(1, 2)) and s.contains(POS_INF)
     assert not s.contains("1/2")
 
 
 def test_finite_chain_sup_inf():
     s = FiniteChain((0, 1, 2))
-    assert s.sup([0, 2, 1]) == 2
-    assert s.inf([2, 1]) == 1
-    assert s.sup([]) == 0
-    assert s.inf([]) == 2
+    codes, decode = s.encode([0, 2, 1])
+    assert codes == [0, 2, 1]
+    assert decode[s.code_order.sup(codes)] == 2
+    assert decode[s.code_order.inf(codes[1:])] == 1
+    assert (s.bot, s.top) == (0, 2)
     assert s.is_total
 
 
 def test_finite_chain_arbitrary_labels():
     s = FiniteChain(("low", "mid", "high"))
-    assert s.sup(["low", "high"]) == "high"
-    assert s.leq("low", "mid")
+    codes, decode = s.encode(["low", "high", "mid"])
+    assert codes == [0, 2, 1]
+    assert decode[s.code_order.sup(codes[:2])] == "high"
 
 
 def test_lattice_values_non_total():
     s = FiniteLatticeValues(fixtures.b2())
     assert not s.is_total
-    assert s.compare("a", "b") == "incomparable"
-    assert s.sup(["a", "b"]) == "top"
-    assert s.inf(["a", "b"]) == "bot"
-    assert s.sup([]) == "bot"
+    (a, b), decode = s.encode(["a", "b"])
+    order = s.code_order
+    assert not order.le(a, b) and not order.le(b, a)
+    assert decode[order.sup([a, b])] == "top"
+    assert decode[order.inf([a, b])] == "bot"
+    assert s.bot == "bot"
 
 
 def test_prime_finsets_order():
@@ -58,9 +67,9 @@ def test_prime_finsets_order():
     assert s.primes == (2, 3)
     assert s.bot == frozenset()
     assert s.top == frozenset({2, 3})
-    assert s.leq(frozenset({2}), frozenset({3}))
-    assert s.sup([frozenset({2}), frozenset({3})]) == frozenset({3})
-    assert s.inf([]) == s.top
+    codes, decode = s.encode([frozenset({2}), frozenset({3}), frozenset()])
+    assert codes[2] < codes[0] < codes[1]
+    assert decode[s.code_order.sup(codes)] == frozenset({3})
 
 
 def test_prime_finsets_rejects_repeated_primes():
@@ -86,8 +95,9 @@ def test_prime_finsets_contains():
 def test_dual_values():
     s = ExtendedRationals()
     d = s.dual()
-    assert d.leq(Fraction(2), Fraction(1))
-    assert d.sup([Fraction(1), Fraction(2)]) == 1
+    codes, decode = d.encode([Fraction(2), Fraction(1)])
+    assert codes[0] < codes[1]
+    assert decode[d.code_order.sup(codes)] == 1
     assert d.top == NEG_INF and d.bot == POS_INF
     assert d.dual() is s
 
@@ -126,6 +136,8 @@ def test_codes_preserve_order_and_decode(kind, dualize):
     base = make()
     s = base.dual() if dualize else base
 
+    leq = value_order_oracle(s).leq
+
     @given(st.lists(strategy, min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def check(values):
@@ -136,10 +148,10 @@ def test_codes_preserve_order_and_decode(kind, dualize):
             for b, cb in zip(values, codes):
                 if isinstance(s.code_order, BoundedLattice):
                     up = s.code_order.up
-                    assert s.leq(a, b) == bool(up[ca] >> cb & 1)
+                    assert leq(a, b) == bool(up[ca] >> cb & 1)
                 else:
                     assert s.code_order is INT_ORDER
-                    assert s.leq(a, b) == (ca <= cb)
+                    assert leq(a, b) == (ca <= cb)
                 assert (a == b) == (ca == cb)
         for v, c in zip(values, codes):
             if v == s.top and s.is_total:
