@@ -77,12 +77,6 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup({list(self.cyclic_orders)!r})"
 
 
-def _index_primes(subgroups, lo, hi):
-    """Ass(N2/N1) for subgroups N1 = subgroups[lo] < N2 = subgroups[hi]: the
-    primes dividing the index, by Cauchy's theorem."""
-    return _prime_factors(len(subgroups[hi]) // len(subgroups[lo]))
-
-
 def _addition_table(group):
     """``table[i][j]`` is the index of ``elements[i] + elements[j]``.
 
@@ -212,16 +206,20 @@ def coprimary_game(group, sl=None):
 
     Values are finite subsets of the primes dividing the group order, totally
     ordered by the max-first Lex' order (its completion is trivial here since
-    the base is finite).  Ass(N2/N1) is the set of primes dividing the index.
+    the base is finite).  Ass(N2/N1) is the set of primes dividing the index;
+    the game is built from its codes, the Lex' key of that set, computed
+    once per distinct index.
     """
     if sl is None:
         sl = subgroup_lattice(group)
-    primes = sorted(_prime_factors(group.order))
-    payoff = {
-        (i, j): _index_primes(sl.subgroups, i, j)
-        for i, j in sl.lattice.strict_pairs()
-    }
-    return Game(sl.lattice, PrimeFinsets(primes), payoff)
+    values = PrimeFinsets(_prime_factors(group.order))
+    orders = list(map(len, sl.subgroups))
+    indices = [orders[j] // orders[i] for i, j in sl.lattice.strict_pairs()]
+    ass = {k: _prime_factors(k) for k in set(indices)}
+    code = {k: values.key(primes) for k, primes in ass.items()}
+    decode = {code[k]: primes for k, primes in ass.items()}
+    codes = list(map(code.__getitem__, indices))
+    return Game._encoded(sl.lattice, values, (codes, decode))
 
 
 @dataclass(frozen=True)
@@ -283,8 +281,10 @@ def enumerate_coprimary_filtrations(sl):
     l = sl.lattice
 
     def step_prime(lo, hi):
-        """The single associated prime of hi/lo, or None if not coprimary."""
-        ass = _index_primes(sl.subgroups, lo, hi)
+        """The single associated prime of hi/lo, or None if not coprimary;
+        Ass(hi/lo) is the set of primes dividing the index, by Cauchy's
+        theorem."""
+        ass = _prime_factors(len(sl.subgroups[hi]) // len(sl.subgroups[lo]))
         return min(ass) if len(ass) == 1 else None
 
     def step_ok(chain, nxt):

@@ -224,8 +224,9 @@ def cmd_dm(args):
         "closed_sets": [
             list(completion.members(k)) for k in range(len(completion.closed_sets))
         ],
+        # Keyed by the label's string form, as JSON keys are strings.
         "embedding": {
-            obj.names[i]: list(completion.members(completion.embedding[i]))
+            str(obj.names[i]): list(completion.members(completion.embedding[i]))
             for i in range(obj.n)
         },
         "linear": completion.is_linear(),

@@ -179,12 +179,15 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
     This is the uniqueness oracle: with total values and a convex payoff it
     must return exactly one chain, the canonical one.  Both conditions of
     :func:`validate_hn` are local to a step (and its predecessor), so the
-    search prunes a chain at its first failing step.
+    search prunes a chain at its first failing step, and every chain it
+    finds is valid as it stands: its filtration is built from the step
+    codes, with no second check.
     """
     l = g.lattice
     TooLarge.check("lattice size", l.n, max_elements)
     code = _series_code(g, 2)
     le = g.values.code_order.le
+    value = _value(g)
 
     def step_ok(chain, nxt):
         lo = chain[-1]
@@ -193,6 +196,6 @@ def enumerate_hn_filtrations(g, max_elements=MAX_ENUMERATION_ELEMENTS):
         return interval_semistable(g, lo, nxt)
 
     return [
-        validate_hn(g, chain).filtration
+        Filtration(chain, tuple(value(code(a, b)) for a, b in zip(chain, chain[1:])))
         for chain in iter_chains(l, l.bot, l.top, step_ok)
     ]

@@ -29,10 +29,10 @@ cover index is kept.
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
 one flat list indexed by pair id, the position of a pair in
-``strict_pairs()``.  Every game holds its codes from construction: the
-public constructor encodes while it validates, a dual takes the codes of
-its game, a restriction slices them, and a potentials game or a sweep game
-is built from codes (:func:`hngame.slopes.quotient_payoff`,
+``strict_pairs()``.  A game holds its payoff only as codes: the public
+constructor encodes while it validates, a dual takes the codes of its game,
+a restriction slices them, and slope, coprimary and sweep games are built
+from codes (:func:`hngame.slopes.quotient_payoff`, ``coprimary_game``,
 :func:`hngame.sweeps.iter_sweep_games`).  The kernel and the convexity,
 slope-like, seesaw and interval (semi)stability predicates read only codes,
 compared and folded by ``values.code_order`` (builtins for total value
@@ -51,13 +51,12 @@ by element instead, and only a line used again is sorted, so the many games
 that fail at once pay for no sorting.  A non-total code order checks the
 four disjunctions element by element.
 
-Values are built only where they are handed out.  A game built from values
-keeps the payoff dict it was given; a game built from codes builds it on
-the first read of ``payoff``, and until then :meth:`Game.mu` decodes the
-one code it reads.  :meth:`Game.tables` computes the four series, and each
-:class:`MuTables` field decodes its dict on first access; the point reads
-(:func:`mu_max`, ...) decode one code each.  ``payoff`` and every value
-handed out are values, not codes.
+Values are built only where they are handed out.  Every game builds its
+payoff dict on the first read of ``payoff``, and :meth:`Game.mu` decodes
+the one code it reads.  :meth:`Game.tables` computes the four series, and
+each :class:`MuTables` field decodes its dict on first access; the point
+reads (:func:`mu_max`, ...) decode one code each.  ``payoff`` and every
+value handed out are values, not codes.
 """
 
 from __future__ import annotations
@@ -88,10 +87,11 @@ INCREASING, DECREASING, FLAT, VIOLATION = (
 class Game:
     """A payoff function on the strict pairs of a bounded lattice.
 
-    ``payoff`` maps each strict pair to its value.  The engine reads the
-    payoff codes instead (see the module docstring): the public constructor
-    validates and encodes the values in one pass, and :meth:`_encoded`
-    takes codes and leaves the payoff dict to its first read.
+    ``payoff`` maps each strict pair to its value.  A game holds only the
+    payoff codes (see the module docstring): the public constructor
+    validates and encodes the values it is given and keeps none of them,
+    :meth:`_encoded` takes codes, and either way ``payoff`` is decoded on
+    its first read.
     """
 
     __slots__ = (
@@ -100,12 +100,15 @@ class Game:
     )
 
     def __init__(self, lattice, values, payoff):
-        _check_pairs(lattice, payoff)
-        payoff = dict(payoff)
-        try:
-            codes = values.encode(
-                list(map(payoff.__getitem__, lattice.strict_pairs()))
+        pairs = lattice.strict_pairs()
+        if payoff.keys() != set(pairs):
+            raise ValueError(
+                "payoff must be defined on exactly the strict pairs; "
+                f"missing {sorted(set(pairs) - payoff.keys())}, "
+                f"extra {sorted(payoff.keys() - set(pairs))}"
             )
+        try:
+            codes = values.encode(list(map(payoff.__getitem__, pairs)))
         except ValueError:
             pair, v = next(
                 (p, v) for p, v in payoff.items() if not values.contains(v)
@@ -113,7 +116,7 @@ class Game:
             raise ValueError(
                 f"payoff value {v!r} at {pair} not in value lattice"
             ) from None
-        _set_fields(self, lattice, values, payoff, codes)
+        _set_fields(self, lattice, values, codes)
 
     @classmethod
     def _encoded(cls, lattice, values, codes):
@@ -124,7 +127,7 @@ class Game:
         if len(codes[0]) != n:
             raise ValueError(f"need {n} payoff codes, got {len(codes[0])}")
         g = cls.__new__(cls)
-        _set_fields(g, lattice, values, None, codes)
+        _set_fields(g, lattice, values, codes)
         return g
 
     @property
@@ -142,8 +145,6 @@ class Game:
             raise NotStrict(
                 f"payoff needs {self.lattice.names[x]} < {self.lattice.names[y]}"
             )
-        if self._payoff is not None:
-            return self._payoff[(x, y)]
         codes, decode = self._codes
         return decode[codes[_pair_ids(self.lattice)[x][y]]]
 
@@ -169,26 +170,14 @@ class Game:
         return f"Game({self.lattice!r}, {self.values!r}, {pairs} pairs)"
 
 
-def _set_fields(g, lattice, values, payoff, codes):
+def _set_fields(g, lattice, values, codes):
     g.lattice = lattice
     g.values = values
-    g._payoff = payoff
+    g._payoff = None
     g._codes = codes
     g._series = [None] * 4
     g._tables = None
     g._slope_like = None
-
-
-def _check_pairs(lattice, payoff):
-    """Raise ValueError unless ``payoff`` is keyed by exactly the strict
-    pairs of ``lattice``."""
-    pairs = set(lattice.strict_pairs())
-    if payoff.keys() != pairs:
-        raise ValueError(
-            "payoff must be defined on exactly the strict pairs; "
-            f"missing {sorted(pairs - payoff.keys())}, "
-            f"extra {sorted(payoff.keys() - pairs)}"
-        )
 
 
 class MuTables:

@@ -62,10 +62,12 @@ def _parse_potential(s, where):
 
 
 def _require(doc, key, typ, where):
+    """``doc[key]``, checked to be a ``typ``.  No field is a boolean, and a
+    JSON true or false, which Python counts as an int, is refused."""
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", field=where)
     value = doc[key]
-    if not isinstance(value, typ):
+    if isinstance(value, bool) or not isinstance(value, typ):
         wanted = (
             typ.__name__
             if isinstance(typ, type)
@@ -77,15 +79,24 @@ def _require(doc, key, typ, where):
     return value
 
 
+def _is_label(label):
+    """Labels are strings or integers; a bool is not an integer here."""
+    return isinstance(label, (str, int)) and not isinstance(label, bool)
+
+
 def _load_order_section(section, where):
     elements = _require(section, "elements", list, where)
     field = f"{where}.elements"
     if not elements:
         raise SchemaError("an order needs at least one element", field=field)
-    if not all(isinstance(label, (str, int)) for label in elements):
+    if not all(map(_is_label, elements)):
         raise SchemaError("element labels are strings or integers", field=field)
-    if len(set(elements)) != len(elements):
-        raise SchemaError("element labels must be distinct", field=field)
+    # Reports key by label, and JSON object keys are strings, so 1 and "1"
+    # count as the same label.
+    if len(set(map(str, elements))) != len(elements):
+        raise SchemaError(
+            "element labels must be distinct, also as strings", field=field
+        )
     if "covers" in section and "relation" in section:
         raise SchemaError(
             "give either 'covers' or 'relation', not both", field=where
@@ -100,7 +111,7 @@ def _load_order_section(section, where):
         if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and all(isinstance(label, (str, int)) for label in entry)
+            and all(map(_is_label, entry))
         ):
             raise SchemaError(
                 "relation entries are two-element lists of labels",
@@ -135,7 +146,7 @@ def _decode_value(values, raw, where):
         if not (isinstance(raw, list) and all(isinstance(p, int) for p in raw)):
             raise SchemaError("prime-set values are lists of ints", field=where)
         value = frozenset(raw)
-    if isinstance(value, (list, dict)) or not values.contains(value):
+    if isinstance(value, (list, dict, bool)) or not values.contains(value):
         raise SchemaError(f"{raw!r} is not a declared value", field=where)
     return value
 
@@ -186,11 +197,12 @@ def parse_document(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     version = _require(doc, "schema_version", int, "document")
-    # A JSON true is a bool, which Python counts as the int 1.
-    if version != SCHEMA_VERSION or isinstance(version, bool):
+    if version != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported schema_version {version}", field="schema_version"
         )

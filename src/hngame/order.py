@@ -403,7 +403,7 @@ class Interval:
     sublattices); :meth:`as_lattice` materializes it with the ambient labels.
     """
 
-    __slots__ = ("lattice", "lo", "hi", "members")
+    __slots__ = ("lattice", "lo", "hi", "members", "_as_lattice")
 
     def __init__(self, lattice, lo, hi):
         if not lattice.lt(lo, hi):
@@ -414,6 +414,7 @@ class Interval:
         self.lo = lo
         self.hi = hi
         self.members = lattice.between(lo, hi)
+        self._as_lattice = None
 
     def member_indices(self):
         return tuple(_iter_bits(self.members))
@@ -423,7 +424,8 @@ class Interval:
 
     def as_lattice(self):
         """The interval as a bounded lattice carrying the ambient labels,
-        built once per ``(lo, hi)`` and cached on the ambient lattice.
+        built once per interval and kept on it, so it lives as long as the
+        interval does.
 
         The induced order and the meet/join tables are sliced from the
         ambient ones; no re-derivation or verification is needed because
@@ -431,11 +433,9 @@ class Interval:
         computed later on the result, such as its cover index, belongs to
         the interval lattice itself.
         """
+        if self._as_lattice is not None:
+            return self._as_lattice
         amb = self.lattice
-        key = ("interval", self.lo, self.hi)
-        cached = amb._cache.get(key)
-        if cached is not None:
-            return cached
         members = self.members
         elems = self.member_indices()
         pos = {e: k for k, e in enumerate(elems)}
@@ -454,9 +454,10 @@ class Interval:
         join = tuple(
             tuple(pos[amb.join[a][b]] for b in elems) for a in elems
         )
-        cached = BoundedLattice(poset, pos[self.lo], pos[self.hi], meet, join)
-        amb._cache[key] = cached
-        return cached
+        self._as_lattice = BoundedLattice(
+            poset, pos[self.lo], pos[self.hi], meet, join
+        )
+        return self._as_lattice
 
     def __eq__(self, other):
         return (

@@ -6,26 +6,26 @@ have strictly positive degree.  Rationals keep every check exact; data can be
 given as raw pair tables (fully validated) or as per-element potentials,
 whose differences are additive by construction.  Potentials are scaled once
 to integers over the least common denominator of all their values, so the
-differences along the strict pairs are int subtractions, and the slopes
-are ranked once as int quotients, which gives the game its value codes.  A
-slope becomes an exact ``Fraction`` of two ints only when it is read, once
-per distinct slope.
+differences along the strict pairs are int subtractions; tables give each
+pair's rank and degree over their common denominator.  Either way every
+slope is an int quotient dv/rv, and the quotients are ranked once by the
+extended-rational encoding of :mod:`hngame.values`, which gives the game its
+value codes.  A slope becomes an exact ``Fraction`` of two ints only when it
+is read, once per distinct slope.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import compress
 from math import lcm
-from operator import eq, itemgetter, not_, sub, truediv
+from operator import itemgetter, not_, sub
 
 from .errors import AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
 from .game import Game
 from .order import _iter_bits
-from .values import NEG_INF, POS_INF, ExtendedRationals
+from .values import ExtendedRationals, _ranked_slopes
 
 
 @dataclass(frozen=True)
@@ -115,110 +115,20 @@ def quotient_payoff(lattice, data):
     """The game with payoff degree/rank, +inf where rank vanishes.
 
     ``data`` is a :class:`RankDegreeData` (already validated) or a
-    :class:`PotentialData` (validated on expansion).  For potentials the
-    common denominator cancels, so each payoff is the slope dv/rv of the
-    scaled int increments of :func:`_scaled_increments`.  The slopes are
-    ranked once (:func:`_ranked_slopes`) and the game is built from those
+    :class:`PotentialData` (validated on expansion).  Either gives each
+    strict pair a slope dv/rv of ints with rv >= 0: for potentials the scaled
+    increments of :func:`_scaled_increments`, whose common denominator
+    cancels, and for tables the rank and degree over their common
+    denominator.  The slopes are ranked once
+    (:func:`~hngame.values._ranked_slopes`) and the game is built from those
     codes: no slope is a value until it is read, and the payoff dict is
     built on first access of ``Game.payoff``.  Values are extended
     rationals; -inf never occurs.
     """
-    values = ExtendedRationals()
     if isinstance(data, PotentialData):
         _, rvs, dvs = _scaled_increments(lattice, data)
-        return Game._encoded(lattice, values, _ranked_slopes(rvs, dvs))
-    degree = data.degree
-    payoff = {
-        pair: degree[pair] / r if r > 0 else POS_INF
-        for pair, r in data.rank.items()
-    }
-    return Game(lattice, values, payoff)
-
-
-def _nearest_float(dv, rv):
-    """The float nearest dv / rv for ints with rv >= 0: +inf at rv = 0 (where
-    dv > 0), and ±inf beyond the float range."""
-    if not rv:
-        return POS_INF
-    try:
-        return dv / rv
-    except OverflowError:
-        return POS_INF if dv > 0 else NEG_INF
-
-
-def _ranked_slopes(rvs, dvs):
-    """The slopes dv/rv of int increments, encoded as
-    ``ExtendedRationals.encode`` encodes them.
-
-    Returns ``(codes, decode)``: ``codes[k]`` is the rank of the slope
-    ``Fraction(dvs[k], rvs[k])``, or of +inf where ``rvs[k]`` is 0 (so
-    ``dvs[k]`` > 0), among the distinct slopes, and ``decode`` maps each
-    rank back to its slope (:class:`_Slopes`), built on first lookup.  One
-    sort by the nearest floats orders the slopes up to runs of equal floats;
-    only such a run is compared exactly, by cross-multiplying, which also
-    ranks +inf above every finite slope, even one beyond the float range.
-    """
-    n = len(rvs)
-    try:
-        near = list(map(truediv, dvs, rvs))
-    except (OverflowError, ZeroDivisionError):
-        near = list(map(_nearest_float, dvs, rvs))
-    order = sorted(range(n), key=near.__getitem__)
-
-    def exact(i, j):
-        return dvs[i] * rvs[j] - dvs[j] * rvs[i]
-
-    # Position p ties when order[p - 1] and order[p] have the same float.
-    sorted_near = list(map(near.__getitem__, order))
-    ties = list(compress(range(1, n), map(eq, sorted_near, sorted_near[1:])))
-    done = 0
-    for p in ties:
-        if p > done:
-            done = p
-            while done + 1 < n and sorted_near[done + 1] == sorted_near[p]:
-                done += 1
-            order[p - 1:done + 1] = sorted(
-                order[p - 1:done + 1], key=cmp_to_key(exact)
-            )
-    new_rank = [True] * n
-    for p in ties:
-        if not exact(order[p - 1], order[p]):
-            new_rank[p] = False
-    codes = [0] * n
-    rank = -1
-    for k, new in zip(order, new_rank):
-        if new:
-            rank += 1
-        codes[k] = rank
-    firsts = list(compress(order, new_rank))
-    return codes, _Slopes(
-        list(map(dvs.__getitem__, firsts)), list(map(rvs.__getitem__, firsts))
-    )
-
-
-class _Slopes(Mapping):
-    """Slopes by rank: rank c is dvs[c] / rvs[c], +inf where rvs[c] is 0.
-
-    Each slope is built on its first lookup and kept, so every lookup of a
-    rank returns the same object.
-    """
-
-    __slots__ = ("dvs", "rvs", "built")
-
-    def __init__(self, dvs, rvs):
-        self.dvs, self.rvs, self.built = dvs, rvs, {}
-
-    def __getitem__(self, c):
-        v = self.built.get(c)
-        if v is None:
-            if not 0 <= c < len(self.rvs):
-                raise KeyError(c)
-            rv = self.rvs[c]
-            v = self.built[c] = Fraction(self.dvs[c], rv) if rv else POS_INF
-        return v
-
-    def __iter__(self):
-        return iter(range(len(self.rvs)))
-
-    def __len__(self):
-        return len(self.rvs)
+    else:
+        rd = [(data.rank[p], data.degree[p]) for p in lattice.strict_pairs()]
+        rvs = [r.numerator * d.denominator for r, d in rd]
+        dvs = [d.numerator * r.denominator for r, d in rd]
+    return Game._encoded(lattice, ExtendedRationals(), _ranked_slopes(rvs, dvs))

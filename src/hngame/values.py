@@ -12,7 +12,10 @@ and returns their codes together with a map from code back to value, and
 ``code_order`` compares and folds codes.  Per kind:
 
 - ``ExtendedRationals``: the rank among the distinct values encoded together,
-  so -inf and +inf get the least and the greatest code;
+  so -inf and +inf get the least and the greatest code.  Each value is an
+  int quotient dv/rv, ±inf being (±1, 0), and :func:`_ranked_slopes` ranks
+  such quotients; it is the only ranking of extended rationals, and slope
+  games call it on their int quotients directly;
 - ``FiniteChain``: the rank in the chain;
 - ``PrimeFinsets``: the bitmask of base positions, whose integer order is the
   Lex' order (:meth:`PrimeFinsets.key`);
@@ -31,8 +34,8 @@ Equal values get equal codes, so ``==`` on codes is ``==`` on values.
 There is no value-level order: values are compared by comparing their codes.
 
 A decode map is anything indexed by code: a dict, a tuple, a view such as
-:class:`_NegatedCodes`, or the slopes of a potentials game, which build
-each value on first lookup.  :mod:`hngame.game` decodes a code
+:class:`_NegatedCodes`, or the extended rationals of :class:`_Slopes`, which
+build each value on first lookup.  :mod:`hngame.game` decodes a code
 only when it hands the value out (a point read, a payoff entry, a
 :class:`~hngame.game.MuTables` field on first access), so a caller that
 reads a few pairs decodes a few codes.
@@ -42,7 +45,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import groupby
+from functools import cmp_to_key
+from itertools import compress
 from types import SimpleNamespace
 
 from .errors import UnknownLabel
@@ -59,19 +63,6 @@ INT_ORDER = SimpleNamespace(le=operator.le, lt=operator.lt, sup=max, inf=min)
 
 def _not_a_value(v):
     return ValueError(f"payoff value {v!r} not in value lattice")
-
-
-def _nearest_float(v):
-    """The float nearest an extended rational (±inf beyond the float range);
-    raises ValueError for anything else."""
-    if isinstance(v, Fraction):
-        try:
-            return v.numerator / v.denominator
-        except OverflowError:
-            return POS_INF if v > 0 else NEG_INF
-    if v == POS_INF or v == NEG_INF:
-        return float(v)
-    raise _not_a_value(v)
 
 
 class _NegatedCodes(Mapping):
@@ -139,25 +130,20 @@ class ExtendedRationals(ValueLattice):
         return isinstance(v, Fraction) or v == POS_INF or v == NEG_INF
 
     def encode(self, values):
-        """Ranks among the distinct values.
-
-        One sort by the nearest floats orders the values up to runs of equal
-        floats; only such a run is compared exactly, by a second sort and by
-        ``!=`` between neighbours, which also gives equal values one rank.
-        """
-        near = [_nearest_float(v) for v in values]
-        codes = [0] * len(values)
-        decode = {}
-        rank = -1
-        order = sorted(range(len(values)), key=near.__getitem__)
-        for _, run in groupby(order, key=near.__getitem__):
-            last = None
-            for k in sorted(run, key=values.__getitem__):
-                if last is None or values[k] != last:
-                    rank += 1
-                    decode[rank] = last = values[k]
-                codes[k] = rank
-        return codes, decode
+        """Ranks among the distinct values: each value is the quotient of
+        its numerator and denominator, and ±inf is (±1, 0)
+        (:func:`_ranked_slopes`)."""
+        dvs, rvs = [], []
+        for v in values:
+            if isinstance(v, Fraction):
+                dvs.append(v.numerator)
+                rvs.append(v.denominator)
+            elif v == POS_INF or v == NEG_INF:
+                dvs.append(1 if v > 0 else -1)
+                rvs.append(0)
+            else:
+                raise _not_a_value(v)
+        return _ranked_slopes(rvs, dvs)
 
     def __eq__(self, other):
         return isinstance(other, ExtendedRationals)
@@ -167,6 +153,94 @@ class ExtendedRationals(ValueLattice):
 
     def __repr__(self):
         return "ExtendedRationals()"
+
+
+def _nearest_float(dv, rv):
+    """The float nearest dv / rv for ints with rv >= 0, and ±inf by the sign
+    of dv at rv = 0 and beyond the float range."""
+    try:
+        return dv / rv
+    except (OverflowError, ZeroDivisionError):
+        return POS_INF if dv > 0 else NEG_INF
+
+
+def _ranked_slopes(rvs, dvs):
+    """The extended rationals dv/rv of int pairs with rv >= 0, encoded.
+
+    ``(dv, 0)`` stands for +inf where dv > 0 and for -inf where dv < 0.
+    Returns ``(codes, decode)``: ``codes[k]`` is the rank of
+    ``dvs[k] / rvs[k]`` among the distinct quotients, and ``decode`` maps
+    each rank back to its value (:class:`_Slopes`), built on first lookup.
+    One sort by the nearest floats orders the quotients up to runs of equal
+    floats; only such a run is compared exactly, by cross-multiplying, which
+    also ranks ±inf beyond every finite quotient, even one beyond the float
+    range.
+    """
+    n = len(rvs)
+    try:
+        near = list(map(operator.truediv, dvs, rvs))
+    except (OverflowError, ZeroDivisionError):
+        near = list(map(_nearest_float, dvs, rvs))
+    order = sorted(range(n), key=near.__getitem__)
+
+    def exact(i, j):
+        return dvs[i] * rvs[j] - dvs[j] * rvs[i]
+
+    # Position p ties when order[p - 1] and order[p] have the same float.
+    sorted_near = list(map(near.__getitem__, order))
+    ties = list(compress(range(1, n), map(operator.eq, sorted_near, sorted_near[1:])))
+    done = 0
+    for p in ties:
+        if p > done:
+            done = p
+            while done + 1 < n and sorted_near[done + 1] == sorted_near[p]:
+                done += 1
+            order[p - 1:done + 1] = sorted(
+                order[p - 1:done + 1], key=cmp_to_key(exact)
+            )
+    new_rank = [True] * n
+    for p in ties:
+        if not exact(order[p - 1], order[p]):
+            new_rank[p] = False
+    codes = [0] * n
+    rank = -1
+    for k, new in zip(order, new_rank):
+        if new:
+            rank += 1
+        codes[k] = rank
+    firsts = list(compress(order, new_rank))
+    return codes, _Slopes(
+        list(map(dvs.__getitem__, firsts)), list(map(rvs.__getitem__, firsts))
+    )
+
+
+class _Slopes(Mapping):
+    """Extended rationals by rank: rank c is dvs[c] / rvs[c], ±inf where
+    rvs[c] is 0.
+
+    Each value is built on its first lookup and kept, so every lookup of a
+    rank returns the same object.
+    """
+
+    __slots__ = ("dvs", "rvs", "built")
+
+    def __init__(self, dvs, rvs):
+        self.dvs, self.rvs, self.built = dvs, rvs, {}
+
+    def __getitem__(self, c):
+        v = self.built.get(c)
+        if v is None:
+            if not 0 <= c < len(self.rvs):
+                raise KeyError(c)
+            dv, rv = self.dvs[c], self.rvs[c]
+            v = self.built[c] = Fraction(dv, rv) if rv else _nearest_float(dv, rv)
+        return v
+
+    def __iter__(self):
+        return iter(range(len(self.rvs)))
+
+    def __len__(self):
+        return len(self.rvs)
 
 
 class FiniteChain(ValueLattice):

@@ -596,6 +596,15 @@ def slope_oracle(rank, degree):
     return Fraction(degree) / Fraction(rank)
 
 
+def exact_ranks_oracle(values):
+    """The rank of each extended rational among the distinct values of the
+    list, by one exact sort of that set (Fractions and the float infinities
+    compare exactly); returns the ranks and the sorted distinct values."""
+    distinct = sorted(set(values))
+    rank = {v: k for k, v in enumerate(distinct)}
+    return [rank[v] for v in values], distinct
+
+
 def potential_payoff_oracle(lattice, rank_potential, degree_potential):
     """Literal quotient payoff of per-element potentials R, D keyed by label.
 

@@ -21,6 +21,17 @@ is_stable, is_slope_like and has_nash_equilibrium:
   ``FiniteLatticeValues``, with 20 seeded payoffs for each on every lattice
   class with 2 to 5 elements.
 
+- rationals: extended-rational games built from values, 12 seeded payoffs
+  on every lattice class with 2 to 6 elements from each of three pools (the
+  infinities among small fractions, fractions that all round to the float
+  1.0, and fractions beyond the float range of both signs), and quotient
+  games of ``RankDegreeData`` tables on a 12-element chain, the divisor
+  lattice of 360 and a random lattice, as given and scaled so that every
+  slope lies beyond the float range, or so that every finite slope is
+  1 + s / 10**20 and all of them round to the float 1.0.
+  For these the digest also takes the payoff, as the ``repr`` of its sorted
+  items and the type name of each value.
+
 - slope_like: the verdicts of is_slope_like and has_seesaw_violation alone,
   on the 101 games on the 5-chain with values 0 to 4 whose chain triples
   with a cover step pass the slope-like condition (44 of them fail it at
@@ -75,7 +86,7 @@ from hngame.order import (  # noqa: E402
     as_bounded_lattice,
     build_poset,
 )
-from hngame.slopes import quotient_payoff  # noqa: E402
+from hngame.slopes import RankDegreeData, quotient_payoff  # noqa: E402
 from hngame.sweeps import (  # noqa: E402
     iter_sweep_games,
     lattice_iso_classes,
@@ -83,7 +94,13 @@ from hngame.sweeps import (  # noqa: E402
     random_poset,
     random_potentials,
 )
-from hngame.values import FiniteChain, FiniteLatticeValues  # noqa: E402
+from hngame.values import (  # noqa: E402
+    NEG_INF,
+    POS_INF,
+    ExtendedRationals,
+    FiniteChain,
+    FiniteLatticeValues,
+)
 
 from oracles import cover_step_slope_like_tables  # noqa: E402
 
@@ -133,6 +150,37 @@ def explicit_games():
             for _ in range(20):
                 payoff = {p: rng.choice(values.elements) for p in pairs}
                 yield Game(lattice, values, payoff)
+
+
+BIG = 10**20
+HUGE = 10**400
+RATIONAL_POOLS = (
+    [NEG_INF, POS_INF, Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)],
+    [Fraction(BIG + k, BIG) for k in range(-2, 3)] + [Fraction(1), POS_INF],
+    [Fraction(HUGE), Fraction(HUGE + 1), Fraction(-HUGE), Fraction(1, HUGE),
+     Fraction(-HUGE - 1, 3), NEG_INF, POS_INF],
+)
+
+
+def rationals_games():
+    rng = random.Random(13)
+    values = ExtendedRationals()
+    for lattice in lattice_iso_classes(6):
+        pairs = lattice.strict_pairs()
+        for pool in RATIONAL_POOLS:
+            for _ in range(12):
+                yield Game(lattice, values, {p: rng.choice(pool) for p in pairs})
+    for lattice in (fixtures.chain(12), divisor_lattice(360), random_lattice(rng, 20)):
+        for seed in range(3):
+            base = random_potentials(random.Random(seed), lattice, 0.3).tables(lattice)
+            # rank' = a rank and degree' = b degree + c rank stay additive.
+            for a, b, c in ((1, 1, 0), (Fraction(1, HUGE), 1, 0), (1, Fraction(1, BIG), 1)):
+                data = RankDegreeData.from_tables(
+                    lattice,
+                    {p: a * r for p, r in base.rank.items()},
+                    {p: b * d + c * base.rank[p] for p, d in base.degree.items()},
+                )
+                yield quotient_payoff(lattice, data)
 
 
 def slope_like_games():
@@ -190,6 +238,13 @@ def feed_slope_like(h, g):
         h.update(repr((is_slope_like(d), has_seesaw_violation(d))).encode())
 
 
+def feed_rationals_game(h, g):
+    items = sorted(g.payoff.items())
+    h.update(repr(items).encode())
+    h.update(repr([type(v).__name__ for _, v in items]).encode())
+    feed_game(h, g)
+
+
 def feed_potentials_game(h, g):
     items = sorted(g.payoff.items())
     h.update(repr(items).encode())
@@ -206,6 +261,7 @@ def main():
         ("groups", group_games(), "games and duals", feed_game),
         ("potentials", potentials_games(), "games and duals", feed_potentials_game),
         ("explicit", explicit_games(), "games and duals", feed_game),
+        ("rationals", rationals_games(), "games and duals", feed_rationals_game),
         ("slope_like", slope_like_games(), "games and duals", feed_slope_like),
         ("lattices", lattice_iso_classes(7), "classes", feed_lattice_class),
     ):

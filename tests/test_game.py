@@ -8,6 +8,7 @@ import pytest
 
 from hngame import fixtures
 from hngame import game as hgame
+from hngame.abelian import FiniteAbelianGroup, coprimary_game
 from hngame.errors import NotAChain, NotStrict, PreconditionFailed
 from hngame.filtration import (
     _st_set_on,
@@ -674,6 +675,27 @@ def test_dual_of_encoded_potentials_game_matches_dual_of_value_game():
             assert d.tables() == ref.tables()
             assert repr(d.tables()) == repr(ref.tables())
             assert dual(d).payoff == g.payoff
+
+
+def test_games_hold_codes_only():
+    # Built from values, from rank/degree tables, from potentials or from a
+    # group: no payoff dict until it is read, and point reads build none.
+    l = fixtures.b2()
+    given = {p: Fraction(k, 2) for k, p in enumerate(l.strict_pairs())}
+    data = random_potentials(random.Random(3), l)
+    games = [
+        Game(l, ExtendedRationals(), given),
+        quotient_payoff(l, data),
+        quotient_payoff(l, data.tables(l)),
+        coprimary_game(FiniteAbelianGroup([12])),
+    ]
+    for g in games:
+        assert g._payoff is None
+        reads = {p: g.mu(*p) for p in g.lattice.strict_pairs()}
+        assert g._payoff is None
+        assert g.payoff == reads
+    assert games[0].payoff == given
+    assert games[1].payoff == games[2].payoff
 
 
 def test_check_path_leaves_potentials_payoff_undecoded():

@@ -282,6 +282,33 @@ _SQUARE_GAME = {
     pytest.param(["export-dot"], dict(_SQUARE_GAME, name=["sq"]), id="list-name-dot"),
     pytest.param(["check"], dict(_SQUARE_GAME, schema_version=True),
                  id="boolean-schema-version"),
+    pytest.param(["dm"], {
+        "schema_version": 1, "kind": "poset",
+        "poset": {"elements": ["a", True, "x"], "covers": [["a", "x"]]},
+    }, id="boolean-label"),
+    pytest.param(["dm"], {
+        "schema_version": 1, "kind": "poset",
+        "poset": {"elements": [1, "1"], "covers": []},
+    }, id="labels-equal-as-strings"),
+    pytest.param(["dm"], {
+        "schema_version": 1, "kind": "poset",
+        "poset": {"elements": [0, 1], "covers": [[0, True]]},
+    }, id="boolean-label-in-covers"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": [0, 1], "covers": [[0, 1]]},
+        "values": {"kind": "extended_rational"},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": 0, "hi": True, "value": "1/2"}]},
+    }, id="boolean-payoff-hi"),
+    pytest.param(["check"], {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": ["bot", "top"], "covers": [["bot", "top"]]},
+        "values": {"kind": "explicit_lattice", "elements": [0, 1],
+                   "covers": [[0, 1]]},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": "bot", "hi": "top", "value": True}]},
+    }, id="boolean-lattice-value"),
 ])
 def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     if doc is not None:
@@ -401,6 +428,33 @@ def test_cli_dm_labels_with_commas(tmp_path):
     assert payload["count"] == 12
     assert ["a", "b,c"] in payload["closed_sets"]
     assert ["a,b", "c"] in payload["closed_sets"]
+
+
+def test_cli_dm_mixed_labels(tmp_path):
+    # Integer and string labels together: the embedding is keyed by each
+    # label's string form.
+    doc = {
+        "schema_version": 1,
+        "kind": "poset",
+        "poset": {"elements": ["a", 1, "x"], "covers": [["a", 1], [1, "x"]]},
+    }
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["dm", "--input", str(src), "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["base_elements"] == ["a", 1, "x"]
+    assert payload["embedding"] == {"1": ["a", 1], "a": ["a"], "x": ["a", 1, "x"]}
+
+
+def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200000 + "]" * 200000)
+    code = main(["check", "--input", str(src), "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ")
 
 
 def test_cli_export_dot_hn(tmp_path):

@@ -320,7 +320,7 @@ def test_interval_lattice_is_built_once_per_interval():
         for lo, hi in l.strict_pairs():
             ival = Interval(l, lo, hi)
             sub = ival.as_lattice()
-            assert Interval(l, lo, hi).as_lattice() is sub
+            assert ival.as_lattice() is sub
             members = ival.member_indices()
             fresh = as_bounded_lattice(FinitePoset(
                 [l.names[e] for e in members],
@@ -333,6 +333,22 @@ def test_interval_lattice_is_built_once_per_interval():
             assert (sub.down, sub.meet, sub.join) == (
                 fresh.down, fresh.meet, fresh.join
             )
+
+
+def test_interval_lattice_lives_on_its_interval():
+    # The ambient lattice keeps no interval lattice: a new Interval on the
+    # same pair builds its own, equal one.
+    l = fixtures.chain(12)
+    pairs = l.strict_pairs()
+    cached = set(l._cache)
+    for lo, hi in pairs:
+        sub = Interval(l, lo, hi).as_lattice()
+        again = Interval(l, lo, hi).as_lattice()
+        assert again is not sub
+        assert (again.names, again.up, again.meet, again.join) == (
+            sub.names, sub.up, sub.meet, sub.join
+        )
+    assert set(l._cache) == cached
 
 
 def _interval_lattice():

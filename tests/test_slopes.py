@@ -14,9 +14,9 @@ from hngame.game import is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits, linear_extension
 from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
 from hngame.sweeps import random_lattice, random_potentials, random_quotient_game
-from hngame.values import POS_INF, ExtendedRationals
+from hngame.values import POS_INF
 
-from oracles import potential_payoff_oracle, slope_oracle
+from oracles import exact_ranks_oracle, potential_payoff_oracle, slope_oracle
 
 
 def test_gmod_from_potentials():
@@ -295,12 +295,12 @@ def test_ranked_slopes_encode_like_extended_rationals(case):
     pairs = lattice.strict_pairs()
     g = quotient_payoff(lattice, data)
     codes, decode = g._codes
-    fresh_codes, fresh_decode = ExtendedRationals().encode([expected[p] for p in pairs])
-    assert codes == fresh_codes
+    exact_codes, distinct = exact_ranks_oracle([expected[p] for p in pairs])
+    assert codes == exact_codes
     # decode builds its values on lookup: compare them code by code.
-    assert len(decode) == len(fresh_decode)
-    for c in fresh_decode:
-        assert repr(decode[c]) == repr(fresh_decode[c])
+    assert len(decode) == len(distinct)
+    for c, v in enumerate(distinct):
+        assert repr(decode[c]) == repr(v)
     assert repr(sorted(g.payoff.items())) == repr(sorted(expected.items()))
     assert [type(g.payoff[p]).__name__ for p in pairs] == [
         type(expected[p]).__name__ for p in pairs

@@ -103,13 +103,20 @@ def test_dual_values():
 
 
 # Each value kind, made fresh, with a strategy for its values.  The
-# rationals include both infinities and Fractions built from unreduced terms.
+# rationals include both infinities, Fractions built from unreduced terms,
+# Fractions that all round to the float 1.0, and Fractions beyond the float
+# range of both signs.
 _RATIONALS = st.one_of(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     st.builds(
         lambda n, d: Fraction(2 * n, 2 * d), st.integers(-5, 5), st.integers(1, 3)
     ),
     st.sampled_from([POS_INF, NEG_INF]),
+    st.builds(lambda k: Fraction(10**20 + k, 10**20), st.integers(-3, 3)),
+    st.builds(
+        lambda sign, k: Fraction(sign * 10**400 + k, 7),
+        st.sampled_from([-1, 1]), st.integers(0, 2),
+    ),
 )
 
 
