@@ -148,7 +148,7 @@ def cmd_hn(args):
         "valid": report.valid,
     }
     _write_report(args, payload)
-    print(f"hn: {' < '.join(labels)} valid={report.valid}", file=sys.stderr)
+    print(f"hn: {' < '.join(map(str, labels))} valid={report.valid}", file=sys.stderr)
     return OK if report.valid else PROPERTY_FAILURE
 
 
@@ -202,7 +202,7 @@ def cmd_jh(args):
         "valid": valid,
     }
     _write_report(args, payload)
-    print(f"jh: {' > '.join(labels)} valid={valid}", file=sys.stderr)
+    print(f"jh: {' > '.join(map(str, labels))} valid={valid}", file=sys.stderr)
     return OK if valid and (lengths is None or lengths["equal"]) else PROPERTY_FAILURE
 
 

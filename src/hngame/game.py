@@ -503,6 +503,18 @@ def _convexity_ids(lattice):
     return cached
 
 
+def _interval_row_scan(g, lo, hi, beats):
+    """Whether no x strictly between lo and hi has
+    ``beats(mu_a(lo, hi), mu_a(lo, x))`` on codes."""
+    ta = _series(g, 2)
+    row = _pair_ids(g.lattice)[lo]
+    ref = ta[row[hi]]
+    for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
+        if beats(ref, ta[row[x]]):
+            return False
+    return True
+
+
 def interval_semistable(g, lo, hi):
     """Semistability of the restriction of g to [lo, hi].
 
@@ -510,28 +522,13 @@ def interval_semistable(g, lo, hi):
     greater than mu_a(lo, hi).  For non-total value lattices this is weaker
     than mu_a(lo, x) <= mu_a(lo, hi).
     """
-    ta = _series(g, 2)
-    row = _pair_ids(g.lattice)[lo]
-    ref = ta[row[hi]]
-    lt = g.values.code_order.lt
-    for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        if lt(ref, ta[row[x]]):
-            return False
-    return True
+    return _interval_row_scan(g, lo, hi, g.values.code_order.lt)
 
 
 def interval_stable(g, lo, hi):
     """Stability of the restriction of g to [lo, hi]: semistable and no
     proper intermediate x attains mu_a(lo, hi)."""
-    ta = _series(g, 2)
-    row = _pair_ids(g.lattice)[lo]
-    ref = ta[row[hi]]
-    lt = g.values.code_order.lt
-    for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        v = ta[row[x]]
-        if v == ref or lt(ref, v):
-            return False
-    return True
+    return _interval_row_scan(g, lo, hi, g.values.code_order.le)
 
 
 def is_semistable(g):

@@ -251,17 +251,21 @@ def parse_document(text):
             )
         rank = _require(payoff_section, "rank", dict, "payoff")
         degree = _require(payoff_section, "degree", dict, "payoff")
+        # JSON keys are strings, so each label is looked up as str(label).
         for label in lattice.names:
-            if label not in rank:
+            if str(label) not in rank:
                 raise SchemaError(f"rank misses element {label!r}", field="payoff.rank")
-            if label not in degree:
+            if str(label) not in degree:
                 raise SchemaError(
                     f"degree misses element {label!r}", field="payoff.degree"
                 )
-        data = PotentialData(
-            {k: _parse_potential(v, f"payoff.rank.{k}") for k, v in rank.items()},
-            {k: _parse_potential(v, f"payoff.degree.{k}") for k, v in degree.items()},
-        )
+        parsed = [
+            {k: _parse_potential(v, f"payoff.{field}.{k}") for k, v in table.items()}
+            for field, table in (("rank", rank), ("degree", degree))
+        ]
+        data = PotentialData(*(
+            {label: p[str(label)] for label in lattice.names} for p in parsed
+        ))
         return "game", quotient_payoff(lattice, data), name
     raise SchemaError(f"unknown payoff source {source!r}", field="payoff.source")
 

@@ -2,16 +2,13 @@
 
 A payoff of the form degree/rank (with +inf at rank zero) is slope-like
 whenever both tables are additive along chain triples and zero-rank pairs
-have strictly positive degree.  Rationals keep every check exact; data can be
-given as raw pair tables (fully validated) or as per-element potentials,
-whose differences are additive by construction.  Potentials are scaled once
-to integers over the least common denominator of all their values, so the
-differences along the strict pairs are int subtractions; tables give each
-pair's rank and degree over their common denominator.  Either way every
-slope is an int quotient dv/rv, and the quotients are ranked once by the
-extended-rational encoding of :mod:`hngame.values`, which gives the game its
-value codes.  A slope becomes an exact ``Fraction`` of two ints only when it
-is read, once per distinct slope.
+have strictly positive degree.  On a bounded lattice, additive tables are
+exactly differences of potentials, R(y) = rank(bot, y) and D(y) =
+degree(bot, y), so data is given as per-element potentials or as pair tables
+that reduce to theirs.  Potentials are scaled to ints over their least common
+denominator, so each slope is an int quotient dv/rv, and the quotients are
+ranked once by the extended-rational encoding of :mod:`hngame.values` into
+the game's value codes.  A slope becomes a ``Fraction`` only when read.
 """
 
 from __future__ import annotations
@@ -24,13 +21,14 @@ from operator import itemgetter, not_, sub
 
 from .errors import AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
 from .game import Game
-from .order import _iter_bits
 from .values import ExtendedRationals, _ranked_slopes
 
 
 @dataclass(frozen=True)
 class RankDegreeData:
-    """Validated rank/degree tables on the strict pairs of a lattice."""
+    """Rank/degree tables on the strict pairs of a lattice, validated on
+    construction: an entry (x, y) other than R(y) - R(x) for the potentials
+    raises :class:`AdditivityViolation` on the chain bot < x < y."""
 
     lattice: object
     rank: dict
@@ -38,24 +36,30 @@ class RankDegreeData:
 
     @classmethod
     def from_tables(cls, lattice, rank, degree):
-        """Validate raw tables: domain, nonnegative rank, additivity on all
-        chain triples, and positive degree at rank zero."""
+        """The tables on the strict pairs as Fractions, validated."""
         pairs = lattice.strict_pairs()
         rank = {p: Fraction(rank[p]) for p in pairs}
         degree = {p: Fraction(degree[p]) for p in pairs}
-        names = lattice.names
-        for (x, y), r in rank.items():
-            if r < 0:
-                raise NegativeRank(f"rank({names[x]}, {names[y]}) is negative")
-            if r == 0 and degree[(x, y)] <= 0:
-                raise ZeroRankNonpositiveDegree(names[x], names[y])
-        for x, z in pairs:
-            for y in _iter_bits(lattice.strictly_between(x, z)):
-                if degree[(x, z)] != degree[(x, y)] + degree[(y, z)]:
-                    raise AdditivityViolation("degree", names[x], names[y], names[z])
-                if rank[(x, z)] != rank[(x, y)] + rank[(y, z)]:
-                    raise AdditivityViolation("rank", names[x], names[y], names[z])
         return cls(lattice, rank, degree)
+
+    def __post_init__(self):
+        names, data = self.lattice.names, self._potentials()
+        bot = names[self.lattice.bot]
+        for table, values, potential in (
+            ("degree", self.degree, data.degree_potential),
+            ("rank", self.rank, data.rank_potential),
+        ):
+            for x, y in self.lattice.strict_pairs():
+                if values[(x, y)] != potential[names[y]] - potential[names[x]]:
+                    raise AdditivityViolation(table, bot, names[x], names[y])
+        _scaled_increments(self.lattice, data)
+
+    def _potentials(self):
+        bot, names = self.lattice.bot, self.lattice.names
+        return PotentialData(*(
+            {name: t[(bot, y)] if y != bot else 0 for y, name in enumerate(names)}
+            for t in (self.rank, self.degree)
+        ))
 
 
 @dataclass(frozen=True)
@@ -114,21 +118,14 @@ def _scaled_increments(lattice, data):
 def quotient_payoff(lattice, data):
     """The game with payoff degree/rank, +inf where rank vanishes.
 
-    ``data`` is a :class:`RankDegreeData` (already validated) or a
-    :class:`PotentialData` (validated on expansion).  Either gives each
-    strict pair a slope dv/rv of ints with rv >= 0: for potentials the scaled
-    increments of :func:`_scaled_increments`, whose common denominator
-    cancels, and for tables the rank and degree over their common
-    denominator.  The slopes are ranked once
-    (:func:`~hngame.values._ranked_slopes`) and the game is built from those
-    codes: no slope is a value until it is read, and the payoff dict is
-    built on first access of ``Game.payoff``.  Values are extended
-    rationals; -inf never occurs.
+    ``data`` is a :class:`PotentialData`, or a :class:`RankDegreeData`
+    (already validated, by construction) read through its potentials.  The
+    int slopes dv/rv of :func:`_scaled_increments` are ranked once
+    (:func:`~hngame.values._ranked_slopes`) into the game's codes, so no
+    slope is a value until it is read.  Values are extended rationals; -inf
+    never occurs.
     """
-    if isinstance(data, PotentialData):
-        _, rvs, dvs = _scaled_increments(lattice, data)
-    else:
-        rd = [(data.rank[p], data.degree[p]) for p in lattice.strict_pairs()]
-        rvs = [r.numerator * d.denominator for r, d in rd]
-        dvs = [d.numerator * r.denominator for r, d in rd]
+    if isinstance(data, RankDegreeData):
+        data = data._potentials()
+    _, rvs, dvs = _scaled_increments(lattice, data)
     return Game._encoded(lattice, ExtendedRationals(), _ranked_slopes(rvs, dvs))

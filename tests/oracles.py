@@ -596,6 +596,21 @@ def slope_oracle(rank, degree):
     return Fraction(degree) / Fraction(rank)
 
 
+def additivity_oracle(lattice, rank, degree):
+    """Every chain triple x < y < z of ``lattice`` on which the table
+    ``rank`` or ``degree``, keyed by index pairs, is not additive, as
+    ``(table, x, y, z)`` with labels: the literal loop over all triples."""
+    names = lattice.names
+    n = len(names)
+    failures = set()
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if lattice.lt(x, y) and lattice.lt(y, z):
+            for table, values in (("rank", rank), ("degree", degree)):
+                if values[(x, z)] != values[(x, y)] + values[(y, z)]:
+                    failures.add((table, names[x], names[y], names[z]))
+    return failures
+
+
 def exact_ranks_oracle(values):
     """The rank of each extended rational among the distinct values of the
     list, by one exact sort of that set (Fractions and the float infinities

@@ -447,6 +447,43 @@ def test_cli_dm_mixed_labels(tmp_path):
     assert payload["embedding"] == {"1": ["a", 1], "a": ["a"], "x": ["a", 1, "x"]}
 
 
+def test_cli_potentials_over_integer_labels(tmp_path, capsys):
+    # JSON keys are strings: the potentials of labels 0, 1, 2 are keyed
+    # "0", "1", "2", and a key that is really missing is still an input error.
+    # The hn and jh summaries print integer labels.
+    doc = {
+        "schema_version": 1, "kind": "game",
+        "lattice": {"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]},
+        "payoff": {"source": "potentials",
+                   "rank": {"0": "0", "1": "1", "2": "3"},
+                   "degree": {"0": "0", "1": "2", "2": "1"}},
+    }
+    g = parse_game(json.dumps(doc))
+    assert g.payoff == {(0, 1): 2, (0, 2): Fraction(1, 3), (1, 2): Fraction(-1, 2)}
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(doc))
+    for command in ("check", "hn"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--input", str(src), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "hn: 0 < 1 < 2 valid=True"
+    # jh needs a semistable game: the flat one on the same chain.
+    entries = [
+        {"lo": lo, "hi": hi, "value": "1"} for lo, hi in ((0, 1), (0, 2), (1, 2))
+    ]
+    flat = dict(doc, values={"kind": "extended_rational"},
+                payoff={"source": "table", "entries": entries})
+    src.write_text(json.dumps(flat))
+    assert main(["jh", "--input", str(src), "--output", str(tmp_path / "jh.json")]) == 0
+    assert capsys.readouterr().err == "jh: 2 > 1 > 0 valid=True\n"
+    del doc["payoff"]["rank"]["2"]
+    src.write_text(json.dumps(doc))
+    code = main(["check", "--input", str(src), "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: rank misses element 2 (field payoff.rank)\n"
+    )
+
+
 def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys):
     src = tmp_path / "deep.json"
     src.write_text("[" * 200000 + "]" * 200000)

@@ -1,11 +1,13 @@
 """Checks on the repository around the library: the README code runs as
-printed and its layout names every module, and the test oracles stay
-independent of the production code."""
+printed and its layout names every module, the library imports nothing
+beyond the standard library, and the test oracles stay independent of the
+production code."""
 
 import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,20 @@ def test_readme_layout_names_every_module():
     named = set(re.findall(r"\w+\.py\b", layout.group(1)))
     modules = {p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}
     assert modules - named == set()
+
+
+def test_package_imports_only_stdlib_and_itself():
+    # Runtime dependencies stay []: every absolute import is of the standard
+    # library or of hngame.
+    outside = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            outside |= top - sys.stdlib_module_names - {"hngame"}
+    assert outside == set()

@@ -13,10 +13,20 @@ from hngame.errors import (
 from hngame.game import is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits, linear_extension
 from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
-from hngame.sweeps import random_lattice, random_potentials, random_quotient_game
+from hngame.sweeps import (
+    lattice_iso_classes,
+    random_lattice,
+    random_potentials,
+    random_quotient_game,
+)
 from hngame.values import POS_INF
 
-from oracles import exact_ranks_oracle, potential_payoff_oracle, slope_oracle
+from oracles import (
+    additivity_oracle,
+    exact_ranks_oracle,
+    potential_payoff_oracle,
+    slope_oracle,
+)
 
 
 def test_gmod_from_potentials():
@@ -71,6 +81,60 @@ def test_negative_rank_rejected():
     l = fixtures.c2()
     with pytest.raises(ValueError):
         RankDegreeData.from_tables(l, {(l.bot, l.top): -1}, {(l.bot, l.top): 1})
+
+
+def test_direct_construction_validates():
+    # The constructor itself refuses tables that from_tables refuses.
+    l = fixtures.c3()
+    pairs = l.strict_pairs()
+    with pytest.raises(HNGameError):
+        RankDegreeData(l, {p: -1 for p in pairs}, dict(zip(pairs, (1, 2, 3))))
+    with pytest.raises(NegativeRank):
+        RankDegreeData(l, dict(zip(pairs, (-1, -2, -1))), dict(zip(pairs, (1, 2, 1))))
+
+
+def _table_cases(rng):
+    """Tables on every lattice class with 2 to 6 elements and on random
+    lattices with 7 to 13: potential differences as they are, with one rank
+    or degree entry moved by 1, with one negative rank entry, and with either
+    table negated, which stays additive."""
+    lattices = list(lattice_iso_classes(6))
+    lattices += [random_lattice(rng, rng.randint(7, 13)) for _ in range(30)]
+    for lattice in lattices:
+        base = random_potentials(rng, lattice, flat_chance=0.3).tables(lattice)
+        rank, degree, pairs = base.rank, base.degree, lattice.strict_pairs()
+        pair, step = rng.choice(pairs), rng.choice((1, -1))
+        yield lattice, rank, degree
+        yield lattice, {**rank, pair: rank[pair] + step}, degree
+        yield lattice, rank, {**degree, pair: degree[pair] + step}
+        yield lattice, {**rank, rng.choice(pairs): Fraction(-1)}, degree
+        yield lattice, {p: -r for p, r in rank.items()}, degree
+        yield lattice, rank, {p: -d for p, d in degree.items()}
+
+
+def test_tables_accepted_exactly_as_by_the_triple_loop():
+    # from_tables accepts what is additive on every chain triple and keeps
+    # the sign rules; a refusal for additivity names a triple that fails.
+    outcomes = set()
+    for lattice, rank, degree in _table_cases(random.Random(18)):
+        failures = additivity_oracle(lattice, rank, degree)
+        signs_hold = all(r > 0 or r == 0 < degree[p] for p, r in rank.items())
+        try:
+            data = RankDegreeData.from_tables(lattice, rank, degree)
+        except AdditivityViolation as exc:
+            assert (exc.table, *exc.triple) in failures
+            outcomes.add(AdditivityViolation)
+        except (NegativeRank, ZeroRankNonpositiveDegree) as exc:
+            assert not failures and not signs_hold
+            outcomes.add(type(exc))
+        else:
+            assert not failures and signs_hold
+            payoff = {p: slope_oracle(rank[p], degree[p]) for p in rank}
+            assert quotient_payoff(lattice, data).payoff == payoff
+            outcomes.add(None)
+    assert outcomes == {
+        None, AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
+    }
 
 
 def test_potentials_must_be_order_preserving():
