@@ -6,9 +6,10 @@ its order, and the payoff N1 < N2 |-> Ass(N2/N1) over the Lex'-ordered
 finite subsets of primes is a game whose canonical filtration is the unique
 coprimary filtration.
 
-Subgroups are bitmasks over element indices.  They are enumerated by closing
-the trivial subgroup under joins with the cyclic subgroups <x>, through one
-index addition table per group.  Ass(N2/N1) is read from the index: by
+Subgroups are bitmasks over element indices.  They are enumerated upward
+from the trivial subgroup by their covers, the subgroups one prime index
+above, through one index addition table per group, and the inclusion order
+is closed from those covers.  Ass(N2/N1) is read from the index: by
 Cauchy's theorem the primes of the quotient's element orders are exactly the
 primes dividing |N2|/|N1|.  The explicit quotient N2/N1, built from cosets,
 and the element-order computation of Ass are the test references for that
@@ -19,17 +20,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .errors import TooLarge
 from .filtration import canonical_hn_filtration
 from .game import Game
 from .order import (
     BoundedLattice,
-    FinitePoset,
     _iter_bits,
     as_bounded_lattice,
+    build_poset,
     iter_chains,
 )
 from .values import PrimeFinsets
@@ -108,60 +111,64 @@ def _addition_table(group):
 
 def _subgroup_masks(group):
     """Every subgroup as a bitmask over element indices, sorted by (order,
-    sorted element indices).
+    sorted element indices), and the cover pairs (i, j) between them.
 
-    {0} is closed under H v <x>, one distinct cyclic subgroup <x> at a time,
-    skipping those already inside H.  Every subgroup is a join of cyclic
-    subgroups, so every one is reached.  A join walks the cosets H + kx until
-    kx lies in H, so it costs |H v <x>| table lookups.
+    K covers H exactly when K/H has prime order p, so K is H + <x> for any x
+    outside H with p x in H: the preimage of H under x -> p x, a union of
+    fiber masks.  For each H, in breadth-first order from {0}, a cover is
+    built from the lowest such x as the union of the cosets H + kx, k < p,
+    and its elements leave the candidates, so each cover is built once, at
+    |K| table lookups.  Composition series reach every subgroup.
     """
     table = _addition_table(group)
+    n = len(table)
+    fibers = []
+    for p in _prime_factors(n):
+        px = list(range(n))
+        for _ in range(p - 1):
+            px = [row[k] for row, k in zip(table, px)]
+        fiber = [0] * n
+        for x, y in enumerate(px):
+            fiber[y] |= 1 << x
+        fibers.append(fiber)
     zero = group.elements.index(group.zero)
-    cyclic = {}
-    for x in range(len(table)):
-        mask, kx = 1 << zero, x
-        while kx != zero:
-            mask |= 1 << kx
-            kx = table[kx][x]
-        cyclic.setdefault(mask, x)
     members = {1 << zero: [zero]}
-    frontier = [1 << zero]
-    while frontier:
-        h = frontier.pop()
+    queue, edges = [1 << zero], []
+    for h in queue:
         inside = members[h]
-        for c, x in cyclic.items():
-            if not c & ~h:
-                continue
-            joined, kx = h, x
-            while not h >> kx & 1:
-                coset = table[kx]
-                for e in inside:
-                    joined |= 1 << coset[e]
-                kx = coset[x]
-            if joined not in members:
-                members[joined] = list(_iter_bits(joined))
-                frontier.append(joined)
-    return sorted(members, key=lambda m: (len(members[m]), members[m]))
+        for fiber in fibers:
+            rest = reduce(or_, map(fiber.__getitem__, inside)) & ~h
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                k, kx = h, x
+                while not h >> kx & 1:
+                    coset = table[kx]
+                    for e in inside:
+                        k |= 1 << coset[e]
+                    kx = coset[x]
+                rest &= ~k
+                if k not in members:
+                    members[k] = list(_iter_bits(k))
+                    queue.append(k)
+                edges.append((h, k))
+    masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
+    position = {m: i for i, m in enumerate(masks)}
+    return masks, [(position[h], position[k]) for h, k in edges]
 
 
-def _subgroup_labels(group, subgroups):
-    by_order = {}
-    for s in subgroups:
-        by_order.setdefault(len(s), []).append(s)
-    labels = []
-    for s in subgroups:
-        if len(s) == 1:
-            labels.append("0")
-        elif len(s) == group.order:
-            labels.append("G")
+def _subgroup_labels(group, orders):
+    """"0", "G", and H<order> for the rest, with a suffix a, b, ... (then
+    _26, _27, ...) counting the peers of one order in sorted order."""
+    peers, seen, labels = Counter(orders), Counter(), []
+    for k in orders:
+        if k == 1 or k == group.order:
+            labels.append("0" if k == 1 else "G")
+        elif peers[k] == 1:
+            labels.append(f"H{k}")
         else:
-            peers = by_order[len(s)]
-            if len(peers) == 1:
-                labels.append(f"H{len(s)}")
-            else:
-                k = peers.index(s)
-                suffix = "abcdefghijklmnopqrstuvwxyz"[k] if k < 26 else f"_{k}"
-                labels.append(f"H{len(s)}{suffix}")
+            i, seen[k] = seen[k], seen[k] + 1
+            suffix = "abcdefghijklmnopqrstuvwxyz"[i] if i < 26 else f"_{i}"
+            labels.append(f"H{k}{suffix}")
     return tuple(labels)
 
 
@@ -172,10 +179,10 @@ class SubgroupLattice:
     ``subgroups`` holds each subgroup as a frozenset of elements, sorted by
     order and then by sorted element indices; element ``i`` of ``lattice`` is
     ``subgroups[i]``.  Meet is intersection and join the generated subgroup
-    (subgroup lattices of abelian groups are modular).  The general
-    bounded-lattice construction verifies the inclusion order and reads both
-    tables off it, since the meet of H and K is the subgroup whose down-set
-    is the intersection of theirs, and dually for joins.
+    (subgroup lattices of abelian groups are modular).  The inclusion order
+    is closed from the covers; the general bounded-lattice construction
+    checks the lattice laws and reads the meet of H and K as the subgroup
+    whose down-set is the intersection of theirs, and dually for joins.
     """
 
     group: object
@@ -184,21 +191,14 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
-    """Enumerate every subgroup as a bitmask closed over the cyclic subgroups,
-    and assemble the inclusion lattice from mask inclusion."""
+    """Every subgroup as a bitmask with its covers, closed into a lattice."""
     TooLarge.check("group order", group.order, max_order)
-    masks = _subgroup_masks(group)
+    masks, covers = _subgroup_masks(group)
     elements = group.elements
     subgroups = tuple(frozenset(elements[k] for k in _iter_bits(m)) for m in masks)
-    labels = _subgroup_labels(group, subgroups)
-    n = len(masks)
-    # Sorted by order, so a subgroup can only lie inside itself or later ones.
-    up = tuple(
-        sum(1 << j for j in range(i, n) if not masks[i] & ~masks[j])
-        for i in range(n)
-    )
-    lattice = as_bounded_lattice(FinitePoset(labels, up))
-    return SubgroupLattice(group, subgroups, lattice)
+    labels = _subgroup_labels(group, list(map(len, subgroups)))
+    order = build_poset(labels, [(labels[i], labels[j]) for i, j in covers])
+    return SubgroupLattice(group, subgroups, as_bounded_lattice(order))
 
 
 def coprimary_game(group, sl=None):

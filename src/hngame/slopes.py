@@ -43,16 +43,14 @@ class RankDegreeData:
         return cls(lattice, rank, degree)
 
     def __post_init__(self):
-        names, data = self.lattice.names, self._potentials()
-        bot = names[self.lattice.bot]
-        for table, values, potential in (
-            ("degree", self.degree, data.degree_potential),
-            ("rank", self.rank, data.rank_potential),
-        ):
-            for x, y in self.lattice.strict_pairs():
-                if values[(x, y)] != potential[names[y]] - potential[names[x]]:
-                    raise AdditivityViolation(table, bot, names[x], names[y])
-        _scaled_increments(self.lattice, data)
+        _scaled_increments(self.lattice, self._potentials(), self)
+
+    @classmethod
+    def _trusted(cls, lattice, rank, degree):
+        """Tables made from validated potentials, taken over unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(lattice=lattice, rank=rank, degree=degree)
+        return self
 
     def _potentials(self):
         bot, names = self.lattice.bot, self.lattice.names
@@ -80,16 +78,20 @@ class PotentialData:
         pairs = lattice.strict_pairs()
         rank = {p: Fraction(rv, scale) for p, rv in zip(pairs, rvs)}
         degree = {p: Fraction(dv, scale) for p, dv in zip(pairs, dvs)}
-        return RankDegreeData(lattice, rank, degree)
+        return RankDegreeData._trusted(lattice, rank, degree)
 
 
-def _scaled_increments(lattice, data):
+def _scaled_increments(lattice, data, tables=None):
     """The potentials of ``data`` as ints, validated along the strict pairs.
 
     Returns ``(L, rvs, dvs)``: L is the least common denominator of every
     rank and degree potential, and for the k-th strict pair (x, y) of
     ``strict_pairs()``, ``rvs[k]`` = L (R(y) - R(x)) and ``dvs[k]`` =
-    L (D(y) - D(x)) are ints.  It raises :class:`NegativeRank` or
+    L (D(y) - D(x)) are ints.  Given the ``tables`` (a
+    :class:`RankDegreeData`) those potentials come from, every entry is
+    first compared with its increment by cross-multiplying, the degree table
+    first, and a mismatch raises :class:`AdditivityViolation` on the chain
+    bot < x < y.  Then it raises :class:`NegativeRank` or
     :class:`ZeroRankNonpositiveDegree` at the first pair whose rank is
     negative, or zero with a nonpositive degree.
     """
@@ -104,6 +106,14 @@ def _scaled_increments(lattice, data):
     hi = list(map(itemgetter(1), pairs))
     rvs = list(map(sub, map(ri.__getitem__, hi), map(ri.__getitem__, lo)))
     dvs = list(map(sub, map(di.__getitem__, hi), map(di.__getitem__, lo)))
+    if tables is not None:
+        bot = names[lattice.bot]
+        for table, vs in (("degree", dvs), ("rank", rvs)):
+            entries = getattr(tables, table)
+            for (x, y), v in zip(pairs, vs):
+                num, den = entries[(x, y)].as_integer_ratio()
+                if num * scale != v * den:
+                    raise AdditivityViolation(table, bot, names[x], names[y])
     if min(rvs) < 0 or min(compress(dvs, map(not_, rvs)), default=1) <= 0:
         for (x, y), rv, dv in zip(pairs, rvs, dvs):
             if rv < 0:

@@ -707,6 +707,14 @@ def all_subgroups_oracle(group):
     return sorted(seen, key=lambda s: (len(s), sorted(index[e] for e in s)))
 
 
+def inclusion_order_oracle(subgroups):
+    """Up-set masks of the subgroups under inclusion, testing every pair of
+    element sets."""
+    return tuple(
+        sum(1 << j for j, k in enumerate(subgroups) if h <= k) for h in subgroups
+    )
+
+
 def zm_zn_subgroup_count(m, n):
     """Subgroups of Z/m x Z/n: the sum of gcd(a, b) over a | m and b | n
     (Hampejs, Holighaus, Toth and Wiesmeyr, arXiv:1211.1797)."""

@@ -44,7 +44,9 @@ is_stable, is_slope_like and has_nash_equilibrium:
   top, meet and join of each lattice, for the divisor lattices D(m) of a
   few m, chains, random lattices and random posets, the lattice classes
   with 2 to 6 elements, the interval lattices of D(360), the subgroup
-  lattices of the ``groups`` games, and the dual of each.
+  lattices of the ``groups`` games and of seven groups with primes above 3,
+  rank 4 or more, or many subgroups ((Z/3)^4, (Z/5)^3, (Z/7)^2, (Z/13)^2,
+  Z/199, Z/4 x Z/4 x Z/12 and (Z/2)^6), and the dual of each.
 
 - lattices: names, up-sets, bot and top of every lattice class with 2 to 7
   elements, in the order ``lattice_iso_classes`` lists them.
@@ -201,6 +203,9 @@ def slope_like_games():
                 yield Game(lattice, g.values, payoff)
 
 
+EXTRA_GROUPS = ((3,) * 4, (5,) * 3, (7,) * 2, (13,) * 2, (199,), (4, 4, 12), (2,) * 6)
+
+
 def structures():
     rng = random.Random(3)
     d360 = divisor_lattice(360)
@@ -213,7 +218,8 @@ def structures():
     )
     yield from lattice_iso_classes(6)
     yield from (Interval(d360, *pair).as_lattice() for pair in d360.strict_pairs())
-    yield from (subgroup_lattice(group).lattice for group in benchmark_groups())
+    groups = benchmark_groups() + [FiniteAbelianGroup(f) for f in EXTRA_GROUPS]
+    yield from (subgroup_lattice(group).lattice for group in groups)
 
 
 def feed_structure(h, p):

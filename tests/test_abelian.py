@@ -3,6 +3,7 @@ import pytest
 from hngame.abelian import (
     FiniteAbelianGroup,
     _addition_table,
+    _subgroup_masks,
     coprimary_filtration,
     coprimary_game,
     enumerate_coprimary_filtrations,
@@ -20,6 +21,7 @@ from oracles import (
     associated_primes,
     divisors,
     elementary_abelian_subgroup_count,
+    inclusion_order_oracle,
     lattice_tables_oracle,
     prime_divisors,
     quotient,
@@ -132,6 +134,27 @@ def test_subgroup_counts_elementary_abelian_2_groups():
     for k in range(1, 6):
         sl = subgroup_lattice(FiniteAbelianGroup([2] * k))
         assert len(sl.subgroups) == counts[k]
+
+
+def test_subgroup_covers_close_to_inclusion_order():
+    # The recorded covers are exactly the lattice's covers, each of prime
+    # index, and their closure is the inclusion order.
+    counts = {
+        (p,) * k: elementary_abelian_subgroup_count(p, k)
+        for p, k in ((2, 5), (3, 4), (5, 3), (7, 2), (199, 1))
+    }
+    groups = iter_invariant_factor_groups(64, 3)
+    groups += [FiniteAbelianGroup(orders) for orders in counts]
+    assert len(groups) == 113
+    for group in groups:
+        _, covers = _subgroup_masks(group)
+        sl = subgroup_lattice(group)
+        assert sl.lattice.up == inclusion_order_oracle(sl.subgroups), group
+        assert sorted(covers) == sl.lattice.covers(), group
+        orders = list(map(len, sl.subgroups))
+        for i, j in covers:
+            assert prime_divisors(orders[j] // orders[i]) == {orders[j] // orders[i]}
+        assert counts.get(group.cyclic_orders, len(orders)) == len(orders), group
 
 
 def test_subgroup_lattice_guard():
