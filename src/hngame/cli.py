@@ -78,8 +78,10 @@ def _write_report(args, payload):
     _write_output(args, hio.emit_report(payload))
 
 
-def _load_game(args):
-    kind, obj, name = hio.parse_document(_read_input(args))
+def _load_game(args, max_order=MAX_GROUP_ORDER):
+    """The game of the input document; ``max_order`` guards the group of an
+    ``abelian_group`` document."""
+    kind, obj, name = hio.parse_document(_read_input(args), max_order=max_order)
     if kind != "game":
         raise HNGameError("this command needs a game document")
     return obj, name
@@ -90,7 +92,7 @@ def _enc(game, v):
 
 
 def cmd_check(args):
-    game, name = _load_game(args)
+    game, name = _load_game(args, args.max_size)
     bot, top = game.lattice.bot, game.lattice.top
     payload = {
         "command": "check",
@@ -135,7 +137,7 @@ def cmd_check(args):
 
 
 def cmd_hn(args):
-    game, name = _load_game(args)
+    game, name = _load_game(args, args.max_size)
     report = canonical_hn_filtration(game)
     labels = report.filtration.labels(game.lattice)
     payload = {
@@ -327,6 +329,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # The commands with a size guard, and the guard each one defaults to.
     guards = {
+        "check": MAX_GROUP_ORDER,
+        "hn": MAX_GROUP_ORDER,
         "hn-enumerate": MAX_ENUMERATION_ELEMENTS,
         "jh": MAX_ENUMERATION_ELEMENTS,
         "dm": MAX_COMPLETION_ELEMENTS,

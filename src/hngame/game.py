@@ -51,6 +51,15 @@ by element instead, and only a line used again is sorted, so the many games
 that fail at once pay for no sorting.  A non-total code order checks the
 four disjunctions element by element.
 
+The convexity check, :func:`_convexity`, reads the codes off a dense
+n x n matrix built for the call, holding the code of each strict pair at
+both of its positions, so that for an element x the two sides of the
+inequality over every y are one gather from row x through ``meet[x]`` and
+one from the rows through ``join[x]``.  One pass gives both verdicts,
+convex and affine, cached on the game like the slope-like one, so
+``check`` and the canonical filtration share it.  No convexity state is
+kept on the lattice.
+
 Values are built only where they are handed out.  Every game builds its
 payoff dict on the first read of ``payoff``, and :meth:`Game.mu` decodes
 the one code it reads.  :meth:`Game.tables` computes the four series, and
@@ -62,10 +71,9 @@ value handed out are values, not codes.
 from __future__ import annotations
 
 import operator
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate
 
 from .errors import (
     NotAChain,
@@ -96,7 +104,7 @@ class Game:
 
     __slots__ = (
         "lattice", "values", "_payoff", "_codes", "_series", "_tables",
-        "_slope_like", "__weakref__",
+        "_slope_like", "_convexity", "__weakref__",
     )
 
     def __init__(self, lattice, values, payoff):
@@ -178,6 +186,7 @@ def _set_fields(g, lattice, values, codes):
     g._series = [None] * 4
     g._tables = None
     g._slope_like = None
+    g._convexity = None
 
 
 class MuTables:
@@ -460,47 +469,70 @@ def _dual_ids(lattice):
 
 
 def is_convex(g):
-    """Whether mu(x ^ y, x) <= mu(y, x v y) whenever x is not below y."""
-    return _convexity(g, require_equal=False)
+    """Whether mu(x ^ y, x) <= mu(y, x v y) whenever x is not below y.
+
+    Both convexity verdicts come from one pass, :func:`_convexity`, cached
+    on the game: a later :func:`is_convex` or :func:`is_affine` of the same
+    game reads the cache.
+    """
+    return _convexity(g)[0]
 
 
 def is_affine(g):
-    """Whether mu(x ^ y, x) == mu(y, x v y) whenever x is not below y."""
-    return _convexity(g, require_equal=True)
+    """Whether mu(x ^ y, x) == mu(y, x v y) whenever x is not below y.
 
-
-def _convexity(g, require_equal):
-    left, right = _convexity_ids(g.lattice)
-    code = g._codes[0].__getitem__
-    holds = operator.eq if require_equal else g.values.code_order.le
-    return all(map(holds, map(code, left), map(code, right)))
-
-
-def _convexity_ids(lattice):
-    """The pair ids of (x ^ y, x) and of (y, x v y) over all incomparable
-    x, y, as two int arrays; cached on the lattice.
-
-    A row x with incomparable elements is read for every y in C loops: a
-    non-strict pair reads as -1, so on comparable x, y both ids are -1
-    (x <= y) or both are the id of (y, x) (y < x), and only the incomparable
-    ones have different ids.
+    Computed and cached with :func:`is_convex`.
     """
-    cached = lattice._cache.get("convexity")
-    if cached is None:
-        pid = _pair_ids(lattice)
-        up, down, full = lattice.up, lattice.down, lattice.full_mask
-        cached = left, right = array("i"), array("i")
-        for x in lattice.elements():
-            if up[x] | down[x] == full:
+    return _convexity(g)[1]
+
+
+def _convexity(g):
+    """``(convex, affine)`` for g, from one pass on first use, cached on the
+    game.
+
+    The pass builds a dense n x n code matrix for the call: the code of a
+    strict pair x < y sits at both [x][y] and [y][x], and every other entry
+    holds one code of g.  Row x holds mu(x ^ y, x) at column x ^ y, and row
+    y holds mu(y, x v y) at column x v y.  On comparable x, y both sides
+    read one entry, (x, x) and (y, y) when x <= y, (y, x) when y < x, so
+    they pass with no filtering.  A lattice with no incomparable pair
+    builds no matrix.
+
+    For each x with an incomparable element, the two sides over all y are
+    compared as lists while they are equal.  From the first unequal x on
+    the game is not affine, and ``code_order.le`` checks convexity on that
+    x and the rest.
+    """
+    verdict = g._convexity
+    if verdict is None:
+        verdict = g._convexity = _scan_convexity(g)
+    return verdict
+
+
+def _scan_convexity(g):
+    l = g.lattice
+    up, down, full = l.up, l.down, l.full_mask
+    split = [x for x in l.elements() if up[x] | down[x] != full]
+    if not split:
+        return True, True
+    codes = g._codes[0]
+    fill = codes[0]
+    n = l.n
+    rows = [[fill] * n for _ in range(n)]
+    for (x, y), c in zip(l.strict_pairs(), codes):
+        rows[x][y] = rows[y][x] = c
+    le = g.values.code_order.le
+    affine = True
+    for x in split:
+        left = list(map(rows[x].__getitem__, l.meet[x]))
+        right = list(map(list.__getitem__, rows, l.join[x]))
+        if affine:
+            if left == right:
                 continue
-            meets = map(pid.__getitem__, lattice.meet[x])
-            lrow = list(map(dict.get, meets, repeat(x), repeat(-1)))
-            rrow = list(map(dict.get, pid, lattice.join[x], repeat(-1)))
-            keep = list(map(operator.ne, lrow, rrow))
-            left.extend(compress(lrow, keep))
-            right.extend(compress(rrow, keep))
-        lattice._cache["convexity"] = cached
-    return cached
+            affine = False
+        if not all(map(le, left, right)):
+            return False, False
+    return True, affine
 
 
 def _interval_row_scan(g, lo, hi, beats):

@@ -12,7 +12,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .abelian import FiniteAbelianGroup, coprimary_game
+from .abelian import (
+    MAX_GROUP_ORDER,
+    FiniteAbelianGroup,
+    coprimary_game,
+    subgroup_lattice,
+)
 from .errors import HNGameError, SchemaError
 from .game import Game
 from .order import as_bounded_lattice, build_poset
@@ -191,8 +196,13 @@ def _load_payoff_table(lattice, values, entries, where):
     return payoff
 
 
-def parse_document(text):
-    """Parse a document; returns ('game', Game, name) or ('poset', poset, name)."""
+def parse_document(text, max_order=MAX_GROUP_ORDER):
+    """Parse a document; returns ('game', Game, name) or ('poset', poset, name).
+
+    ``max_order`` is the size guard on the group of an ``abelian_group``
+    game, passed to :func:`~hngame.abelian.subgroup_lattice`; other
+    documents do not read it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -228,7 +238,9 @@ def parse_document(text):
             raise SchemaError(
                 "cyclic orders must be integers >= 2", field="payoff.cyclic_orders"
             )
-        return "game", coprimary_game(FiniteAbelianGroup(orders)), name
+        group = FiniteAbelianGroup(orders)
+        sl = subgroup_lattice(group, max_order=max_order)
+        return "game", coprimary_game(group, sl), name
 
     lattice = as_bounded_lattice(
         _load_order_section(_require(doc, "lattice", dict, "document"), "lattice")

@@ -48,7 +48,12 @@ from hngame.game import (
 from hngame.jordan_holder import enumerate_jh_filtrations
 from hngame.order import Interval, as_bounded_lattice, build_poset
 from hngame.slopes import quotient_payoff
-from hngame.sweeps import iter_payoff_tables, lattice_iso_classes, random_potentials
+from hngame.sweeps import (
+    iter_payoff_tables,
+    lattice_iso_classes,
+    random_lattice,
+    random_potentials,
+)
 from hngame.values import (
     INT_ORDER,
     NEG_INF,
@@ -843,3 +848,152 @@ def test_restrict_potentials_game_slices_codes():
             assert sub.payoff == ref.payoff
             assert is_slope_like(sub) and is_slope_like(dual(sub))
         assert g._payoff is None
+
+
+def _shuffled_lattice(rng, n):
+    """A random n-element lattice whose elements are listed in a shuffled
+    order, so that index order is not a linear extension of it."""
+    base = random_lattice(rng, n)
+    names = list(base.names)
+    rng.shuffle(names)
+    relation = [(base.names[i], base.names[j]) for i, j in base.strict_pairs()]
+    return as_bounded_lattice(build_poset(names, relation))
+
+
+# Value kinds for the convexity kernel: a constant value, a pool to draw
+# payoffs from, and bumps to set on a few pairs of a constant game.
+CONVEXITY_KINDS = {
+    "rationals": lambda: (
+        ExtendedRationals(), Fraction(0),
+        [NEG_INF, Fraction(-1), Fraction(0), Fraction(1, 2), POS_INF],
+        [NEG_INF, Fraction(1), POS_INF],
+    ),
+    "n5_values": lambda: (
+        FiniteLatticeValues(fixtures.n5()), "a",
+        ["bot", "a", "b", "c", "top"], ["bot", "b", "c"],
+    ),
+    "m3_values": lambda: (
+        FiniteLatticeValues(fixtures.m3()), "x",
+        ["bot", "x", "y", "z", "top"], ["bot", "y", "top"],
+    ),
+}
+
+
+def _assert_convexity_matches_oracle(g):
+    expect = (
+        convexity_oracle(g, require_equal=False),
+        convexity_oracle(g, require_equal=True),
+    )
+    assert (is_convex(g), is_affine(g)) == expect
+    return expect
+
+
+@pytest.mark.parametrize("kind", sorted(CONVEXITY_KINDS))
+def test_convexity_matches_oracle_on_shuffled_random_lattices(kind):
+    # Random lattices of 7 to 13 elements in shuffled index order; payoffs
+    # drawn from the pool, and constant games with one or two pairs bumped,
+    # so that convex, affine and failing games all occur.  Each game and its
+    # dual, whose code order is reversed, get their own verdicts.
+    values, const, pool, bumps = CONVEXITY_KINDS[kind]()
+    rng = random.Random(f"convexity-{kind}")
+    seen = set()
+    unordered = 0
+    for _ in range(24):
+        l = _shuffled_lattice(rng, rng.randint(7, 13))
+        pairs = l.strict_pairs()
+        unordered += any(i > j for i, j in pairs)
+        games = [{p: rng.choice(pool) for p in pairs} for _ in range(4)]
+        for _ in range(8):
+            payoff = dict.fromkeys(pairs, const)
+            for p in rng.sample(pairs, rng.randint(1, 2)):
+                payoff[p] = rng.choice(bumps)
+            games.append(payoff)
+        for payoff in games:
+            g = Game(l, values, payoff)
+            for h in (g, dual(g)):
+                seen.add(_assert_convexity_matches_oracle(h))
+    assert unordered > 0
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def _row_outcomes(g):
+    """For each x with an incomparable element, in index order: whether
+    mu(x ^ y, x) == mu(y, x v y) for every y, and whether <= holds for every
+    y, by the oracle value order."""
+    l = g.lattice
+    leq = value_order_oracle(g.values).leq
+    rows = []
+    for x in l.elements():
+        sides = [
+            (g.payoff[(l.meet[x][y], x)], g.payoff[(y, l.join[x][y])])
+            for y in l.elements()
+            if not l.le(x, y) and not l.le(y, x)
+        ]
+        if sides:
+            rows.append((
+                all(a == b for a, b in sides),
+                all(leq(a, b) for a, b in sides),
+            ))
+    return rows
+
+
+def test_convexity_verdicts_past_the_first_unequal_row():
+    # Constant games on B2, B3, N5 and M3 with one or two pairs bumped to
+    # -inf or +inf.  The kernel compares rows as lists until the first
+    # unequal one and checks <= from there on, so among these games there
+    # must be convex, non-affine ones whose first unequal row is not the
+    # last, and games whose only failing row is the last one, after an
+    # earlier unequal row that holds.
+    found = set()
+    for l in (fixtures.b2(), fixtures.b3(), fixtures.n5(), fixtures.m3()):
+        pairs = l.strict_pairs()
+        bumped = [(p,) for p in pairs] + [
+            (p, q) for i, p in enumerate(pairs) for q in pairs[i + 1:]
+        ]
+        for ps in bumped:
+            for bump in (NEG_INF, POS_INF):
+                payoff = dict.fromkeys(pairs, Fraction(0))
+                payoff.update(dict.fromkeys(ps, bump))
+                g = Game(l, ExtendedRationals(), payoff)
+                convex, affine = _assert_convexity_matches_oracle(g)
+                rows = _row_outcomes(g)
+                equal = [eq for eq, _ in rows]
+                holds = [le for _, le in rows]
+                if convex and not affine and equal.index(False) < len(rows) - 1:
+                    found.add("convex past the first unequal row")
+                if (
+                    holds[-1] is False and all(holds[:-1])
+                    and not all(equal[:-1])
+                ):
+                    found.add("fails on the last row only")
+    assert found == {
+        "convex past the first unequal row", "fails on the last row only",
+    }
+
+
+def test_convexity_verdicts_are_cached_per_game(monkeypatch):
+    # One pass gives both verdicts, cached on the game; a dual and a
+    # restriction are new games and run their own pass.  The pass leaves
+    # nothing on the lattice.
+    passes = []
+    scan = hgame._scan_convexity
+    monkeypatch.setattr(
+        hgame, "_scan_convexity", lambda g: passes.append(g) or scan(g)
+    )
+    l = fixtures.b3()
+    g = fixtures.constant_game(l)
+    cached = set(l._cache)
+    expect = _assert_convexity_matches_oracle(g)
+    assert set(l._cache) == cached
+    assert is_affine(g) == expect[1] and is_convex(g) == expect[0]
+    canonical_hn_filtration(g)
+    assert passes == [g]
+    d = dual(g)
+    sub = restrict(g, Interval(l, l.index("x"), l.top))
+    for h in (d, sub):
+        cached = set(h.lattice._cache)
+        assert is_affine(h) == convexity_oracle(h, require_equal=True)
+        assert is_convex(h) == convexity_oracle(h, require_equal=False)
+        assert set(h.lattice._cache) == cached
+    assert passes == [g, d, sub]
+    assert not any("convex" in key for key in (*l._cache, *l.dual()._cache))

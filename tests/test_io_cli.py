@@ -376,6 +376,34 @@ def test_cli_size_guard_message_names_no_parameter(tmp_path, capsys, argv):
     assert "max_order" not in err and "max_elements" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "hn"])
+def test_cli_group_guard_of_abelian_group_documents(tmp_path, capsys, command):
+    # check and hn take coprimary's --max-size, the order guard of the
+    # group an abelian_group document names; other documents ignore it.
+    doc = tmp_path / "z16xz16.json"
+    doc.write_text(json.dumps({
+        "schema_version": 1, "kind": "game", "name": "z16xz16",
+        "payoff": {"source": "abelian_group", "cyclic_orders": [16, 16]},
+    }))
+    out = tmp_path / "r.json"
+    argv = [command, "--input", str(doc), "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: group order is 256, over the size guard 200\n"
+    assert main(argv + ["--max-size", "256"]) == 0
+    assert json.loads(out.read_text())["name"] == "z16xz16"
+    z12 = [command, "--input", str(REPO / "fixtures" / "z12.json"),
+           "--output", str(out)]
+    assert main(z12 + ["--max-size", "11"]) == 2
+    capsys.readouterr()
+    gmod = [command, "--input", str(REPO / "fixtures" / "gmod.json"),
+            "--output", str(out)]
+    assert main(gmod) == 0
+    expect = out.read_bytes()
+    assert main(gmod + ["--max-size", "1"]) == 0
+    assert out.read_bytes() == expect
+
+
 def test_cli_jh_on_constant_game(tmp_path):
     out = tmp_path / "r.json"
     code = main(["jh", "--input", str(REPO / "fixtures" / "const_b2.json"),
