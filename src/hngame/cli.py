@@ -126,13 +126,8 @@ def cmd_check(args):
     else:
         payload["nash_tfae"] = None
     _write_report(args, payload)
-    preds = payload["predicates"]
-    print(
-        "check: "
-        + ", ".join(k for k, v in preds.items() if v)
-        + (" (none hold)" if not any(preds.values()) else ""),
-        file=sys.stderr,
-    )
+    held = [k for k, v in payload["predicates"].items() if v]
+    print(f"check: {', '.join(held) or '(none hold)'}", file=sys.stderr)
     return OK
 
 

@@ -58,7 +58,11 @@ inequality over every y are one gather from row x through ``meet[x]`` and
 one from the rows through ``join[x]``.  One pass gives both verdicts,
 convex and affine, cached on the game like the slope-like one, so
 ``check`` and the canonical filtration share it.  No convexity state is
-kept on the lattice.
+kept on the lattice.  A lattice with no incomparable pair, or a payoff
+with one value, passes both at once: each inequality then compares a code
+with itself.  So the coprimary game of a p-group, where every quotient has
+the one associated prime p, never reads the meet/join tables, which its
+subgroup lattice builds only on first read.
 
 Values are built only where they are handed out.  Every game builds its
 payoff dict on the first read of ``payoff``, and :meth:`Game.mu` decodes
@@ -495,8 +499,11 @@ def _convexity(g):
     holds one code of g.  Row x holds mu(x ^ y, x) at column x ^ y, and row
     y holds mu(y, x v y) at column x v y.  On comparable x, y both sides
     read one entry, (x, x) and (y, y) when x <= y, (y, x) when y < x, so
-    they pass with no filtering.  A lattice with no incomparable pair
-    builds no matrix.
+    they pass with no filtering.  A lattice with no incomparable pair, or
+    a game whose codes are all equal, builds no matrix and reads no
+    meet/join table: both sides of every inequality are one code.  The
+    codes are counted only when the first and the last agree, so a game
+    whose first and last codes differ pays nothing for the test.
 
     For each x with an incomparable element, the two sides over all y are
     compared as lists while they are equal.  From the first unequal x on
@@ -513,10 +520,10 @@ def _scan_convexity(g):
     l = g.lattice
     up, down, full = l.up, l.down, l.full_mask
     split = [x for x in l.elements() if up[x] | down[x] != full]
-    if not split:
-        return True, True
     codes = g._codes[0]
     fill = codes[0]
+    if not split or fill == codes[-1] and codes.count(fill) == len(codes):
+        return True, True
     n = l.n
     rows = [[fill] * n for _ in range(n)]
     for (x, y), c in zip(l.strict_pairs(), codes):

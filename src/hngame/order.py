@@ -12,6 +12,15 @@ generating pairs in one topological pass, its covers by peeling minimal
 elements off each up-set, a dual by swapping masks and tables, an interval
 lattice by slicing the ambient one.  Only the public :class:`FinitePoset`
 constructor and :func:`as_bounded_lattice` verify what they are given.
+
+The meet/join tables take n^2 entries.  :func:`as_bounded_lattice` builds
+them at once, since building them is how it checks the lattice laws; every
+document, fixture, sweep class, random lattice and completion goes through
+it.  A lattice that is one by construction, such as a subgroup lattice, is
+made by the :class:`BoundedLattice` constructor without tables and builds
+them on the first read of ``meet`` or ``join``; its dual and its interval
+lattices defer theirs too.  :func:`is_modular` reads covers and masks only,
+so a modularity check builds no tables.
 """
 
 from __future__ import annotations
@@ -269,21 +278,35 @@ class BoundedLattice(FinitePoset):
     meet/join tables.
 
     Use :func:`as_bounded_lattice` to build one from a poset with full
-    verification of the lattice laws; the constructor takes over the fields
-    of that poset without checking them again.  A dual or an interval
-    lattice is derived from a lattice already built and is not verified
-    again.  ``meet[i][j]`` / ``join[i][j]`` give element indices.
+    verification of the lattice laws.  The constructor takes over the
+    fields of a poset, its bounds and, when given, its tables without
+    checking any of them again.  Given no tables, it is for a poset that is
+    a lattice by construction: ``meet`` and ``join`` are then built by
+    :func:`_tables` on the first read of either, and are plain attributes
+    from then on.  A dual or an interval lattice is derived from a lattice
+    already built and is not verified again; it defers its tables when its
+    source has not built them, and a lattice and its dual share one build.
+    ``meet[i][j]`` / ``join[i][j]`` give element indices.
     """
 
-    __slots__ = ("bot", "top", "meet", "join", "_cache")
+    __slots__ = ("bot", "top", "meet", "join", "_cache", "_deferred")
 
-    def __init__(self, poset, bot, top, meet, join):
+    def __new__(cls, poset, bot, top, meet=None, join=None):
+        return object.__new__(_DeferredLattice if meet is None else BoundedLattice)
+
+    def __init__(self, poset, bot, top, meet=None, join=None):
         for field in FinitePoset.__slots__:
             setattr(self, field, getattr(poset, field))
         self.bot = bot
         self.top = top
-        self.meet = meet
-        self.join = join
+        if meet is None:
+            # [poset to build from, its (meet, join) once built], and whether
+            # this lattice reads the pair swapped, as a dual does.
+            self._deferred = ([poset, None], False)
+        else:
+            self.meet = meet
+            self.join = join
+            self._deferred = None
         self._cache = {}
 
     def sup(self, elems):
@@ -300,12 +323,18 @@ class BoundedLattice(FinitePoset):
         return acc
 
     def dual(self):
-        """Order-dual lattice: reversed order, bot/top and meet/join swapped."""
+        """Order-dual lattice: reversed order, bot/top and meet/join swapped.
+        The dual of a lattice with deferred tables shares their build."""
         cached = self._cache.get("dual")
         if cached is None:
-            cached = BoundedLattice(
-                super().dual(), self.top, self.bot, self.join, self.meet
-            )
+            if self._deferred is None:
+                cached = BoundedLattice(
+                    super().dual(), self.top, self.bot, self.join, self.meet
+                )
+            else:
+                cached = BoundedLattice(super().dual(), self.top, self.bot)
+                shared, flipped = self._deferred
+                cached._deferred = (shared, not flipped)
             self._cache["dual"] = cached
         return cached
 
@@ -339,15 +368,39 @@ class BoundedLattice(FinitePoset):
         )
 
 
+class _DeferredLattice(BoundedLattice):
+    """A :class:`BoundedLattice` whose meet/join tables are not built yet.
+
+    The first read of ``meet`` or ``join`` finds its slot unset and comes
+    to :meth:`__getattr__`, which fills both slots, from the build its dual
+    shares when there is one, and turns the lattice into a plain
+    :class:`BoundedLattice`.  The hook lives on this class alone because
+    CPython 3.11 does not specialize attribute reads on a class that
+    defines ``__getattr__``, which would slow every read of ``up``, ``n``
+    and the tables on every lattice.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "meet" and name != "join":
+            raise AttributeError(
+                f"'BoundedLattice' object has no attribute {name!r}"
+            )
+        shared, flipped = self._deferred
+        if shared[1] is None:
+            shared[1] = _tables(shared[0])
+            shared[0] = None
+        meet, join = shared[1]
+        self.meet, self.join = (join, meet) if flipped else (meet, join)
+        self._deferred = None
+        self.__class__ = BoundedLattice
+        return getattr(self, name)
+
+
 def as_bounded_lattice(p):
     """Verify that a poset is a nontrivial bounded lattice and equip it with
-    meet/join tables.
-
-    The common lower bounds of i and j are ``down[i] & down[j]``, and their
-    greatest lower bound is the element whose down-set is exactly that mask
-    (a lower bound's down-set already lies inside it).  So each meet is one
-    lookup in a map from down-set to element, each join one lookup in a map
-    from up-set to element, and the tables take O(n^2) lookups.
+    meet/join tables, built at once by :func:`_tables`.
 
     Raises :class:`NoBounds` if there is no global least or greatest element,
     :class:`NotALattice` naming the first pair without a glb or lub, and
@@ -362,7 +415,21 @@ def as_bounded_lattice(p):
     bot, top = bots[0], tops[0]
     if bot == top:
         raise TrivialLattice("least and greatest elements coincide")
+    return BoundedLattice(p, bot, top, *_tables(p))
 
+
+def _tables(p):
+    """The meet and join tables of a poset, as tuples of rows.
+
+    The common lower bounds of i and j are ``down[i] & down[j]``, and their
+    greatest lower bound is the element whose down-set is exactly that mask
+    (a lower bound's down-set already lies inside it).  So each meet is one
+    lookup in a map from down-set to element, each join one lookup in a map
+    from up-set to element, and the tables take O(n^2) lookups.  Raises
+    :class:`NotALattice` naming the first pair, row by row, without a glb
+    or lub.
+    """
+    n = p.n
     by_down = {mask: z for z, mask in enumerate(p.down)}
     by_up = {mask: z for z, mask in enumerate(p.up)}
     meet = [[0] * n for _ in range(n)]
@@ -377,21 +444,37 @@ def as_bounded_lattice(p):
                 raise NotALattice(p.names[i], p.names[j], "least upper bound")
             meet[i][j] = meet[j][i] = glb
             join[i][j] = join[j][i] = lub
-    return BoundedLattice(
-        p, bot, top, tuple(map(tuple, meet)), tuple(map(tuple, join))
-    )
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 def is_modular(l):
-    """Whether ``x <= z`` implies ``x v (y ^ z) == (x v y) ^ z`` for all triples."""
-    meet, join = l.meet, l.join
-    for x in range(l.n):
-        for z in _iter_bits(l.up[x]):
-            jx = join[x]
-            mz = meet[z]
-            for y in range(l.n):
-                if jx[mz[y]] != mz[jx[y]]:
-                    return False
+    """Whether l is modular, checked on covers.
+
+    A finite lattice is modular iff it is upper and lower semimodular
+    (Birkhoff, *Lattice Theory*, ch. II): whenever x != y both cover z,
+    x v y covers both x and y, and dually, whenever x != y are both covered
+    by z, both x and y cover x ^ y.  A join is the element whose up-set is
+    the intersection of the two up-sets, and a meet dually, so the check
+    reads masks and covers only and never builds the meet/join tables.  It
+    takes one pass over each pair of upper covers and each pair of lower
+    covers of every element.
+    """
+    n = l.n
+    above = [[] for _ in range(n)]
+    below = [[] for _ in range(n)]
+    for i, j in l.covers():
+        above[i].append(j)
+        below[j].append(i)
+    for masks, other, neighbours in ((l.up, l.down, above), (l.down, l.up, below)):
+        by_mask = {mask: z for z, mask in enumerate(masks)}
+        for near in neighbours:
+            for k, x in enumerate(near):
+                for y in near[k + 1:]:
+                    w = by_mask[masks[x] & masks[y]]
+                    if masks[x] & other[w] != 1 << x | 1 << w:
+                        return False
+                    if masks[y] & other[w] != 1 << y | 1 << w:
+                        return False
     return True
 
 
@@ -429,9 +512,11 @@ class Interval:
 
         The induced order and the meet/join tables are sliced from the
         ambient ones; no re-derivation or verification is needed because
-        intervals of lattices are lattices closed under both.  Everything
-        computed later on the result, such as its cover index, belongs to
-        the interval lattice itself.
+        intervals of lattices are lattices closed under both.  When the
+        ambient tables are deferred, the interval's are too, and are built
+        from its own order on first read.  Everything computed later on the
+        result, such as its cover index, belongs to the interval lattice
+        itself.
         """
         if self._as_lattice is not None:
             return self._as_lattice
@@ -448,14 +533,14 @@ class Interval:
 
         names = tuple(amb.names[e] for e in elems)
         poset = FinitePoset._trusted(names, induced(amb.up), induced(amb.down))
-        meet = tuple(
-            tuple(pos[amb.meet[a][b]] for b in elems) for a in elems
-        )
-        join = tuple(
-            tuple(pos[amb.join[a][b]] for b in elems) for a in elems
-        )
+        tables = ()
+        if amb._deferred is None:
+            tables = (
+                tuple(tuple(pos[amb.meet[a][b]] for b in elems) for a in elems),
+                tuple(tuple(pos[amb.join[a][b]] for b in elems) for a in elems),
+            )
         self._as_lattice = BoundedLattice(
-            poset, pos[self.lo], pos[self.hi], meet, join
+            poset, pos[self.lo], pos[self.hi], *tables
         )
         return self._as_lattice
 

@@ -458,6 +458,21 @@ def lattice_tables_oracle(p):
     return bots[0], tops[0], tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
+def modular_oracle(l):
+    """Modularity by its definition: x <= z implies
+    x v (y ^ z) == (x v y) ^ z, for every triple, read off the lattice's
+    meet/join tables."""
+    meet, join = l.meet, l.join
+    for x in range(l.n):
+        for z in range(l.n):
+            if not l.up[x] >> z & 1:
+                continue
+            for y in range(l.n):
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                    return False
+    return True
+
+
 def _triangular_posets(n):
     """All posets on indices 0..n-1 whose identity order is a linear
     extension (le[i][j] implies i <= j), as up-set tuples."""

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from hngame import order
 from hngame.abelian import (
     FiniteAbelianGroup,
     _addition_table,
@@ -13,7 +16,7 @@ from hngame.abelian import (
 from hngame.errors import TooLarge
 from hngame.filtration import validate_hn
 from hngame.game import interval_semistable, is_semistable
-from hngame.order import is_modular
+from hngame.order import BoundedLattice, Interval, is_modular
 
 from oracles import (
     TrivialModule,
@@ -23,6 +26,7 @@ from oracles import (
     elementary_abelian_subgroup_count,
     inclusion_order_oracle,
     lattice_tables_oracle,
+    modular_oracle,
     prime_divisors,
     quotient,
     zm_zn_subgroup_count,
@@ -75,6 +79,77 @@ def test_meet_is_intersection_and_join_is_sum():
                 h_plus_k = {group.add(a, b) for a in h for b in k}
                 assert subgroups[l.meet[i][j]] == h & k
                 assert subgroups[l.join[i][j]] == h_plus_k
+
+
+def _built(l):
+    """Whether l holds its meet/join tables, read off the slot without
+    building them."""
+    try:
+        BoundedLattice.meet.__get__(l)
+    except AttributeError:
+        return False
+    return True
+
+
+def _groups_workload():
+    """The 110 groups of the ``groups`` benchmark workload."""
+    groups = iter_invariant_factor_groups(64, 3)
+    return groups + [FiniteAbelianGroup((2,) * k) for k in (4, 5)]
+
+
+def test_deferred_tables_match_oracle(monkeypatch):
+    # A subgroup lattice builds its tables on first read, and shares them
+    # with its dual whichever of the two reads first; an interval of a
+    # lattice without tables defers its own, and one of a lattice with
+    # tables slices them.
+    builds = []
+    build = order._tables
+    monkeypatch.setattr(order, "_tables", lambda p: builds.append(p) or build(p))
+    rng = random.Random(7)
+    for k, group in enumerate(_groups_workload()):
+        l = subgroup_lattice(group).lattice
+        d = l.dual()
+        assert (l.bot, l.top) == (0, l.n - 1)
+        assert not _built(l) and not _built(d)
+        bot, top, meet, join = lattice_tables_oracle(l)
+        sample = rng.sample(l.strict_pairs(), min(4, len(l.strict_pairs())))
+        deferred = [Interval(l, lo, hi).as_lattice() for lo, hi in sample]
+        assert not any(map(_built, deferred))
+        builds.clear()
+        first, second = (l, d) if k % 2 else (d, l)
+        first.join
+        assert len(builds) == 1 and not _built(second)
+        second.meet
+        assert len(builds) == 1 and l.meet is d.join and l.join is d.meet
+        assert type(l) is type(d) is BoundedLattice
+        assert (l.bot, l.top, l.meet, l.join) == (bot, top, meet, join), group
+        assert (d.bot, d.top, d.meet, d.join) == (top, bot, join, meet), group
+        sliced = [Interval(l, lo, hi).as_lattice() for lo, hi in sample]
+        assert all(map(_built, sliced))
+        for sub in deferred + sliced:
+            assert (sub.bot, sub.top, sub.meet, sub.join) == (
+                lattice_tables_oracle(sub)
+            ), group
+
+
+def test_coprimary_builds_tables_only_off_p_groups(monkeypatch):
+    # Every quotient of a p-group has Ass = {p}, so its game has one value
+    # and the convexity check reads no table: the canonical filtration
+    # leaves them unbuilt.  Any other group reads them, and builds them
+    # once.
+    builds = []
+    build = order._tables
+    monkeypatch.setattr(order, "_tables", lambda p: builds.append(p) or build(p))
+    kinds = set()
+    for group in _groups_workload() + [FiniteAbelianGroup((2,) * 6)]:
+        builds.clear()
+        report = coprimary_filtration(group)
+        l = report.subgroup_lattice.lattice
+        p_group = len(prime_divisors(group.order)) == 1
+        assert report.valid, group
+        assert (_built(l), len(builds)) == ((False, 0) if p_group else (True, 1))
+        kinds.add(p_group)
+    assert kinds == {True, False}
 
 
 def _literal_addition_table(group):
@@ -163,9 +238,11 @@ def test_subgroup_lattice_guard():
 
 
 def test_subgroup_lattices_modular():
-    for orders in ([12], [2, 2], [4, 2], [2, 2, 2], [2, 9], [6, 6]):
-        sl = subgroup_lattice(FiniteAbelianGroup(orders))
-        assert is_modular(sl.lattice)
+    # The cover test builds no tables; the triple loop reads them.
+    for group in _groups_workload() + [FiniteAbelianGroup([6, 6])]:
+        l = subgroup_lattice(group).lattice
+        assert is_modular(l) and not _built(l), group
+        assert modular_oracle(l), group
 
 
 def test_associated_primes_examples():

@@ -916,6 +916,42 @@ def test_convexity_matches_oracle_on_shuffled_random_lattices(kind):
     assert seen == {(True, True), (True, False), (False, False)}
 
 
+ONE_VALUE_KINDS = {
+    "chain": lambda: (FiniteChain((0, 1, 2)), [0, 1, 2]),
+    "rationals": lambda: (
+        ExtendedRationals(), [Fraction(0), NEG_INF, Fraction(1, 3), POS_INF]
+    ),
+    "n5_values": lambda: (
+        FiniteLatticeValues(fixtures.n5()), ["a", "bot", "b", "c", "top"]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_VALUE_KINDS))
+def test_one_and_two_valued_games_match_convexity_oracle(kind):
+    # A one-valued game is convex and affine, which the kernel decides
+    # before it reads the meet/join tables: each constant game on every
+    # lattice class with 2 to 6 elements.  A game with two values needs
+    # the full pass: each constant game of the first value with one pair
+    # moved to another value, which is often neither.
+    values, pool = ONE_VALUE_KINDS[kind]()
+    seen = set()
+    for l in lattice_iso_classes(6):
+        pairs = l.strict_pairs()
+        for v in pool:
+            g = Game(l, values, dict.fromkeys(pairs, v))
+            for h in (g, dual(g)):
+                assert _assert_convexity_matches_oracle(h) == (True, True)
+        for p in pairs:
+            for w in pool[1:]:
+                payoff = dict.fromkeys(pairs, pool[0])
+                payoff[p] = w
+                g = Game(l, values, payoff)
+                for h in (g, dual(g)):
+                    seen.add(_assert_convexity_matches_oracle(h))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def _row_outcomes(g):
     """For each x with an incomparable element, in index order: whether
     mu(x ^ y, x) == mu(y, x v y) for every y, and whether <= holds for every

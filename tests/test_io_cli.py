@@ -170,6 +170,13 @@ def test_cli_check_exit_zero(tmp_path):
     assert code == 0
 
 
+def test_cli_check_names_no_predicate_when_none_hold(tmp_path, capsys):
+    code = main(["check", "--input", str(REPO / "fixtures" / "n5_chain_values.json"),
+                 "--output", str(tmp_path / "r.json")])
+    assert code == 0
+    assert capsys.readouterr().err == "check: (none hold)\n"
+
+
 def test_cli_property_failure_exit_one(tmp_path):
     # Jordan-Hölder on a non-semistable game is a property failure.
     code = main(["jh", "--input", str(REPO / "fixtures" / "steep_chain.json"),

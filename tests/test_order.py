@@ -37,6 +37,7 @@ from oracles import (
     lattice_tables_oracle,
     lex_key_oracle,
     lex_ordered_subsets_oracle,
+    modular_oracle,
     poset_iso_classes,
     relation_closure_oracle,
 )
@@ -222,6 +223,21 @@ def test_not_a_lattice_error_names_pair():
 )
 def test_modularity_on_fixtures(make, expected):
     assert is_modular(make()) is expected
+
+
+def test_is_modular_matches_triple_loop_oracle():
+    # The cover test against the cubic definition on every lattice class
+    # with 2 to 9 elements, on random lattices, and on N5 and M3.
+    rng = random.Random(41)
+    lattices = lattice_iso_classes(9)
+    lattices += [random_lattice(rng, rng.randint(7, 16)) for _ in range(200)]
+    lattices += [fixtures.n5(), fixtures.m3()]
+    verdicts = set()
+    for l in lattices:
+        verdict = is_modular(l)
+        assert verdict == modular_oracle(l), l
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_meet_join_agree_with_recomputed_bounds():
