@@ -28,7 +28,13 @@ from operator import or_
 from .errors import TooLarge
 from .filtration import canonical_hn_filtration
 from .game import Game
-from .order import BoundedLattice, _iter_bits, build_poset, iter_chains
+from .order import (
+    BoundedLattice,
+    _DeferredLattice,
+    _iter_bits,
+    build_poset,
+    iter_chains,
+)
 from .values import PrimeFinsets
 
 MAX_GROUP_ORDER = 200
@@ -196,7 +202,7 @@ def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
     subgroups = tuple(frozenset(elements[k] for k in _iter_bits(m)) for m in masks)
     labels = _subgroup_labels(group, list(map(len, subgroups)))
     order = build_poset(labels, [(labels[i], labels[j]) for i, j in covers])
-    lattice = BoundedLattice(order, 0, len(masks) - 1)
+    lattice = _DeferredLattice(order, 0, len(masks) - 1)
     return SubgroupLattice(group, subgroups, lattice)
 
 

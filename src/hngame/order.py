@@ -17,10 +17,10 @@ The meet/join tables take n^2 entries.  :func:`as_bounded_lattice` builds
 them at once, since building them is how it checks the lattice laws; every
 document, fixture, sweep class, random lattice and completion goes through
 it.  A lattice that is one by construction, such as a subgroup lattice, is
-made by the :class:`BoundedLattice` constructor without tables and builds
-them on the first read of ``meet`` or ``join``; its dual and its interval
-lattices defer theirs too.  :func:`is_modular` reads covers and masks only,
-so a modularity check builds no tables.
+made as a :class:`_DeferredLattice`, which builds them on the first read
+of ``meet`` or ``join``; its dual and its interval lattices defer theirs
+too.  :func:`is_modular` reads covers and masks only, so a modularity
+check builds no tables.
 """
 
 from __future__ import annotations
@@ -279,34 +279,29 @@ class BoundedLattice(FinitePoset):
 
     Use :func:`as_bounded_lattice` to build one from a poset with full
     verification of the lattice laws.  The constructor takes over the
-    fields of a poset, its bounds and, when given, its tables without
-    checking any of them again.  Given no tables, it is for a poset that is
-    a lattice by construction: ``meet`` and ``join`` are then built by
-    :func:`_tables` on the first read of either, and are plain attributes
-    from then on.  A dual or an interval lattice is derived from a lattice
-    already built and is not verified again; it defers its tables when its
-    source has not built them, and a lattice and its dual share one build.
+    fields of a poset, its bounds and its tables without checking any of
+    them again.  A poset that is a lattice by construction can be made into
+    a :class:`_DeferredLattice` instead, which builds its tables on first
+    read.  A dual or an interval lattice is derived from a lattice already
+    built and is not verified again; it defers its tables when its source
+    has not built them, and a lattice and its dual share one build.
     ``meet[i][j]`` / ``join[i][j]`` give element indices.
     """
 
+    # ``_deferred`` is used by _DeferredLattice alone; it sits here so that
+    # a deferred lattice, once built, can become a BoundedLattice in place.
     __slots__ = ("bot", "top", "meet", "join", "_cache", "_deferred")
 
-    def __new__(cls, poset, bot, top, meet=None, join=None):
-        return object.__new__(_DeferredLattice if meet is None else BoundedLattice)
+    def __init__(self, poset, bot, top, meet, join):
+        self._take(poset, bot, top)
+        self.meet = meet
+        self.join = join
 
-    def __init__(self, poset, bot, top, meet=None, join=None):
+    def _take(self, poset, bot, top):
         for field in FinitePoset.__slots__:
             setattr(self, field, getattr(poset, field))
         self.bot = bot
         self.top = top
-        if meet is None:
-            # [poset to build from, its (meet, join) once built], and whether
-            # this lattice reads the pair swapped, as a dual does.
-            self._deferred = ([poset, None], False)
-        else:
-            self.meet = meet
-            self.join = join
-            self._deferred = None
         self._cache = {}
 
     def sup(self, elems):
@@ -327,14 +322,15 @@ class BoundedLattice(FinitePoset):
         The dual of a lattice with deferred tables shares their build."""
         cached = self._cache.get("dual")
         if cached is None:
-            if self._deferred is None:
+            if isinstance(self, _DeferredLattice):
+                shared, flipped = self._deferred
+                cached = _DeferredLattice(
+                    super().dual(), self.top, self.bot, shared, not flipped
+                )
+            else:
                 cached = BoundedLattice(
                     super().dual(), self.top, self.bot, self.join, self.meet
                 )
-            else:
-                cached = BoundedLattice(super().dual(), self.top, self.bot)
-                shared, flipped = self._deferred
-                cached._deferred = (shared, not flipped)
             self._cache["dual"] = cached
         return cached
 
@@ -369,18 +365,25 @@ class BoundedLattice(FinitePoset):
 
 
 class _DeferredLattice(BoundedLattice):
-    """A :class:`BoundedLattice` whose meet/join tables are not built yet.
+    """A :class:`BoundedLattice`, for a poset that is a lattice by
+    construction, whose meet/join tables are not built yet.
 
-    The first read of ``meet`` or ``join`` finds its slot unset and comes
-    to :meth:`__getattr__`, which fills both slots, from the build its dual
-    shares when there is one, and turns the lattice into a plain
-    :class:`BoundedLattice`.  The hook lives on this class alone because
-    CPython 3.11 does not specialize attribute reads on a class that
+    ``shared`` is the build it shares with its dual: ``[poset to build
+    from, its (meet, join) once built]``, new when not given; ``flipped``
+    says that this lattice reads the pair swapped, as a dual does.  The
+    first read of ``meet`` or ``join`` finds its slot unset and comes to
+    :meth:`__getattr__`, which fills both slots and turns the lattice into a
+    plain :class:`BoundedLattice`.  The hook lives on this class alone
+    because CPython 3.11 does not specialize attribute reads on a class that
     defines ``__getattr__``, which would slow every read of ``up``, ``n``
     and the tables on every lattice.
     """
 
     __slots__ = ()
+
+    def __init__(self, poset, bot, top, shared=None, flipped=False):
+        self._take(poset, bot, top)
+        self._deferred = ([poset, None] if shared is None else shared, flipped)
 
     def __getattr__(self, name):
         if name != "meet" and name != "join":
@@ -393,7 +396,7 @@ class _DeferredLattice(BoundedLattice):
             shared[0] = None
         meet, join = shared[1]
         self.meet, self.join = (join, meet) if flipped else (meet, join)
-        self._deferred = None
+        del self._deferred
         self.__class__ = BoundedLattice
         return getattr(self, name)
 
@@ -533,15 +536,17 @@ class Interval:
 
         names = tuple(amb.names[e] for e in elems)
         poset = FinitePoset._trusted(names, induced(amb.up), induced(amb.down))
-        tables = ()
-        if amb._deferred is None:
-            tables = (
+        lo, hi = pos[self.lo], pos[self.hi]
+        if isinstance(amb, _DeferredLattice):
+            self._as_lattice = _DeferredLattice(poset, lo, hi)
+        else:
+            self._as_lattice = BoundedLattice(
+                poset,
+                lo,
+                hi,
                 tuple(tuple(pos[amb.meet[a][b]] for b in elems) for a in elems),
                 tuple(tuple(pos[amb.join[a][b]] for b in elems) for a in elems),
             )
-        self._as_lattice = BoundedLattice(
-            poset, pos[self.lo], pos[self.hi], *tables
-        )
         return self._as_lattice
 
     def __eq__(self, other):

@@ -69,7 +69,9 @@ def test_subgroups_match_literal_search():
 
 
 def test_meet_is_intersection_and_join_is_sum():
-    for group in iter_invariant_factor_groups(48):
+    # The factors of [4, 2] and [2, 9] are not listed in invariant form.
+    groups = iter_invariant_factor_groups(48)
+    for group in groups + [FiniteAbelianGroup(o) for o in ([4, 2], [2, 9])]:
         sl = subgroup_lattice(group)
         l, subgroups = sl.lattice, sl.subgroups
         assert (l.bot, l.top, l.meet, l.join) == lattice_tables_oracle(l)
@@ -239,7 +241,8 @@ def test_subgroup_lattice_guard():
 
 def test_subgroup_lattices_modular():
     # The cover test builds no tables; the triple loop reads them.
-    for group in _groups_workload() + [FiniteAbelianGroup([6, 6])]:
+    extra = ([4, 2], [2, 9], [6, 6])
+    for group in _groups_workload() + [FiniteAbelianGroup(o) for o in extra]:
         l = subgroup_lattice(group).lattice
         assert is_modular(l) and not _built(l), group
         assert modular_oracle(l), group
