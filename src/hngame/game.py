@@ -24,7 +24,10 @@ first and writes each source value to the pairs it reaches that are not
 written yet, so every pair is written once; for a non-total one it folds
 all the values that reach a pair.  Each series is computed on first use, so
 a caller that reads only mu_a builds mu_max and mu_a and nothing else.  No
-cover index is kept.
+cover index is kept.  A dual runs no peel: series i of the dual is series
+``i ^ 1`` of its game (mu_max and mu_min swap, as do mu_a and mu_b), which
+the dual builds on its game if need be and reads off with the pair order
+and codes of the dual, so a dual keeps its game alive.
 
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
@@ -108,7 +111,7 @@ class Game:
 
     __slots__ = (
         "lattice", "values", "_payoff", "_codes", "_series", "_tables",
-        "_slope_like", "_convexity", "__weakref__",
+        "_slope_like", "_convexity", "_dual_of", "__weakref__",
     )
 
     def __init__(self, lattice, values, payoff):
@@ -191,6 +194,7 @@ def _set_fields(g, lattice, values, codes):
     g._tables = None
     g._slope_like = None
     g._convexity = None
+    g._dual_of = None
 
 
 class MuTables:
@@ -286,14 +290,23 @@ def _series(g, i):
 
     mu_max and mu_b are sups along rows, mu_min and mu_a infs along columns;
     mu_a peels mu_max and mu_b peels mu_min.
+
+    A game made by :func:`dual` peels nothing: its series i is series
+    ``i ^ 1`` of its game (mu_max and mu_min swap, as do mu_a and mu_b),
+    built there on first use and kept, then read through :func:`_dual_read`
+    like the payoff codes.
     """
     s = g._series[i]
     if s is None:
-        l = g.lattice
-        src = g._codes[0] if i < 2 else _series(g, i - 2)
-        rows = i in (0, 3)
-        reach = l.up if rows else l.down
-        s = _peel(src, _lines(l, rows), reach, g.values.code_order, rows)
+        base = g._dual_of
+        if base is not None:
+            s = _dual_read(base, _series(base, i ^ 1))[0]
+        else:
+            l = g.lattice
+            src = g._codes[0] if i < 2 else _series(g, i - 2)
+            rows = i in (0, 3)
+            reach = l.up if rows else l.down
+            s = _peel(src, _lines(l, rows), reach, g.values.code_order, rows)
         g._series[i] = s
     return s
 
@@ -452,13 +465,22 @@ def dual(g):
     star values swap roles, mu_b* of the dual being mu_a* of the original.
     The codes are handed down, permuted into the dual's pair order and
     re-encoded by ``dual_codes``, and the dual builds its payoff dict only
-    when it is read.
+    when it is read.  The dual reads its four series off g the same way
+    (see :func:`_series`), so it runs no peel of its own, and it keeps g
+    alive.  A game built on ``l.dual()`` by the public constructor is not
+    linked to g and peels its own series.
     """
-    l = g.lattice
-    codes, decode = g._codes
-    ids = _dual_ids(l)
-    dual_codes = g.values.dual_codes(list(map(codes.__getitem__, ids)), decode)
-    return Game._encoded(l.dual(), g.values.dual(), dual_codes)
+    d = Game._encoded(g.lattice.dual(), g.values.dual(), _dual_read(g, g._codes[0]))
+    d._dual_of = g
+    return d
+
+
+def _dual_read(g, codes):
+    """Codes of g by pair id, as ``(codes, decode)`` of the dual of g:
+    permuted into the dual's pair order and re-encoded by ``dual_codes``."""
+    return g.values.dual_codes(
+        list(map(codes.__getitem__, _dual_ids(g.lattice))), g._codes[1]
+    )
 
 
 def _dual_ids(lattice):

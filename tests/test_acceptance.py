@@ -364,6 +364,7 @@ def test_criterion_09_restriction_transparency_and_duality(sweep_lattices):
             (ival, ival.member_indices(), ival.as_lattice().strict_pairs())
             for _, ival in intervals
         ]
+        dual_lattice, dual_values = lattice.dual(), three_chain_values().dual()
         for g in iter_sweep_games(lattice):
             t = g.tables()
             for ival, members, sub_pairs in prepared:
@@ -377,6 +378,11 @@ def test_criterion_09_restriction_transparency_and_duality(sweep_lattices):
                     assert ts.mu_a[(i, j)] == t.mu_a[pair]
                     assert ts.mu_b[(i, j)] == t.mu_b[pair]
             assert mu_b_star(dual(g)) == mu_a_star(g)
+            # dual(g) reads its series off g, so the check above holds by
+            # construction; a dual built by the constructor peels its own.
+            unlinked = Game(dual_lattice, dual_values,
+                            {(j, i): v for (i, j), v in g.payoff.items()})
+            assert mu_b_star(unlinked) == mu_a_star(g)
     _passed(9, "restriction transparency and duality, exhaustive over the sweep", t0, 600)
 
 
@@ -399,4 +405,12 @@ def test_criterion_10_cli_round_trip_and_goldens(tmp_path):
     out = tmp_path / "coprimary.json"
     assert cli_main(["coprimary", "--orders", "12", "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "z12_coprimary.json").read_bytes()
+    # One check report per value kind, pinning dual_first_mover_value.
+    for name in ("gmod", "n5_chain_values", "z12"):
+        out = tmp_path / f"{name}_check.json"
+        assert cli_main(
+            ["check", "--input", str(REPO / "fixtures" / f"{name}.json"),
+             "--output", str(out)]
+        ) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}_check.json").read_bytes()
     _passed(10, "document fixpoint and pinned golden outputs", t0, 60)

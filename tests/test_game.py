@@ -601,6 +601,73 @@ def test_dual_inherits_codes_of_every_kind(kind):
             assert repr(d.tables()) == repr(fresh.tables())
 
 
+# The kinds a dual reads its series through: rationals with both infinities,
+# a finite chain, prime sets, and lattice values on N5 and M3.
+DUAL_SERIES_KINDS = ("chain", "m3", "n5", "primes", "rationals")
+
+
+def _unlinked_dual(g):
+    """The dual of g by the public constructor: it peels its own series."""
+    return Game(g.lattice.dual(), g.values.dual(),
+                {(j, i): v for (i, j), v in g.payoff.items()})
+
+
+@pytest.mark.parametrize("dualize", [False, True], ids=["primal", "dual"])
+@pytest.mark.parametrize("kind", DUAL_SERIES_KINDS)
+def test_dual_series_match_unlinked_dual_and_oracles(kind, dualize):
+    # Every lattice class with 2 to 6 elements, seeded payoffs.  The tables
+    # are read dual first on one copy of each game and game first on
+    # another, so the game's series are built through the dual and on their
+    # own; the dual of the dual reads back the game's tables.
+    base, pool = VALUE_KINDS[kind]()
+    values = base.dual() if dualize else base
+    rng = random.Random(f"dual-series-{kind}-{dualize}")
+    for lattice in lattice_iso_classes(6):
+        pairs = lattice.strict_pairs()
+        for _ in range(3):
+            payoff = {p: rng.choice(pool) for p in pairs}
+            g = Game(lattice, values, payoff)
+            expect = repr(_eager_tables(g))
+            dual_expect = repr(_eager_tables(_unlinked_dual(g)))
+            assert repr(_unlinked_dual(g).tables()) == dual_expect
+            dual_first = Game(lattice, values, payoff)
+            d = dual(dual_first)
+            assert repr(d.tables()) == dual_expect
+            assert repr(dual_first.tables()) == expect
+            game_first = Game(lattice, values, payoff)
+            assert repr(game_first.tables()) == expect
+            d = dual(game_first)
+            assert repr(d.tables()) == dual_expect
+            assert repr(_eager_tables(d)) == dual_expect
+            assert repr(dual(d).tables()) == expect
+            assert mu_b_star(dual(Game(lattice, values, payoff))) == mu_a_star(g)
+
+
+def test_dual_reads_its_series_off_its_game(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _peel(*args)
+
+    monkeypatch.setattr(hgame, "_peel", counted)
+    for g in (_potentials_game(fixtures.n5()),
+              _seeded_game(fixtures.b2(), FiniteLatticeValues(fixtures.m3()))):
+        g.tables()
+        assert len(calls) == 4
+        calls.clear()
+        dual(g).tables()
+        dual(dual(g)).tables()
+        assert not calls
+    for g in (_potentials_game(fixtures.n5()),
+              _seeded_game(fixtures.b2(), FiniteChain((0, 1, 2)))):
+        calls.clear()
+        mu_b_star(dual(g))
+        assert len(calls) == 2
+        mu_a_star(g)
+        assert len(calls) == 2
+
+
 
 def _potentials_game(lattice, seed=7):
     return quotient_payoff(lattice, random_potentials(random.Random(seed), lattice))
