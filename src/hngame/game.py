@@ -27,19 +27,27 @@ a caller that reads only mu_a builds mu_max and mu_a and nothing else.  No
 cover index is kept.  A dual runs no peel: series i of the dual is series
 ``i ^ 1`` of its game (mu_max and mu_min swap, as do mu_a and mu_b), which
 the dual builds on its game if need be and reads off with the pair order
-and codes of the dual, so a dual keeps its game alive.
+and codes of the dual, so a dual keeps its game alive.  A payoff with one
+value runs no peel either: each of its series is its codes.
 
 The engine does not compare values.  A game's payoff is encoded once as
 order-preserving ints (:meth:`~hngame.values.ValueLattice.encode`), kept as
-one flat list indexed by pair id, the position of a pair in
-``strict_pairs()``.  A game holds its payoff only as codes: the public
-constructor encodes while it validates, a dual takes the codes of its game,
-a restriction slices them, and slope, coprimary and sweep games are built
-from codes (:func:`hngame.slopes.quotient_payoff`, ``coprimary_game``,
-:func:`hngame.sweeps.iter_sweep_games`).  The kernel and the convexity,
-slope-like, seesaw and interval (semi)stability predicates read only codes,
-compared and folded by ``values.code_order`` (builtins for total value
-kinds); the searches of :mod:`hngame.filtration` and
+one flat sequence indexed by pair id, the position of a pair in
+``strict_pairs()``: a list, or for a sweep game the tuple that
+``itertools.product`` made.  A game holds its payoff only as codes: the
+public constructor encodes while it validates, a dual takes the codes of
+its game, a restriction slices them, and slope and coprimary games are
+built from codes (:func:`hngame.slopes.quotient_payoff`,
+``coprimary_game``).  Sweep games come in bulk
+(:func:`hngame.sweeps.iter_sweep_games`, through
+:meth:`Game._encoded_each`), each holding its product tuple as it is, with
+no copy, count or call of its own.  Construction writes only the lattice,
+the value lattice and the codes; everything derived from them (the four
+series, the tables, the convexity and slope-like verdicts) lives in one
+slot that stays None until the first analysis reads it.  The kernel and
+the convexity, slope-like, seesaw and interval (semi)stability predicates
+read only codes, compared and folded by ``values.code_order`` (builtins
+for total value kinds); the searches of :mod:`hngame.filtration` and
 :mod:`hngame.jordan_holder` read them through :func:`_payoff_code` and
 :func:`_series_code`.
 
@@ -105,18 +113,25 @@ class Game:
     ``payoff`` maps each strict pair to its value.  A game holds only the
     payoff codes (see the module docstring): the public constructor
     validates and encodes the values it is given and keeps none of them,
-    :meth:`_encoded` takes codes, and either way ``payoff`` is decoded on
-    its first read.
+    :meth:`_encoded` and :meth:`_encoded_each` take codes, and either way
+    ``payoff`` is decoded on its first read.
+
+    Construction writes the lattice, the value lattice and the
+    ``(codes, decode)`` pair, where the codes are any sequence indexed by
+    pair id (a list, or the tuple a sweep made), and sets the payoff dict,
+    the game it is the dual of and its derived state to None.  The derived
+    state (:func:`_derived`) appears on the first read of a series, the
+    tables or a convexity or slope-like verdict.
     """
 
     __slots__ = (
-        "lattice", "values", "_payoff", "_codes", "_series", "_tables",
-        "_slope_like", "_convexity", "_dual_of", "__weakref__",
+        "lattice", "values", "_codes", "_payoff", "_dual_of", "_derived",
+        "__weakref__",
     )
 
     def __init__(self, lattice, values, payoff):
         pairs = lattice.strict_pairs()
-        if payoff.keys() != set(pairs):
+        if len(payoff) != len(pairs) or not all(map(payoff.__contains__, pairs)):
             raise ValueError(
                 "payoff must be defined on exactly the strict pairs; "
                 f"missing {sorted(set(pairs) - payoff.keys())}, "
@@ -137,13 +152,33 @@ class Game:
     def _encoded(cls, lattice, values, codes):
         """A game given by ``codes``, the ``(codes, decode)`` pair of
         ``values.encode`` over ``strict_pairs()``, with no payoff dict until
-        it is read; only the number of codes is checked."""
+        it is read; only the number of codes is checked.  The codes are
+        kept as given, not copied."""
         n = len(lattice.strict_pairs())
         if len(codes[0]) != n:
             raise ValueError(f"need {n} payoff codes, got {len(codes[0])}")
         g = cls.__new__(cls)
         _set_fields(g, lattice, values, codes)
         return g
+
+    @classmethod
+    def _encoded_each(cls, lattice, values, code_seqs, decode):
+        """One game per code sequence of ``code_seqs``, in order, each
+        holding that sequence itself with the shared ``decode`` map.
+
+        The caller vouches that every sequence has one code per strict
+        pair, as the ``itertools.product`` over the codes of the value
+        lattice does: nothing is counted or copied, and the fields of
+        :func:`_set_fields` are written here, with no call per game.
+        """
+        new = cls.__new__
+        for codes in code_seqs:
+            g = new(cls)
+            g.lattice = lattice
+            g.values = values
+            g._codes = (codes, decode)
+            g._payoff = g._dual_of = g._derived = None
+            yield g
 
     @property
     def payoff(self):
@@ -164,13 +199,20 @@ class Game:
         return decode[codes[_pair_ids(self.lattice)[x][y]]]
 
     def tables(self):
-        if self._tables is None:
-            self._tables = MuTables._from_codes(
+        d = _derived(self)
+        if d[_TABLES] is None:
+            d[_TABLES] = MuTables._from_codes(
                 self.lattice.strict_pairs(),
                 [_series(self, i) for i in range(4)],
                 self._codes[1],
             )
-        return self._tables
+        return d[_TABLES]
+
+    @property
+    def _tables(self):
+        """The tables if built, else None, without building anything: what
+        ``bench/tracing.py`` reads to count table work once per game."""
+        return self._derived and self._derived[_TABLES]
 
     def __eq__(self, other):
         return (
@@ -186,15 +228,30 @@ class Game:
 
 
 def _set_fields(g, lattice, values, codes):
+    """Writes what a new game holds: its lattice, value lattice and
+    ``(codes, decode)`` pair, with no payoff dict, no game it is the dual
+    of and no derived state yet."""
     g.lattice = lattice
     g.values = values
-    g._payoff = None
     g._codes = codes
-    g._series = [None] * 4
-    g._tables = None
-    g._slope_like = None
-    g._convexity = None
-    g._dual_of = None
+    g._payoff = g._dual_of = g._derived = None
+
+
+# Indices into a game's derived state (:func:`_derived`) past its four
+# series, which sit at 0 to 3.
+_TABLES, _SLOPE_LIKE, _CONVEXITY = 4, 5, 6
+
+
+def _derived(g):
+    """The derived state of g, made on first use: one list holding the four
+    code series by pair id (:func:`_series`), the :class:`MuTables` over
+    them, the slope-like verdict and the ``(convex, affine)`` verdicts, at
+    0 to 3, ``_TABLES``, ``_SLOPE_LIKE`` and ``_CONVEXITY``, each None until
+    built."""
+    d = g._derived
+    if d is None:
+        d = g._derived = [None] * 7
+    return d
 
 
 class MuTables:
@@ -295,20 +352,35 @@ def _series(g, i):
     ``i ^ 1`` of its game (mu_max and mu_min swap, as do mu_a and mu_b),
     built there on first use and kept, then read through :func:`_dual_read`
     like the payoff codes.
+
+    A payoff with one value peels nothing either: every series of it is its
+    codes, the same sequence.
     """
-    s = g._series[i]
+    d = _derived(g)
+    s = d[i]
     if s is None:
         base = g._dual_of
+        codes = g._codes[0]
         if base is not None:
             s = _dual_read(base, _series(base, i ^ 1))[0]
+        elif _one_valued(codes):
+            s = codes
         else:
             l = g.lattice
-            src = g._codes[0] if i < 2 else _series(g, i - 2)
+            src = codes if i < 2 else _series(g, i - 2)
             rows = i in (0, 3)
             reach = l.up if rows else l.down
             s = _peel(src, _lines(l, rows), reach, g.values.code_order, rows)
-        g._series[i] = s
+        d[i] = s
     return s
+
+
+def _one_valued(codes):
+    """Whether all the codes of a game, never empty, are equal.  They are
+    counted only when the first and the last agree, so most payoffs pay
+    nothing for the test."""
+    fill = codes[0]
+    return fill == codes[-1] and codes.count(fill) == len(codes)
 
 
 def _peel(src, lines, reach, order, top_first):
@@ -522,20 +594,19 @@ def _convexity(g):
     y holds mu(y, x v y) at column x v y.  On comparable x, y both sides
     read one entry, (x, x) and (y, y) when x <= y, (y, x) when y < x, so
     they pass with no filtering.  A lattice with no incomparable pair, or
-    a game whose codes are all equal, builds no matrix and reads no
-    meet/join table: both sides of every inequality are one code.  The
-    codes are counted only when the first and the last agree, so a game
-    whose first and last codes differ pays nothing for the test.
+    a game whose codes are all equal (:func:`_one_valued`), builds no
+    matrix and reads no meet/join table: both sides of every inequality
+    are one code.
 
     For each x with an incomparable element, the two sides over all y are
     compared as lists while they are equal.  From the first unequal x on
     the game is not affine, and ``code_order.le`` checks convexity on that
     x and the rest.
     """
-    verdict = g._convexity
-    if verdict is None:
-        verdict = g._convexity = _scan_convexity(g)
-    return verdict
+    d = _derived(g)
+    if d[_CONVEXITY] is None:
+        d[_CONVEXITY] = _scan_convexity(g)
+    return d[_CONVEXITY]
 
 
 def _scan_convexity(g):
@@ -543,10 +614,10 @@ def _scan_convexity(g):
     up, down, full = l.up, l.down, l.full_mask
     split = [x for x in l.elements() if up[x] | down[x] != full]
     codes = g._codes[0]
-    fill = codes[0]
-    if not split or fill == codes[-1] and codes.count(fill) == len(codes):
+    if not split or _one_valued(codes):
         return True, True
     n = l.n
+    fill = codes[0]
     rows = [[fill] * n for _ in range(n)]
     for (x, y), c in zip(l.strict_pairs(), codes):
         rows[x][y] = rows[y][x] = c
@@ -630,9 +701,10 @@ def is_slope_like(g):
 
     The verdict is cached on the game, like its tables.
     """
-    if g._slope_like is None:
-        g._slope_like = _scan_slope_like(g)
-    return g._slope_like
+    d = _derived(g)
+    if d[_SLOPE_LIKE] is None:
+        d[_SLOPE_LIKE] = _scan_slope_like(g)
+    return d[_SLOPE_LIKE]
 
 
 def _scan_slope_like(g):

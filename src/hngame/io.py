@@ -10,6 +10,7 @@ fixpoint.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .abelian import (
@@ -32,6 +33,12 @@ from .values import (
 
 SCHEMA_VERSION = 1
 
+# The finite literals of the schema's ``rational`` pattern,
+# ``^(-?[0-9]+(/[0-9]+)?|inf|-inf)$``.  ``int`` alone would also take a
+# plus sign, a signed denominator, underscores, surrounding whitespace and
+# non-ASCII digits.
+_FINITE_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def format_rational(v):
     """Exact encoding: 'p/q' for finite values, 'inf'/'-inf' for the ends."""
@@ -50,13 +57,11 @@ def parse_rational(s, where="value"):
         return POS_INF
     if s == "-inf":
         return NEG_INF
-    num, sep, den = s.partition("/")
-    try:
-        if not sep:
-            return Fraction(int(num))
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"malformed rational literal {s!r}", field=where) from None
+    m = _FINITE_RATIONAL.fullmatch(s)
+    den = int(m[2] or 1) if m else 0
+    if not den:
+        raise SchemaError(f"malformed rational literal {s!r}", field=where)
+    return Fraction(int(m[1]), den)
 
 
 def _parse_potential(s, where):

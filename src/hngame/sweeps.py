@@ -155,13 +155,20 @@ def iter_payoff_tables(lattice, symbols):
 
 def iter_sweep_games(lattice, values=None):
     """Every game on the lattice over the 3-chain (or given) value lattice,
-    in the order of :func:`iter_payoff_tables`.  Each game is built from its
-    codes, so its payoff dict is built only if it is read."""
+    in the order of :func:`iter_payoff_tables`.
+
+    The games come from :meth:`Game._encoded_each`: each holds the
+    ``itertools.product`` tuple of its codes as it is, sharing one decode
+    map, and has one code per strict pair by construction, so it is neither
+    copied nor counted.  Its payoff dict and derived state are built only
+    if they are read."""
     if values is None:
         values = three_chain_values()
     codes, decode = values.encode(values.elements)
-    for combo in itertools.product(codes, repeat=len(lattice.strict_pairs())):
-        yield Game._encoded(lattice, values, (list(combo), decode))
+    return Game._encoded_each(
+        lattice, values,
+        itertools.product(codes, repeat=len(lattice.strict_pairs())), decode,
+    )
 
 
 def random_poset(rng, n, density=0.4):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hngame import game as hgame
 from hngame import order
 from hngame.abelian import (
     FiniteAbelianGroup,
@@ -135,21 +136,24 @@ def test_deferred_tables_match_oracle(monkeypatch):
 
 
 def test_coprimary_builds_tables_only_off_p_groups(monkeypatch):
-    # Every quotient of a p-group has Ass = {p}, so its game has one value
-    # and the convexity check reads no table: the canonical filtration
-    # leaves them unbuilt.  Any other group reads them, and builds them
-    # once.
-    builds = []
-    build = order._tables
+    # Every quotient of a p-group has Ass = {p}, so its game has one value:
+    # the convexity check reads no table, and every series is the codes,
+    # with no peel.  The canonical filtration leaves the tables unbuilt.
+    # Any other group reads them, and builds them once.
+    builds, peels = [], []
+    build, peel = order._tables, hgame._peel
     monkeypatch.setattr(order, "_tables", lambda p: builds.append(p) or build(p))
+    monkeypatch.setattr(hgame, "_peel", lambda *args: peels.append(args) or peel(*args))
     kinds = set()
     for group in _groups_workload() + [FiniteAbelianGroup((2,) * 6)]:
         builds.clear()
+        peels.clear()
         report = coprimary_filtration(group)
         l = report.subgroup_lattice.lattice
         p_group = len(prime_divisors(group.order)) == 1
         assert report.valid, group
         assert (_built(l), len(builds)) == ((False, 0) if p_group else (True, 1))
+        assert bool(peels) != p_group, group
         kinds.add(p_group)
     assert kinds == {True, False}
 

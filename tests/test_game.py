@@ -94,14 +94,25 @@ def gmod():
 
 
 def test_payoff_domain_enforced():
+    # A missing pair, an extra pair, and both at once with the right count
+    # of pairs, each named in the message.
     l = fixtures.c3()
-    with pytest.raises(ValueError):
-        Game(l, ExtendedRationals(), {(0, 1): Fraction(1)})
     good = {p: Fraction(0) for p in l.strict_pairs()}
-    bad = dict(good)
-    bad[(1, 0)] = Fraction(1)
-    with pytest.raises(ValueError):
-        Game(l, ExtendedRationals(), bad)
+    extra = dict(good)
+    extra[(1, 0)] = Fraction(1)
+    swapped = dict(good)
+    swapped[(2, 1)] = swapped.pop((1, 2))
+    for payoff, missing, added in (
+        ({(0, 1): Fraction(1)}, "[(0, 2), (1, 2)]", "[]"),
+        (extra, "[]", "[(1, 0)]"),
+        (swapped, "[(1, 2)]", "[(2, 1)]"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Game(l, ExtendedRationals(), payoff)
+        assert str(err.value) == (
+            "payoff must be defined on exactly the strict pairs; "
+            f"missing {missing}, extra {added}"
+        )
 
 
 def test_mu_requires_strict_pair(gmod):
@@ -601,9 +612,10 @@ def test_dual_inherits_codes_of_every_kind(kind):
             assert repr(d.tables()) == repr(fresh.tables())
 
 
-# The kinds a dual reads its series through: rationals with both infinities,
-# a finite chain, prime sets, and lattice values on N5 and M3.
-DUAL_SERIES_KINDS = ("chain", "m3", "n5", "primes", "rationals")
+# The kinds the series are checked on, of the dual and of constant games:
+# rationals with both infinities, a finite chain, prime sets, and lattice
+# values on N5 and M3.
+SERIES_KINDS = ("chain", "m3", "n5", "primes", "rationals")
 
 
 def _unlinked_dual(g):
@@ -613,7 +625,7 @@ def _unlinked_dual(g):
 
 
 @pytest.mark.parametrize("dualize", [False, True], ids=["primal", "dual"])
-@pytest.mark.parametrize("kind", DUAL_SERIES_KINDS)
+@pytest.mark.parametrize("kind", SERIES_KINDS)
 def test_dual_series_match_unlinked_dual_and_oracles(kind, dualize):
     # Every lattice class with 2 to 6 elements, seeded payoffs.  The tables
     # are read dual first on one copy of each game and game first on
@@ -798,7 +810,7 @@ def _assert_slope_like_matches_oracles(g):
     for d in (g, dual(g)):
         # The seesaw trichotomy is its own scan, not the slope-like verdict.
         assert has_seesaw_violation(d) == seesaw_violation_oracle(d)
-        assert d._slope_like is None
+        assert d._derived is None
         assert is_slope_like(d) == slope_like_oracle(d)
 
 
@@ -1017,6 +1029,24 @@ def test_one_and_two_valued_games_match_convexity_oracle(kind):
                 for h in (g, dual(g)):
                     seen.add(_assert_convexity_matches_oracle(h))
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_constant_game_series_are_its_codes_and_match_oracles(kind, monkeypatch):
+    # Every series of a one-valued payoff is its codes, read with no peel,
+    # on every lattice class with 2 to 6 elements, for each game and its
+    # dual.
+    peels = []
+    peel = hgame._peel
+    monkeypatch.setattr(hgame, "_peel", lambda *args: peels.append(args) or peel(*args))
+    values, pool = VALUE_KINDS[kind]()
+    for l in lattice_iso_classes(6):
+        for v in pool:
+            g = Game(l, values, dict.fromkeys(l.strict_pairs(), v))
+            for h in (g, dual(g)):
+                assert repr(h.tables()) == repr(_eager_tables(h)), (kind, v)
+            assert all(s is g._codes[0] for s in g._derived[:4])
+    assert not peels
 
 
 def _row_outcomes(g):

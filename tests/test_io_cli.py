@@ -329,6 +329,42 @@ def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     assert err.startswith("input error: ")
 
 
+# Literals that ``int`` parses but the schema's rational pattern refuses.
+_OFF_PATTERN_RATIONALS = [
+    "1_000", " 3", "\t5\n", "+3", "3/+4", "3/ 4", "1_0/2_0", "\u0663/\u0664",
+    "3/-4",
+]
+
+
+@pytest.mark.parametrize("source", ["table", "potentials"])
+@pytest.mark.parametrize("literal", _OFF_PATTERN_RATIONALS)
+def test_cli_refuses_rational_literals_off_the_schema_pattern(
+    tmp_path, capsys, literal, source
+):
+    if source == "table":
+        doc = {
+            "schema_version": 1, "kind": "game",
+            "lattice": {"elements": ["bot", "top"], "covers": [["bot", "top"]]},
+            "values": {"kind": "extended_rational"},
+            "payoff": {"source": "table",
+                       "entries": [{"lo": "bot", "hi": "top", "value": literal}]},
+        }
+    else:
+        doc = dict(_SQUARE_GAME, payoff=dict(
+            _SQUARE_POTENTIALS, degree={"bot": "0", "a": literal, "b": "1", "top": "4"},
+        ))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--input", str(path), "--output", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+    assert f"malformed rational literal {literal!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "gmod.json"],

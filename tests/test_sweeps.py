@@ -8,6 +8,7 @@ import time
 
 from hngame.game import (
     Game,
+    dual,
     has_nash_equilibrium,
     has_seesaw_violation,
     is_affine,
@@ -15,7 +16,10 @@ from hngame.game import (
     is_semistable,
     is_slope_like,
     is_stable,
+    mu_b_star,
+    restrict,
 )
+from hngame.order import Interval
 from hngame.sweeps import (
     iter_payoff_tables,
     iter_sweep_games,
@@ -68,17 +72,33 @@ def test_lattice_class_counts_match_a006966_up_to_nine_elements():
 
 def _assert_same_games(lattice, values):
     """Compare the sweep games with the games built from payoff tables, in
-    order; returns how many there are."""
+    order: payoff, tables, predicates, the dual's tables and mu_b*, and the
+    restriction to every interval.  A sweep game holds its product tuple
+    as its codes and no derived state until a predicate reads it, which
+    builds that state once.  Returns how many games there are."""
     built = iter_sweep_games(lattice, values)
     tables = iter_payoff_tables(lattice, values.elements)
+    intervals = [Interval(lattice, lo, hi) for lo, hi in lattice.strict_pairs()]
     count = 0
     for g, table in zip(built, tables, strict=True):
+        assert type(g._codes[0]) is tuple
+        assert g._derived is None and g._payoff is None
         ref = Game(lattice, values, table)
         assert g.values is values
+        assert is_semistable(g) == is_semistable(ref)
+        state = g._derived
+        assert state is not None
         assert g.tables() == ref.tables()
         assert [p(g) for p in PREDICATES] == [p(ref) for p in PREDICATES]
         assert g._payoff is None
         assert list(g.payoff.items()) == list(ref.payoff.items())
+        assert dual(g).tables() == dual(ref).tables()
+        assert mu_b_star(dual(g)) == mu_b_star(dual(ref))
+        for ival in intervals:
+            sub, sub_ref = restrict(g, ival), restrict(ref, ival)
+            assert sub.payoff == sub_ref.payoff
+            assert sub.tables() == sub_ref.tables()
+        assert g._derived is state
         count += 1
     return count
 
