@@ -28,13 +28,7 @@ from operator import or_
 from .errors import TooLarge
 from .filtration import canonical_hn_filtration
 from .game import Game
-from .order import (
-    BoundedLattice,
-    _DeferredLattice,
-    _iter_bits,
-    build_poset,
-    iter_chains,
-)
+from .order import BoundedLattice, _iter_bits, build_poset, iter_chains
 from .values import PrimeFinsets
 
 MAX_GROUP_ORDER = 200
@@ -181,11 +175,12 @@ class SubgroupLattice:
     ``subgroups[i]``.  Meet is intersection and join the generated subgroup
     (subgroup lattices of abelian groups are modular).  The inclusion order
     is closed from the covers.  It is a lattice by construction, with the
-    trivial subgroup first and the group last, so the lattice is made
-    without checking the lattice laws, and its meet/join tables are built
-    on first read: the meet of H and K is the subgroup whose down-set is the
-    intersection of theirs, and dually for joins.  A p-group's coprimary
-    filtration never reads them.
+    trivial subgroup first and the group last, so the lattice is made by
+    the :class:`BoundedLattice` constructor without checking the lattice
+    laws.  Its meet/join tables are built on the first read of either: the
+    meet of H and K is the subgroup whose down-set is the intersection of
+    theirs, and dually for joins.  A p-group's coprimary filtration never
+    reads them.
     """
 
     group: object
@@ -195,14 +190,15 @@ class SubgroupLattice:
 
 def subgroup_lattice(group, max_order=MAX_GROUP_ORDER):
     """Every subgroup as a bitmask with its covers, closed into a lattice
-    whose meet/join tables are deferred."""
+    from the trivial subgroup to the group, whose meet/join tables are
+    built on first read."""
     TooLarge.check("group order", group.order, max_order)
     masks, covers = _subgroup_masks(group)
     elements = group.elements
     subgroups = tuple(frozenset(elements[k] for k in _iter_bits(m)) for m in masks)
     labels = _subgroup_labels(group, list(map(len, subgroups)))
     order = build_poset(labels, [(labels[i], labels[j]) for i, j in covers])
-    lattice = _DeferredLattice(order, 0, len(masks) - 1)
+    lattice = BoundedLattice(order, 0, len(masks) - 1)
     return SubgroupLattice(group, subgroups, lattice)
 
 

@@ -10,7 +10,9 @@ fixpoint.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 
 from .abelian import (
@@ -41,13 +43,23 @@ _FINITE_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_rational(v):
-    """Exact encoding: 'p/q' for finite values, 'inf'/'-inf' for the ends."""
+    """Exact encoding: 'p/q' for finite values, 'inf'/'-inf' for the ends.
+
+    Raises :class:`HNGameError`, naming the value in scientific notation,
+    when p or q is over the interpreter's int-string limit.
+    """
     if v == POS_INF:
         return "inf"
     if v == NEG_INF:
         return "-inf"
     f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        e = math.log10(abs(f.numerator)) - math.log10(f.denominator)
+        sign = "-" if f < 0 else ""
+        shown = f"{sign}{10 ** (e - math.floor(e)):.3f}e{math.floor(e):+d}"
+        raise HNGameError(_over_digit_limit(f"report value about {shown}")) from None
 
 
 def parse_rational(s, where="value"):
@@ -58,10 +70,20 @@ def parse_rational(s, where="value"):
     if s == "-inf":
         return NEG_INF
     m = _FINITE_RATIONAL.fullmatch(s)
-    den = int(m[2] or 1) if m else 0
+    try:
+        num, den = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+    except ValueError:
+        raise SchemaError(_over_digit_limit("rational literal"), field=where) from None
     if not den:
         raise SchemaError(f"malformed rational literal {s!r}", field=where)
-    return Fraction(int(m[1]), den)
+    return Fraction(num, den)
+
+
+def _over_digit_limit(what):
+    """The message for a number with more digits than the interpreter's
+    int-string limit, which guards against quadratic-time conversion and is
+    left as it is."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"
 
 
 def _parse_potential(s, where):
@@ -214,6 +236,8 @@ def parse_document(text, max_order=MAX_GROUP_ORDER):
         raise SchemaError(f"not valid JSON: {exc.msg}", line=exc.lineno) from None
     except RecursionError:
         raise SchemaError("not valid JSON: nested too deeply") from None
+    except ValueError:
+        raise SchemaError(_over_digit_limit("a number literal")) from None
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     version = _require(doc, "schema_version", int, "document")

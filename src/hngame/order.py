@@ -10,17 +10,18 @@ identity is index-based internally and label-based at the I/O boundary.
 Each closed structure is built once from its generators: a poset from its
 generating pairs in one topological pass, its covers by peeling minimal
 elements off each up-set, a dual by swapping masks and tables, an interval
-lattice by slicing the ambient one.  Only the public :class:`FinitePoset`
+lattice by slicing the ambient masks.  Only the public :class:`FinitePoset`
 constructor and :func:`as_bounded_lattice` verify what they are given.
 
 The meet/join tables take n^2 entries.  :func:`as_bounded_lattice` builds
 them at once, since building them is how it checks the lattice laws; every
 document, fixture, sweep class, random lattice and completion goes through
-it.  A lattice that is one by construction, such as a subgroup lattice, is
-made as a :class:`_DeferredLattice`, which builds them on the first read
-of ``meet`` or ``join``; its dual and its interval lattices defer theirs
-too.  :func:`is_modular` reads covers and masks only, so a modularity
-check builds no tables.
+it.  A lattice by construction, such as an interval lattice or a subgroup
+lattice, builds them from its own order on the first read of ``meet`` or
+``join``.  A dual shares the tables of its lattice, built or not, so the
+two make one build between them whichever reads first.
+:func:`is_modular` reads covers and masks only, so a modularity check
+builds no tables.
 """
 
 from __future__ import annotations
@@ -279,58 +280,66 @@ class BoundedLattice(FinitePoset):
 
     Use :func:`as_bounded_lattice` to build one from a poset with full
     verification of the lattice laws.  The constructor takes over the
-    fields of a poset, its bounds and its tables without checking any of
-    them again.  A poset that is a lattice by construction can be made into
-    a :class:`_DeferredLattice` instead, which builds its tables on first
-    read.  A dual or an interval lattice is derived from a lattice already
-    built and is not verified again; it defers its tables when its source
-    has not built them, and a lattice and its dual share one build.
-    ``meet[i][j]`` / ``join[i][j]`` give element indices.
+    fields of a poset and its bounds without checking them again, and so
+    serves a poset that is a lattice by construction, such as a dual, an
+    interval lattice or a subgroup lattice.  ``meet`` and ``join`` may be
+    given; otherwise :func:`_tables` builds both from the order on the
+    first read of either.  A lattice and its dual share one build, held in
+    a one-item list that the dual reads swapped, so neither refers to the
+    other.  ``meet[i][j]`` / ``join[i][j]`` give element indices.
     """
 
-    # ``_deferred`` is used by _DeferredLattice alone; it sits here so that
-    # a deferred lattice, once built, can become a BoundedLattice in place.
-    __slots__ = ("bot", "top", "meet", "join", "_cache", "_deferred")
+    __slots__ = ("bot", "top", "_pair", "_flip", "_cache")
 
-    def __init__(self, poset, bot, top, meet, join):
-        self._take(poset, bot, top)
-        self.meet = meet
-        self.join = join
-
-    def _take(self, poset, bot, top):
+    def __init__(self, poset, bot, top, meet=None, join=None):
         for field in FinitePoset.__slots__:
             setattr(self, field, getattr(poset, field))
         self.bot = bot
         self.top = top
+        self._pair = [None if meet is None else (meet, join)]
+        self._flip = 0
         self._cache = {}
+
+    def _meet_join(self):
+        """The shared (meet, join) pair, in the orientation of whichever of
+        the lattice and its dual was made first, built on first call."""
+        pair = self._pair[0]
+        if pair is None:
+            meet, join = _tables(self)
+            pair = self._pair[0] = (join, meet) if self._flip else (meet, join)
+        return pair
+
+    @property
+    def meet(self):
+        return self._meet_join()[self._flip]
+
+    @property
+    def join(self):
+        return self._meet_join()[1 - self._flip]
 
     def sup(self, elems):
         """Join of a finite iterable of elements (bot for the empty one)."""
+        join = self.join
         acc = self.bot
         for e in elems:
-            acc = self.join[acc][e]
+            acc = join[acc][e]
         return acc
 
     def inf(self, elems):
+        meet = self.meet
         acc = self.top
         for e in elems:
-            acc = self.meet[acc][e]
+            acc = meet[acc][e]
         return acc
 
     def dual(self):
         """Order-dual lattice: reversed order, bot/top and meet/join swapped.
-        The dual of a lattice with deferred tables shares their build."""
+        It shares the table build of this lattice, built or not."""
         cached = self._cache.get("dual")
         if cached is None:
-            if isinstance(self, _DeferredLattice):
-                shared, flipped = self._deferred
-                cached = _DeferredLattice(
-                    super().dual(), self.top, self.bot, shared, not flipped
-                )
-            else:
-                cached = BoundedLattice(
-                    super().dual(), self.top, self.bot, self.join, self.meet
-                )
+            cached = BoundedLattice(super().dual(), self.top, self.bot)
+            cached._pair = self._pair
+            cached._flip = 1 - self._flip
             self._cache["dual"] = cached
         return cached
 
@@ -364,46 +373,11 @@ class BoundedLattice(FinitePoset):
         )
 
 
-class _DeferredLattice(BoundedLattice):
-    """A :class:`BoundedLattice`, for a poset that is a lattice by
-    construction, whose meet/join tables are not built yet.
-
-    ``shared`` is the build it shares with its dual: ``[poset to build
-    from, its (meet, join) once built]``, new when not given; ``flipped``
-    says that this lattice reads the pair swapped, as a dual does.  The
-    first read of ``meet`` or ``join`` finds its slot unset and comes to
-    :meth:`__getattr__`, which fills both slots and turns the lattice into a
-    plain :class:`BoundedLattice`.  The hook lives on this class alone
-    because CPython 3.11 does not specialize attribute reads on a class that
-    defines ``__getattr__``, which would slow every read of ``up``, ``n``
-    and the tables on every lattice.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, poset, bot, top, shared=None, flipped=False):
-        self._take(poset, bot, top)
-        self._deferred = ([poset, None] if shared is None else shared, flipped)
-
-    def __getattr__(self, name):
-        if name != "meet" and name != "join":
-            raise AttributeError(
-                f"'BoundedLattice' object has no attribute {name!r}"
-            )
-        shared, flipped = self._deferred
-        if shared[1] is None:
-            shared[1] = _tables(shared[0])
-            shared[0] = None
-        meet, join = shared[1]
-        self.meet, self.join = (join, meet) if flipped else (meet, join)
-        del self._deferred
-        self.__class__ = BoundedLattice
-        return getattr(self, name)
-
-
 def as_bounded_lattice(p):
     """Verify that a poset is a nontrivial bounded lattice and equip it with
-    meet/join tables, built at once by :func:`_tables`.
+    meet/join tables.  :func:`_tables` builds them at once, since building
+    them is how the lattice laws are checked, and the lattice takes them
+    over.
 
     Raises :class:`NoBounds` if there is no global least or greatest element,
     :class:`NotALattice` naming the first pair without a glb or lub, and
@@ -513,13 +487,11 @@ class Interval:
         built once per interval and kept on it, so it lives as long as the
         interval does.
 
-        The induced order and the meet/join tables are sliced from the
-        ambient ones; no re-derivation or verification is needed because
-        intervals of lattices are lattices closed under both.  When the
-        ambient tables are deferred, the interval's are too, and are built
-        from its own order on first read.  Everything computed later on the
-        result, such as its cover index, belongs to the interval lattice
-        itself.
+        The induced order is sliced from the ambient masks; no verification
+        is needed because intervals of lattices are lattices.  The meet/join
+        tables are built from that order on first read, like everything
+        computed later on the result, such as its cover index, and belong to
+        the interval lattice itself.
         """
         if self._as_lattice is not None:
             return self._as_lattice
@@ -536,17 +508,7 @@ class Interval:
 
         names = tuple(amb.names[e] for e in elems)
         poset = FinitePoset._trusted(names, induced(amb.up), induced(amb.down))
-        lo, hi = pos[self.lo], pos[self.hi]
-        if isinstance(amb, _DeferredLattice):
-            self._as_lattice = _DeferredLattice(poset, lo, hi)
-        else:
-            self._as_lattice = BoundedLattice(
-                poset,
-                lo,
-                hi,
-                tuple(tuple(pos[amb.meet[a][b]] for b in elems) for a in elems),
-                tuple(tuple(pos[amb.join[a][b]] for b in elems) for a in elems),
-            )
+        self._as_lattice = BoundedLattice(poset, pos[self.lo], pos[self.hi])
         return self._as_lattice
 
     def __eq__(self, other):

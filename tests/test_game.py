@@ -8,7 +8,8 @@ import pytest
 
 from hngame import fixtures
 from hngame import game as hgame
-from hngame.abelian import FiniteAbelianGroup, coprimary_game
+from hngame import order as horder
+from hngame.abelian import FiniteAbelianGroup, coprimary_game, subgroup_lattice
 from hngame.errors import NotAChain, NotStrict, PreconditionFailed
 from hngame.filtration import (
     _st_set_on,
@@ -184,6 +185,31 @@ def test_tables_match_oracles_on_non_total_values(value_lattice, dualize):
             )
         for table in tables:
             _assert_series_match_oracles(Game(lattice, values, table))
+
+
+@pytest.mark.parametrize("side", ["lattice", "dual"])
+def test_series_over_values_on_an_unbuilt_lattice(monkeypatch, side):
+    # Lattice values over the subgroup lattice of Z/12, which builds its
+    # meet/join tables on first read, or over its dual, which shares that
+    # build.  Seeded payoffs on every lattice class with up to 5 elements,
+    # under the values and under their dual: the first fold of codes builds
+    # the tables, once, on the lattice the values were given.
+    builds = []
+    build = horder._tables
+    monkeypatch.setattr(horder, "_tables", lambda p: builds.append(p) or build(p))
+    l = subgroup_lattice(FiniteAbelianGroup([12])).lattice
+    d = l.dual()
+    base = FiniteLatticeValues(l if side == "lattice" else d)
+    assert not builds
+    rng = random.Random(f"unbuilt-{side}")
+    for values in (base, base.dual()):
+        for lattice in lattice_iso_classes(5):
+            pairs = lattice.strict_pairs()
+            for _ in range(3):
+                payoff = {p: rng.choice(base.elements) for p in pairs}
+                _assert_series_match_oracles(Game(lattice, values, payoff))
+    assert [p for p in builds if p is l or p is d] == [base.lattice]
+    assert l.meet is d.join and l.join is d.meet
 
 
 def test_restrict_agrees_with_ambient(gmod):

@@ -365,6 +365,56 @@ def test_cli_refuses_rational_literals_off_the_schema_pattern(
     assert "Traceback" not in captured.err
 
 
+# A literal longer than the interpreter's int-string limit, which guards
+# against quadratic-time conversion.
+_HUGE = "1" + "0" * 5000
+_CHAIN2 = {"elements": ["bot", "top"], "covers": [["bot", "top"]]}
+# The slope of the top, (10^2200 + 1)(10^2200 + 3), has 4401 digits.
+_HUGE_SLOPE_GAME = {
+    "schema_version": 1, "kind": "game", "lattice": _CHAIN2,
+    "payoff": {"source": "potentials",
+               "rank": {"bot": "0", "top": f"1/{10 ** 2200 + 3}"},
+               "degree": {"bot": "0", "top": f"{10 ** 2200 + 1}"}},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "hn"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param(
+        f'{{"schema_version": {_HUGE}, "kind": "game"}}',
+        "a number literal has more than 4300 digits",
+        id="json-number",
+    ),
+    pytest.param(json.dumps({
+        "schema_version": 1, "kind": "game", "lattice": _CHAIN2,
+        "values": {"kind": "extended_rational"},
+        "payoff": {"source": "table",
+                   "entries": [{"lo": "bot", "hi": "top", "value": f"{_HUGE}/3"}]},
+    }), "rational literal has more than 4300 digits (field payoff.entries[0].value)",
+        id="table-rational"),
+    pytest.param(json.dumps(dict(_SQUARE_GAME, payoff=dict(
+        _SQUARE_POTENTIALS, degree={"bot": "0", "a": _HUGE, "b": "1", "top": "4"},
+    ))), "rational literal has more than 4300 digits (field payoff.degree.a)",
+        id="degree-potential"),
+    pytest.param(
+        json.dumps(_HUGE_SLOPE_GAME),
+        "report value about 1.000e+4400 has more than 4300 digits",
+        id="report-value",
+    ),
+])
+def test_cli_numbers_over_the_int_string_limit_are_input_errors(
+    tmp_path, capsys, command, text, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    code = main([command, "--input", str(path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "gmod.json"],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hngame import fixtures
+from hngame import order
 from hngame.abelian import FiniteAbelianGroup, subgroup_lattice
 from hngame.completion import dedekind_macneille
 from hngame.errors import (
@@ -401,6 +402,28 @@ def test_lattice_dual_swaps_bounds_and_tables(make):
     assert (d.names, d.up, d.down) == (l.names, l.down, l.up)
     assert (d.bot, d.top, d.meet, d.join) == (l.top, l.bot, l.join, l.meet)
     assert d.dual() == l and hash(d.dual()) == hash(l)
+
+
+@pytest.mark.parametrize("first", ["lattice", "dual"])
+def test_lattice_without_tables_builds_them_once_on_first_read(monkeypatch, first):
+    # Every class with 2 to 6 elements, made by the constructor without
+    # tables.  Whichever of the lattice and its dual reads first builds the
+    # tables for both; the other reads them swapped, with no second build.
+    builds = []
+    build = order._tables
+    monkeypatch.setattr(order, "_tables", lambda p: builds.append(p) or build(p))
+    for c in lattice_iso_classes(6):
+        poset = FinitePoset(c.names, c.up)
+        bot, top, meet, join = lattice_tables_oracle(poset)
+        builds.clear()
+        l = BoundedLattice(poset, bot, top)
+        d = l.dual()
+        a, b = (l, d) if first == "lattice" else (d, l)
+        assert a.join == (join if a is l else meet) and builds == [a]
+        assert b.meet == (meet if b is l else join) and builds == [a]
+        assert (l.bot, l.top, l.meet, l.join) == (bot, top, meet, join)
+        assert (d.bot, d.top, d.meet, d.join) == (top, bot, join, meet)
+        assert l.meet is d.join and l.join is d.meet and builds == [a]
 
 
 def test_linear_extension_chain_is_identity():
