@@ -27,7 +27,7 @@ from operator import or_
 
 from .errors import TooLarge
 from .filtration import canonical_hn_filtration
-from .game import Game
+from .game import _CONVEXITY, Game, _derived
 from .order import BoundedLattice, _iter_bits, build_poset, iter_chains
 from .values import PrimeFinsets
 
@@ -179,8 +179,7 @@ class SubgroupLattice:
     the :class:`BoundedLattice` constructor without checking the lattice
     laws.  Its meet/join tables are built on the first read of either: the
     meet of H and K is the subgroup whose down-set is the intersection of
-    theirs, and dually for joins.  A p-group's coprimary filtration never
-    reads them.
+    theirs, and dually for joins.  No coprimary filtration reads them.
     """
 
     group: object
@@ -210,6 +209,9 @@ def coprimary_game(group, sl=None):
     the base is finite).  Ass(N2/N1) is the set of primes dividing the index;
     the game is built from its codes, the Lex' key of that set, computed
     once per distinct index.
+
+    The game is built convex and affine: H/(H ^ K) and (H v K)/K are
+    isomorphic, so the two sides of every convexity inequality are one Ass.
     """
     if sl is None:
         sl = subgroup_lattice(group)
@@ -220,7 +222,9 @@ def coprimary_game(group, sl=None):
     code = {k: values.key(primes) for k, primes in ass.items()}
     decode = {code[k]: primes for k, primes in ass.items()}
     codes = list(map(code.__getitem__, indices))
-    return Game._encoded(sl.lattice, values, (codes, decode))
+    g = Game._encoded(sl.lattice, values, (codes, decode))
+    _derived(g)[_CONVEXITY] = (True, True)
+    return g
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .filtration import (
     enumerate_hn_filtrations,
 )
 from .game import (
+    Game,
     dual,
     has_nash_equilibrium,
     has_seesaw_violation,
@@ -283,7 +284,10 @@ def cmd_selfcheck(args):
     no_violations = True
     for _ in range(trials):
         g = random_quotient_game(rng, max_elements=args.max_size)
-        if not is_slope_like(g):
+        # A quotient game is built slope-like; the check is the scan of the
+        # same payoff built by the public constructor.
+        scanned = Game(g.lattice, g.values, g.payoff)
+        if not (is_slope_like(g) and is_slope_like(scanned)):
             all_slope_like = False
         if has_seesaw_violation(g):
             no_violations = False

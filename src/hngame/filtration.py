@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySt, NoGreatest, PreconditionFailed, TooLarge
-from .game import _series_code, _value, interval_semistable, is_convex
+from .game import (
+    _ADMISSIBLE, _cached, _series_code, _value, interval_semistable, is_convex,
+)
 from .order import _iter_bits, check_chain, iter_chains
+from .values import INT_ORDER
 
 MAX_ENUMERATION_ELEMENTS = 16
 
@@ -50,28 +53,26 @@ def _st_set_on(g, lo, hi):
     """Members of the maximal-destabilizer set of the restriction to [lo, hi].
 
     x in (lo, hi] belongs when no y in (lo, hi] has mu_a(lo, y) strictly above
-    mu_a(lo, x), and every y attaining mu_a(lo, x) sits below x.
+    mu_a(lo, x), and every y attaining mu_a(lo, x) sits below x: its code is
+    maximal (the greatest, for integer codes), and the mask of the members
+    sharing it, made in one pass, lies in the down-set of x.
     """
     l = g.lattice
     code = _series_code(g, 2)
-    members = list(_iter_bits(l.between(lo, hi) & ~(1 << lo)))
-    mu = {x: code(lo, x) for x in members}
-    lt = g.values.code_order.lt
-    out = []
-    for x in members:
-        vx = mu[x]
-        ok = True
-        for y in members:
-            vy = mu[y]
-            if lt(vx, vy):
-                ok = False
-                break
-            if vy == vx and not l.le(y, x):
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return frozenset(out)
+    ties = {}
+    for x in _iter_bits(l.between(lo, hi) ^ (1 << lo)):
+        c = code(lo, x)
+        ties[c] = ties.get(c, 0) | 1 << x
+    order = g.values.code_order
+    if order is INT_ORDER:
+        tops = [max(ties)]
+    else:
+        lt = order.lt
+        tops = [c for c in ties if not any(lt(c, d) for d in ties)]
+    down = l.down
+    return frozenset(
+        x for c in tops for x in _iter_bits(ties[c]) if not ties[c] & ~down[x]
+    )
 
 
 def st_set(g):
@@ -98,10 +99,13 @@ def _greatest_st_on(g, lo, hi):
 def mu_admissible(g):
     """Total values, or the infimum defining mu_a attained on every pair.
 
-    Equal codes are equal values, so the series are compared as codes.
+    Equal codes are equal values, so the series are compared as codes.  A
+    non-total verdict is cached on the game, like the convexity verdicts.
     """
-    if g.values.is_total:
-        return True
+    return g.values.is_total or _cached(g, _ADMISSIBLE, _scan_admissible)
+
+
+def _scan_admissible(g):
     l = g.lattice
     code_max, code_a = _series_code(g, 0), _series_code(g, 2)
     for x, y in l.strict_pairs():

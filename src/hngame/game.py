@@ -42,38 +42,25 @@ built from codes (:func:`hngame.slopes.quotient_payoff`,
 (:func:`hngame.sweeps.iter_sweep_games`, through
 :meth:`Game._encoded_each`), each holding its product tuple as it is, with
 no copy, count or call of its own.  Construction writes only the lattice,
-the value lattice and the codes; everything derived from them (the four
-series, the tables, the convexity and slope-like verdicts) lives in one
-slot that stays None until the first analysis reads it.  The kernel and
-the convexity, slope-like, seesaw and interval (semi)stability predicates
-read only codes, compared and folded by ``values.code_order`` (builtins
-for total value kinds); the searches of :mod:`hngame.filtration` and
-:mod:`hngame.jordan_holder` read them through :func:`_payoff_code` and
-:func:`_series_code`.
+the value lattice and the codes; everything derived from them (series,
+tables, verdicts) lives in one slot that stays None until the first
+analysis reads it, or a constructor writes a verdict that a theorem gives
+it there (:func:`_derived`).  The kernel and the convexity, slope-like,
+seesaw and interval (semi)stability predicates read only codes, compared
+and folded by ``values.code_order`` (builtins for total value kinds); the
+searches of :mod:`hngame.filtration` and :mod:`hngame.jordan_holder` read
+them through :func:`_payoff_code` and :func:`_series_code`.
 
 The slope-like check, :func:`is_slope_like`, runs once per strict pair
-(x, z), not once per chain triple.  Under a total code order the four
-disjunctions on x < y < z say that mu(x, y) and mu(y, z) lie on opposite
-sides of mu(x, z), or both equal it, so the pair passes iff two pairs of
-element sets agree on the elements strictly between x and z.  Each set is
-read off a line of codes sorted once, with the OR of the free-end bits over
-every prefix, by one ``bisect``; a line's first use checks its pair element
-by element instead, and only a line used again is sorted, so the many games
-that fail at once pay for no sorting.  A non-total code order checks the
-four disjunctions element by element.
-
-The convexity check, :func:`_convexity`, reads the codes off a dense
-n x n matrix built for the call, holding the code of each strict pair at
-both of its positions, so that for an element x the two sides of the
-inequality over every y are one gather from row x through ``meet[x]`` and
-one from the rows through ``join[x]``.  One pass gives both verdicts,
-convex and affine, cached on the game like the slope-like one, so
-``check`` and the canonical filtration share it.  No convexity state is
-kept on the lattice.  A lattice with no incomparable pair, or a payoff
-with one value, passes both at once: each inequality then compares a code
-with itself.  So the coprimary game of a p-group, where every quotient has
-the one associated prime p, never reads the meet/join tables, which its
-subgroup lattice builds only on first read.
+(x, z), not once per chain triple, by ``bisect`` on lines of codes sorted
+once.  The convexity check, :func:`_convexity`, gives both verdicts,
+convex and affine, from one pass over a dense code matrix, and reads no
+meet/join table on a lattice with no incomparable pair or a payoff with
+one value.  Each verdict is cached on the game.  A quotient game is built
+slope-like (:mod:`hngame.slopes`) and a coprimary game convex and affine
+(``coprimary_game``), as theorems say they are, so no scan runs for them
+and no coprimary filtration reads the meet/join tables that a subgroup
+lattice builds on first read.
 
 Values are built only where they are handed out.  Every game builds its
 payoff dict on the first read of ``payoff``, and :meth:`Game.mu` decodes
@@ -110,18 +97,12 @@ INCREASING, DECREASING, FLAT, VIOLATION = (
 class Game:
     """A payoff function on the strict pairs of a bounded lattice.
 
-    ``payoff`` maps each strict pair to its value.  A game holds only the
-    payoff codes (see the module docstring): the public constructor
-    validates and encodes the values it is given and keeps none of them,
-    :meth:`_encoded` and :meth:`_encoded_each` take codes, and either way
-    ``payoff`` is decoded on its first read.
-
-    Construction writes the lattice, the value lattice and the
-    ``(codes, decode)`` pair, where the codes are any sequence indexed by
-    pair id (a list, or the tuple a sweep made), and sets the payoff dict,
-    the game it is the dual of and its derived state to None.  The derived
-    state (:func:`_derived`) appears on the first read of a series, the
-    tables or a convexity or slope-like verdict.
+    ``payoff`` maps each strict pair to its value, decoded on first read: a
+    game holds only the ``(codes, decode)`` pair, the codes any sequence
+    indexed by pair id (see the module docstring).  The public constructor
+    encodes the values it validates; :meth:`_encoded` and
+    :meth:`_encoded_each` take codes.  The derived state (:func:`_derived`)
+    stays None until read.
     """
 
     __slots__ = (
@@ -146,7 +127,8 @@ class Game:
             raise ValueError(
                 f"payoff value {v!r} at {pair} not in value lattice"
             ) from None
-        _set_fields(self, lattice, values, codes)
+        self.lattice, self.values, self._codes = lattice, values, codes
+        self._payoff = self._dual_of = self._derived = None
 
     @classmethod
     def _encoded(cls, lattice, values, codes):
@@ -158,7 +140,8 @@ class Game:
         if len(codes[0]) != n:
             raise ValueError(f"need {n} payoff codes, got {len(codes[0])}")
         g = cls.__new__(cls)
-        _set_fields(g, lattice, values, codes)
+        g.lattice, g.values, g._codes = lattice, values, codes
+        g._payoff = g._dual_of = g._derived = None
         return g
 
     @classmethod
@@ -168,8 +151,8 @@ class Game:
 
         The caller vouches that every sequence has one code per strict
         pair, as the ``itertools.product`` over the codes of the value
-        lattice does: nothing is counted or copied, and the fields of
-        :func:`_set_fields` are written here, with no call per game.
+        lattice does: nothing is counted or copied, and the fields are
+        written here, with no call per game.
         """
         new = cls.__new__
         for codes in code_seqs:
@@ -227,31 +210,28 @@ class Game:
         return f"Game({self.lattice!r}, {self.values!r}, {pairs} pairs)"
 
 
-def _set_fields(g, lattice, values, codes):
-    """Writes what a new game holds: its lattice, value lattice and
-    ``(codes, decode)`` pair, with no payoff dict, no game it is the dual
-    of and no derived state yet."""
-    g.lattice = lattice
-    g.values = values
-    g._codes = codes
-    g._payoff = g._dual_of = g._derived = None
-
-
 # Indices into a game's derived state (:func:`_derived`) past its four
 # series, which sit at 0 to 3.
-_TABLES, _SLOPE_LIKE, _CONVEXITY = 4, 5, 6
+_TABLES, _SLOPE_LIKE, _CONVEXITY, _ADMISSIBLE = 4, 5, 6, 7
 
 
 def _derived(g):
-    """The derived state of g, made on first use: one list holding the four
-    code series by pair id (:func:`_series`), the :class:`MuTables` over
-    them, the slope-like verdict and the ``(convex, affine)`` verdicts, at
-    0 to 3, ``_TABLES``, ``_SLOPE_LIKE`` and ``_CONVEXITY``, each None until
-    built."""
+    """The derived state of g, made on first use: one list of the four code
+    series by pair id (:func:`_series`), their :class:`MuTables`, and the
+    slope-like, ``(convex, affine)`` and mu-admissible verdicts, at 0 to 7
+    (``_TABLES`` on), each None until built or recorded."""
     d = g._derived
     if d is None:
-        d = g._derived = [None] * 7
+        d = g._derived = [None] * 8
     return d
+
+
+def _cached(g, slot, scan):
+    """Slot ``slot`` of the derived state of g, filled by ``scan(g)`` first."""
+    d = _derived(g)
+    if d[slot] is None:
+        d[slot] = scan(g)
+    return d[slot]
 
 
 class MuTables:
@@ -603,10 +583,7 @@ def _convexity(g):
     the game is not affine, and ``code_order.le`` checks convexity on that
     x and the rest.
     """
-    d = _derived(g)
-    if d[_CONVEXITY] is None:
-        d[_CONVEXITY] = _scan_convexity(g)
-    return d[_CONVEXITY]
+    return _cached(g, _CONVEXITY, _scan_convexity)
 
 
 def _scan_convexity(g):
@@ -701,10 +678,7 @@ def is_slope_like(g):
 
     The verdict is cached on the game, like its tables.
     """
-    d = _derived(g)
-    if d[_SLOPE_LIKE] is None:
-        d[_SLOPE_LIKE] = _scan_slope_like(g)
-    return d[_SLOPE_LIKE]
+    return _cached(g, _SLOPE_LIKE, _scan_slope_like)
 
 
 def _scan_slope_like(g):

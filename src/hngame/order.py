@@ -16,10 +16,12 @@ constructor and :func:`as_bounded_lattice` verify what they are given.
 The meet/join tables take n^2 entries.  :func:`as_bounded_lattice` builds
 them at once, since building them is how it checks the lattice laws; every
 document, fixture, sweep class, random lattice and completion goes through
-it.  A lattice by construction, such as an interval lattice or a subgroup
-lattice, builds them from its own order on the first read of ``meet`` or
-``join``.  A dual shares the tables of its lattice, built or not, so the
-two make one build between them whichever reads first.
+it.  A total order with bounds needs no check, being a chain, so there it
+leaves them unbuilt.  A lattice by construction, such as a chain, an
+interval lattice or a subgroup lattice, builds them from its own order on
+the first read of ``meet`` or ``join``.  A dual shares the tables of its
+lattice, built or not, so the two make one build between them whichever
+reads first.
 :func:`is_modular` reads covers and masks only, so a modularity check
 builds no tables.
 """
@@ -281,10 +283,10 @@ class BoundedLattice(FinitePoset):
     Use :func:`as_bounded_lattice` to build one from a poset with full
     verification of the lattice laws.  The constructor takes over the
     fields of a poset and its bounds without checking them again, and so
-    serves a poset that is a lattice by construction, such as a dual, an
-    interval lattice or a subgroup lattice.  ``meet`` and ``join`` may be
-    given; otherwise :func:`_tables` builds both from the order on the
-    first read of either.  A lattice and its dual share one build, held in
+    serves a poset that is a lattice by construction, such as a chain, a
+    dual, an interval lattice or a subgroup lattice.  ``meet`` and ``join``
+    may be given; otherwise :func:`_tables` builds both from the order on
+    the first read of either.  A lattice and its dual share one build, held in
     a one-item list that the dual reads swapped, so neither refers to the
     other.  ``meet[i][j]`` / ``join[i][j]`` give element indices.
     """
@@ -377,7 +379,8 @@ def as_bounded_lattice(p):
     """Verify that a poset is a nontrivial bounded lattice and equip it with
     meet/join tables.  :func:`_tables` builds them at once, since building
     them is how the lattice laws are checked, and the lattice takes them
-    over.
+    over.  A total order is a chain, a lattice with no check, so its
+    tables are left to be built on first read.
 
     Raises :class:`NoBounds` if there is no global least or greatest element,
     :class:`NotALattice` naming the first pair without a glb or lub, and
@@ -392,6 +395,8 @@ def as_bounded_lattice(p):
     bot, top = bots[0], tops[0]
     if bot == top:
         raise TrivialLattice("least and greatest elements coincide")
+    if p.is_total():
+        return BoundedLattice(p, bot, top)
     return BoundedLattice(p, bot, top, *_tables(p))
 
 

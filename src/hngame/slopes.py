@@ -2,13 +2,16 @@
 
 A payoff of the form degree/rank (with +inf at rank zero) is slope-like
 whenever both tables are additive along chain triples and zero-rank pairs
-have strictly positive degree.  On a bounded lattice, additive tables are
-exactly differences of potentials, R(y) = rank(bot, y) and D(y) =
+have strictly positive degree: the slope of [x, z] is then the mediant of
+those of [x, y] and [y, z].  :func:`quotient_payoff` checks those hypotheses
+and builds its game with the verdict.  On a bounded lattice, additive tables
+are exactly differences of potentials, R(y) = rank(bot, y) and D(y) =
 degree(bot, y), so data is given as per-element potentials or as pair tables
-that reduce to theirs.  Potentials are scaled to ints over their least common
-denominator, so each slope is an int quotient dv/rv, and the quotients are
-ranked once by the extended-rational encoding of :mod:`hngame.values` into
-the game's value codes.  A slope becomes a ``Fraction`` only when read.
+that reduce to theirs.  Potentials are scaled to ints over their least
+common denominator, so each slope is an int quotient dv/rv, and the
+quotients are ranked once by the extended-rational encoding of
+:mod:`hngame.values` into the game's value codes.  A slope becomes a
+``Fraction`` only when read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import lcm
 from operator import itemgetter, not_, sub
 
 from .errors import AdditivityViolation, NegativeRank, ZeroRankNonpositiveDegree
-from .game import Game
+from .game import _SLOPE_LIKE, Game, _derived
 from .values import ExtendedRationals, _ranked_slopes
 
 
@@ -133,9 +136,11 @@ def quotient_payoff(lattice, data):
     int slopes dv/rv of :func:`_scaled_increments` are ranked once
     (:func:`~hngame.values._ranked_slopes`) into the game's codes, so no
     slope is a value until it is read.  Values are extended rationals; -inf
-    never occurs.
+    never occurs.  The game holds its slope-like verdict.
     """
     if isinstance(data, RankDegreeData):
         data = data._potentials()
     _, rvs, dvs = _scaled_increments(lattice, data)
-    return Game._encoded(lattice, ExtendedRationals(), _ranked_slopes(rvs, dvs))
+    g = Game._encoded(lattice, ExtendedRationals(), _ranked_slopes(rvs, dvs))
+    _derived(g)[_SLOPE_LIKE] = True
+    return g

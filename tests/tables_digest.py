@@ -53,7 +53,9 @@ is_stable, is_slope_like and has_nash_equilibrium:
 
 One line per section, then one over all of them.  Two checkouts whose table
 engine and predicates agree print the same lines.  The file name does not
-start with ``test_``, so pytest does not collect it.
+start with ``test_``, so pytest does not collect it; ``test_digest.py``
+pins the six sections other than structure and sweep, which take about a
+second together, and those two stay a run by hand.
 """
 
 import hashlib
@@ -259,24 +261,33 @@ def feed_potentials_game(h, g):
     feed_game(h, g)
 
 
+SECTIONS = {
+    "structure": (structures, "orders and duals", feed_structure),
+    "sweep": (sweep_games, "games and duals", feed_game),
+    "groups": (group_games, "games and duals", feed_game),
+    "potentials": (potentials_games, "games and duals", feed_potentials_game),
+    "explicit": (explicit_games, "games and duals", feed_game),
+    "rationals": (rationals_games, "games and duals", feed_rationals_game),
+    "slope_like": (slope_like_games, "games and duals", feed_slope_like),
+    "lattices": (lambda: lattice_iso_classes(7), "classes", feed_lattice_class),
+}
+
+
+def section_digest(name):
+    """The number of items of a section and the SHA-256 hex digest of them."""
+    make, _, feed = SECTIONS[name]
+    h = hashlib.sha256()
+    count = 0
+    for item in make():
+        feed(h, item)
+        count += 1
+    return count, h.hexdigest()
+
+
 def main():
     total = hashlib.sha256()
-    for name, items, kind, feed in (
-        ("structure", structures(), "orders and duals", feed_structure),
-        ("sweep", sweep_games(), "games and duals", feed_game),
-        ("groups", group_games(), "games and duals", feed_game),
-        ("potentials", potentials_games(), "games and duals", feed_potentials_game),
-        ("explicit", explicit_games(), "games and duals", feed_game),
-        ("rationals", rationals_games(), "games and duals", feed_rationals_game),
-        ("slope_like", slope_like_games(), "games and duals", feed_slope_like),
-        ("lattices", lattice_iso_classes(7), "classes", feed_lattice_class),
-    ):
-        h = hashlib.sha256()
-        count = 0
-        for item in items:
-            feed(h, item)
-            count += 1
-        digest = h.hexdigest()
+    for name, (_, kind, _) in SECTIONS.items():
+        count, digest = section_digest(name)
         total.update(digest.encode())
         print(f"{name} {count} {kind}: {digest}", flush=True)
     print(f"all: {total.hexdigest()}")

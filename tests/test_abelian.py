@@ -130,27 +130,27 @@ def test_deferred_tables_match_oracle(monkeypatch):
             ), group
 
 
-def test_coprimary_builds_tables_only_off_p_groups(monkeypatch):
-    # Every quotient of a p-group has Ass = {p}, so its game has one value:
-    # the convexity check reads no table, and every series is the codes,
-    # with no peel.  The canonical filtration leaves the tables unbuilt.
-    # Any other group reads them, and builds them once.
-    builds, peels = [], []
-    build, peel = order._tables, hgame._peel
+def test_coprimary_filtration_builds_no_tables(monkeypatch):
+    # A coprimary game is built convex and affine, so no group's canonical
+    # filtration runs the convexity pass or reads the meet/join tables.
+    # Every quotient of a p-group has Ass = {p}, so its game has one value
+    # and every series is the codes, with no peel; any other group peels.
+    builds, peels, scans = [], [], []
+    build, peel, scan = order._tables, hgame._peel, hgame._scan_convexity
     monkeypatch.setattr(order, "_tables", lambda p: builds.append(p) or build(p))
     monkeypatch.setattr(hgame, "_peel", lambda *args: peels.append(args) or peel(*args))
+    monkeypatch.setattr(hgame, "_scan_convexity", lambda g: scans.append(g) or scan(g))
     kinds = set()
     for group in _groups_workload() + [FiniteAbelianGroup((2,) * 6)]:
-        builds.clear()
         peels.clear()
         report = coprimary_filtration(group)
-        l = report.subgroup_lattice.lattice
         p_group = len(prime_divisors(group.order)) == 1
         assert report.valid, group
-        assert (_built(l), len(builds)) == ((False, 0) if p_group else (True, 1))
+        assert not _built(report.subgroup_lattice.lattice), group
         assert bool(peels) != p_group, group
         kinds.add(p_group)
     assert kinds == {True, False}
+    assert (builds, scans) == ([], [])
 
 
 def _literal_addition_table(group):

@@ -70,12 +70,14 @@ from hngame.sweeps import (
 from oracles import (
     associated_primes,
     closure_oracle,
+    convexity_oracle,
     mu_a_oracle,
     mu_b_oracle,
     mu_max_oracle,
     mu_min_oracle,
     poset_iso_classes,
     quotient,
+    slope_like_oracle,
     value_order_oracle,
 )
 
@@ -206,6 +208,12 @@ def test_criterion_04_quotient_payoffs_slope_like(sweep_lattices):
     rng = random.Random(20230809)
     for _ in range(500):
         g = random_quotient_game(rng, max_elements=8)
+        # The game holds its verdict from construction; the theorem is
+        # tested by the scan of the same payoff built by the public
+        # constructor, and by the oracle.
+        scanned = Game(g.lattice, g.values, g.payoff)
+        assert scanned._derived is None
+        assert is_slope_like(g) == is_slope_like(scanned) == slope_like_oracle(g)
         assert is_slope_like(g)
         assert not has_seesaw_violation(g)
     # Conversely, slope-like iff no violating triple, on the whole sweep.
@@ -295,13 +303,31 @@ def test_criterion_06_dedekind_macneille():
     _passed(6, "Dedekind-MacNeille laws, fixpoints, universal property", t0, 60)
 
 
+def _assert_coprimary_convexity_by_scan_and_oracle(game):
+    # The game holds (convex, affine) = (True, True) from construction; the
+    # theorem is tested by the scan of the same payoff built by the public
+    # constructor, and by the oracle.
+    scanned = Game(game.lattice, game.values, game.payoff)
+    assert scanned._derived is None
+    verdicts = {
+        (is_convex(g), is_affine(g)) for g in (game, scanned)
+    } | {(convexity_oracle(game, False), convexity_oracle(game, True))}
+    assert verdicts == {(True, True)}, game
+
+
 def test_criterion_07_coprimary_all_groups_up_to_48():
     t0 = time.time()
     groups = iter_invariant_factor_groups(48)
     assert len(groups) == 77
+    # (Z/2)^2 x Z/12 is one of the 77; these two are beyond them.
+    for orders in ((2, 2, 2, 2, 6), (6, 30)):
+        _assert_coprimary_convexity_by_scan_and_oracle(
+            coprimary_game(FiniteAbelianGroup(orders))
+        )
     for group in groups:
         sl = subgroup_lattice(group)
         game = coprimary_game(group, sl)
+        _assert_coprimary_convexity_by_scan_and_oracle(game)
         # mu_a is the least-prime singleton on every strict pair.
         t = game.tables()
         for pair, ass in game.payoff.items():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hngame import filtration as hfiltration
 from hngame import fixtures
 from hngame.errors import (
     EmptySt,
@@ -103,6 +104,25 @@ def test_mu_admissible_non_total_unattained():
     assert not mu_admissible(g)
     with pytest.raises(PreconditionFailed):
         canonical_hn_filtration(g)
+
+
+def test_mu_admissible_scans_once_per_game(monkeypatch):
+    # M3 values on a 12-chain, top, x and bot on three blocks of the upper
+    # end: admissible and convex, with a three-step canonical filtration.
+    # greatest_st and canonical_hn_filtration share one admissibility scan.
+    scans = []
+    scan = hfiltration._scan_admissible
+    monkeypatch.setattr(
+        hfiltration, "_scan_admissible", lambda g: scans.append(g) or scan(g)
+    )
+    l = fixtures.chain(12)
+    blocks = ("top", "x", "bot")
+    g = Game(l, FiniteLatticeValues(fixtures.m3()),
+             {(x, y): blocks[y // 4] for x, y in l.strict_pairs()})
+    assert greatest_st(g) == 3
+    report = canonical_hn_filtration(g)
+    assert report.valid and report.filtration.steps == (0, 3, 7, 11)
+    assert scans == [g]
 
 
 def test_canonical_gmod(gmod):

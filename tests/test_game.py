@@ -834,10 +834,46 @@ def test_check_path_leaves_potentials_payoff_undecoded():
 
 def _assert_slope_like_matches_oracles(g):
     for d in (g, dual(g)):
-        # The seesaw trichotomy is its own scan, not the slope-like verdict.
+        # The seesaw trichotomy is its own scan, not the slope-like verdict:
+        # it writes no verdict and no series.  A quotient game holds its
+        # verdict from construction, a dual none.
+        before = None if d._derived is None else list(d._derived)
         assert has_seesaw_violation(d) == seesaw_violation_oracle(d)
-        assert d._derived is None
-        assert is_slope_like(d) == slope_like_oracle(d)
+        assert d._derived == before
+        verdict = slope_like_oracle(d)
+        assert is_slope_like(d) == verdict
+        assert is_slope_like(Game(d.lattice, d.values, d.payoff)) == verdict
+
+
+def test_only_theorem_constructors_record_verdicts(monkeypatch):
+    # A quotient game is built slope-like and a coprimary game convex and
+    # affine, so reading those verdicts scans nothing.  The same payoff built
+    # by the public constructor, the dual and a restriction hold no verdict
+    # and scan once each, to the same verdict.
+    scans = []
+    for name in ("_scan_slope_like", "_scan_convexity"):
+        scan = getattr(hgame, name)
+        monkeypatch.setattr(
+            hgame, name, lambda g, scan=scan: scans.append(g) or scan(g)
+        )
+    cases = (
+        (_potentials_game(_divisor_lattice(360)), is_slope_like),
+        (coprimary_game(FiniteAbelianGroup((2, 6))), is_convex),
+        (coprimary_game(FiniteAbelianGroup((2, 6))), is_affine),
+    )
+    for g, verdict in cases:
+        scans.clear()
+        assert verdict(g) and scans == []
+        l = g.lattice
+        mid = next(x for x in l.elements() if l.lt(l.bot, x) and x != l.top)
+        for other in (
+            Game(l, g.values, g.payoff),
+            dual(g),
+            restrict(g, Interval(l, mid, l.top)),
+        ):
+            assert other._derived is None
+            assert verdict(other) and scans == [other]
+            scans.clear()
 
 
 def test_slope_like_is_not_cover_local():

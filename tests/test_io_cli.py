@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hngame import fixtures
+from hngame import game as hgame
 from hngame.abelian import FiniteAbelianGroup, coprimary_game
 from hngame.cli import build_parser, main
 from hngame.errors import SchemaError
@@ -436,21 +437,37 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
 def test_cli_coprimary_guard_runs_before_building_elements():
     # A group of order 10^12 must be refused by the order guard, within
     # 1 GiB of address space, before any of its elements exists.
-    src = str(REPO / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "hngame.cli", "coprimary",
          "--orders", "1000000", "1000000"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_src_env(),
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("input error: ")
+
+
+def test_python_m_hngame_runs_the_cli(capsys):
+    argv = ["coprimary", "--orders", "12"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hngame", *argv],
+        capture_output=True, text=True, timeout=60, env=_src_env(),
+    )
+    assert main(argv) == proc.returncode == 0
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert proc.stdout == (GOLDEN / "z12_coprimary.json").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -632,6 +649,16 @@ def test_cli_selfcheck(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["valid"] is True
+
+
+def test_cli_selfcheck_scans_the_random_quotients(tmp_path, monkeypatch):
+    # Quotient games hold their slope-like verdict from construction, so the
+    # selfcheck must scan the same payoffs built by the public constructor:
+    # a scan that fails everything fails the random-quotient item.
+    monkeypatch.setattr(hgame, "_scan_slope_like", lambda g: False)
+    out = tmp_path / "r.json"
+    assert main(["selfcheck", "--trials", "3", "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["random_quotients_slope_like"] is False
 
 
 def test_full_relation_form_accepted():
