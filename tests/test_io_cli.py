@@ -150,6 +150,42 @@ def test_export_dot_escapes_quotes_and_backslashes():
     )
 
 
+# Every command that reads a document, run on every fixture.  The exit code
+# and stderr line of each pair are pinned in golden/cli_exits.json, and a
+# pair that writes a report has it pinned byte for byte in
+# golden/<fixture>_<command>.json (.dot for export-dot).
+DOC_COMMANDS = {
+    "check": ["check"],
+    "hn": ["hn"],
+    "hn_enumerate": ["hn-enumerate"],
+    "jh": ["jh"],
+    "dm": ["dm"],
+    "export_dot": ["export-dot"],
+    "export_dot_hn": ["export-dot", "--hn"],
+}
+CLI_EXITS = json.loads((GOLDEN / "cli_exits.json").read_text())
+INPUT_ERRORS = json.loads((GOLDEN / "input_errors.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(DOC_COMMANDS))
+@pytest.mark.parametrize("path", FIXTURE_DOCS, ids=lambda p: p.stem)
+def test_cli_fixture_goldens(tmp_path, capsys, path, command):
+    out = tmp_path / "report"
+    code = main(DOC_COMMANDS[command] + ["--input", str(path), "--output", str(out)])
+    assert [code, capsys.readouterr().err] == CLI_EXITS[f"{path.stem} {command}"]
+    suffix = ".dot" if command.startswith("export") else ".json"
+    golden = GOLDEN / f"{path.stem}_{command}{suffix}"
+    assert out.exists() == golden.exists()
+    if golden.exists():
+        assert out.read_bytes() == golden.read_bytes()
+
+
+def test_cli_exits_cover_every_fixture_and_command():
+    assert set(CLI_EXITS) == {
+        f"{path.stem} {command}" for path in FIXTURE_DOCS for command in DOC_COMMANDS
+    }
+
+
 def test_cli_hn_golden_bytes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["hn", "--input", str(REPO / "fixtures" / "gmod.json"),
@@ -318,7 +354,7 @@ _SQUARE_GAME = {
                    "entries": [{"lo": "bot", "hi": "top", "value": True}]},
     }, id="boolean-lattice-value"),
 ])
-def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
+def test_cli_input_error_is_one_line(tmp_path, capsys, request, argv, doc):
     if doc is not None:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -328,6 +364,7 @@ def test_cli_input_error_is_one_line(tmp_path, capsys, argv, doc):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("input error: ")
+    assert err == INPUT_ERRORS[request.node.callspec.id]
 
 
 # Literals that ``int`` parses but the schema's rational pattern refuses.
