@@ -19,6 +19,7 @@ from .filtration import (
     MAX_ENUMERATION_ELEMENTS,
     canonical_hn_filtration,
     enumerate_hn_filtrations,
+    mu_admissible,
 )
 from .game import (
     Game,
@@ -154,7 +155,7 @@ def cmd_hn_enumerate(args):
     game, name = _load_game(args)
     found = enumerate_hn_filtrations(game, max_elements=args.max_size)
     canonical = None
-    if is_convex(game):
+    if is_convex(game) and mu_admissible(game):
         canonical = canonical_hn_filtration(game).filtration
     unique = None
     if game.values.is_total and canonical is not None:

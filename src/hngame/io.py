@@ -339,17 +339,7 @@ def _values_section(values):
         return {"kind": "extended_rational"}
     if values.kind == "prime_finsets":
         return {"kind": "prime_finsets", "primes": list(values.primes)}
-    if hasattr(values, "lattice"):
-        section = {"kind": "explicit_lattice"}
-        section.update(_order_section(values.lattice))
-        return section
-    # Chains carry no lattice object; consecutive pairs are the covers.
-    elements = list(values.elements)
-    return {
-        "kind": "explicit_lattice",
-        "elements": elements,
-        "covers": [[a, b] for a, b in zip(elements, elements[1:])],
-    }
+    return {"kind": "explicit_lattice", **_order_section(values.lattice)}
 
 
 def game_to_document(game, name=None):

@@ -16,20 +16,23 @@ and returns their codes together with a map from code back to value, and
   int quotient dv/rv, ±inf being (±1, 0), and :func:`_ranked_slopes` ranks
   such quotients; it is the only ranking of extended rationals, and slope
   games call it on their int quotients directly;
-- ``FiniteChain``: the rank in the chain;
 - ``PrimeFinsets``: the bitmask of base positions, whose integer order is the
   Lex' order (:meth:`PrimeFinsets.key`);
-- ``FiniteLatticeValues``: the element index, ordered by the lattice itself
-  (an up-set bit test, and sup and inf through the join and meet tables);
-- the dual of a total kind negates the codes, and the dual of lattice values
-  keeps the indices under the dual lattice.
+- ``FiniteLatticeValues``: on a chain, the rank in the chain; otherwise the
+  element index, ordered by the lattice itself (an up-set bit test, and sup
+  and inf through the join and meet tables).  ``FiniteChain`` builds lattice
+  values on the chain of the values it is given;
+- the dual of a kind with integer codes negates the codes, and the dual of
+  lattice values keeps the indices under the dual lattice.
 
 ``dual_codes`` turns codes of a kind into codes of its dual without looking
-at the values, so a dual game takes the codes of its game: a total kind
-negates the codes and reads code c of the dual as code -c of the kind, so
-not even the decode map is copied.  As the dual of the dual is the kind
-itself, ``dual_codes`` of a dual kind is that of the kind.  For the integer
-codes ``code_order`` is :data:`INT_ORDER`, whose operations are builtins.
+at the values, so a dual game takes the codes of its game: a kind with
+integer codes negates them and reads code c of the dual as code -c of the
+kind, so not even the decode map is copied.  As the dual of the dual is the
+kind itself, ``dual_codes`` of a dual kind is that of the kind.  For the
+integer codes ``code_order`` is :data:`INT_ORDER`, whose operations are
+builtins, and a kind is total exactly when its codes are integers
+(:attr:`ValueLattice.is_total`).
 Equal values get equal codes, so ``==`` on codes is ``==`` on values.
 There is no value-level order: values are compared by comparing their codes.
 
@@ -50,6 +53,7 @@ from itertools import compress
 from types import SimpleNamespace
 
 from .errors import UnknownLabel
+from .order import BoundedLattice, build_poset
 
 POS_INF = float("inf")
 NEG_INF = float("-inf")
@@ -85,11 +89,10 @@ class _NegatedCodes(Mapping):
 
 class ValueLattice:
     """Common interface: membership, the bounds ``top`` and ``bot``, the
-    dual, and the integer codes of values with ``code_order``, the only
-    order on them."""
+    dual, and the codes of values with ``code_order``, the only order on
+    them: :data:`INT_ORDER` for a total kind, a lattice for any other."""
 
     kind = None
-    is_total = False
     top = None
     bot = None
     code_order = INT_ORDER
@@ -103,8 +106,18 @@ class ValueLattice:
         """
         raise NotImplementedError
 
+    @property
+    def is_total(self):
+        """Whether the values form a chain, which is when their codes are
+        compared as integers."""
+        return self.code_order is INT_ORDER
+
     def dual_codes(self, codes, decode):
-        """The same values encoded for the dual lattice: negated codes."""
+        """The same values encoded for the dual lattice: integer codes are
+        negated, and codes under a lattice order are kept, as the dual
+        lattice reverses that order."""
+        if self.code_order is not INT_ORDER:
+            return codes, decode
         return list(map(operator.neg, codes)), _NegatedCodes(decode)
 
     def contains(self, v):
@@ -122,7 +135,6 @@ class ExtendedRationals(ValueLattice):
     """
 
     kind = "extended_rational"
-    is_total = True
     top = POS_INF
     bot = NEG_INF
 
@@ -243,76 +255,40 @@ class _Slopes(Mapping):
         return len(self.rvs)
 
 
-class FiniteChain(ValueLattice):
-    """An explicit finite chain of values, listed from bot to top."""
-
-    kind = "explicit_lattice"
-    is_total = True
-
-    def __init__(self, elements):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("a chain needs at least one element")
-        self.elements = elements
-        self.bot = elements[0]
-        self.top = elements[-1]
-        self._rank = {v: k for k, v in enumerate(elements)}
-        if len(self._rank) != len(elements):
-            raise ValueError("chain elements must be distinct")
-        self._decode = dict(enumerate(elements))
-
-    def contains(self, v):
-        return v in self._rank
-
-    def encode(self, values):
-        rank = self._rank
-        try:
-            return [rank[v] for v in values], self._decode
-        except KeyError as exc:
-            raise _not_a_value(exc.args[0]) from None
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteChain) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(("chain", self.elements))
-
-    def __repr__(self):
-        return f"FiniteChain({list(self.elements)!r})"
-
-
 class FiniteLatticeValues(ValueLattice):
-    """Values forming an explicit finite lattice, not necessarily total.
+    """Values forming an explicit finite lattice, total or not.
 
-    Elements are the labels of a :class:`~hngame.order.BoundedLattice`.  A
-    value's code is its element index, ordered, joined and met by the lattice
-    itself, even when the lattice is a chain.
+    Elements are the labels of a :class:`~hngame.order.BoundedLattice`.  On
+    a chain a value's code is its rank, ``down[i].bit_count() - 1``, under
+    :data:`INT_ORDER`, whatever order the labels are listed in; otherwise it
+    is its element index, ordered, joined and met by the lattice itself.
     """
 
     kind = "explicit_lattice"
 
     def __init__(self, lattice):
         self.lattice = lattice
-        self.elements = lattice.names
-        self.bot = lattice.names[lattice.bot]
-        self.top = lattice.names[lattice.top]
-        self._index = {name: i for i, name in enumerate(lattice.names)}
-        self.is_total = lattice.is_total()
-        self.code_order = lattice
+        self.elements = names = lattice.names
+        self.bot = names[lattice.bot]
+        self.top = names[lattice.top]
+        if lattice.is_total():
+            codes = [d.bit_count() - 1 for d in lattice.down]
+            self._decode = dict(zip(codes, names))
+        else:
+            codes = range(lattice.n)
+            self._decode = names
+            self.code_order = lattice
+        self._code = dict(zip(names, codes))
 
     def contains(self, v):
-        return v in self._index
+        return v in self._code
 
     def encode(self, values):
-        index = self._index
+        code = self._code
         try:
-            return [index[v] for v in values], self.elements
+            return [code[v] for v in values], self._decode
         except KeyError as exc:
             raise _not_a_value(exc.args[0]) from None
-
-    def dual_codes(self, codes, decode):
-        """The same indices: the dual lattice reverses their order."""
-        return codes, decode
 
     def __eq__(self, other):
         return (
@@ -324,6 +300,17 @@ class FiniteLatticeValues(ValueLattice):
 
     def __repr__(self):
         return f"FiniteLatticeValues({self.lattice!r})"
+
+
+class FiniteChain(FiniteLatticeValues):
+    """Lattice values on the chain of ``elements``, listed from bot to top."""
+
+    def __init__(self, elements):
+        elements = tuple(elements)
+        if not elements:
+            raise ValueError("a chain needs at least one element")
+        chain = build_poset(elements, zip(elements, elements[1:]))
+        super().__init__(BoundedLattice(chain, 0, len(elements) - 1))
 
 
 class PrimeFinsets(ValueLattice):
@@ -340,7 +327,6 @@ class PrimeFinsets(ValueLattice):
     """
 
     kind = "prime_finsets"
-    is_total = True
 
     def __init__(self, primes):
         self.primes = tuple(sorted(primes))
@@ -393,7 +379,6 @@ class _DualValues(ValueLattice):
     def __init__(self, inner):
         self.inner = inner
         self.kind = inner.kind
-        self.is_total = inner.is_total
         self.top = inner.bot
         self.bot = inner.top
         # Total kinds negate their codes, so the integer order still applies.

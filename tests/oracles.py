@@ -52,10 +52,10 @@ def value_order_oracle(values):
     list, the empty sup being bot and the empty inf top.  The kind is read
     off the value lattice's data attributes, and none of its methods is
     called: a dual (``inner``) swaps the order of the lattice it dualizes,
-    extended rationals compare exactly, a chain by position in
-    ``elements``, prime sets by :func:`lex_key_oracle`, and explicit lattice
-    values by the up-sets of their lattice, with sup and inf folding the
-    tables of :func:`lattice_tables_oracle`.  Cached per value lattice
+    extended rationals compare exactly, prime sets by
+    :func:`lex_key_oracle`, and explicit lattice values, chains among them,
+    by the up-sets of their lattice, with sup and inf folding the tables of
+    :func:`lattice_tables_oracle`.  Cached per value lattice
     object for as long as it lives.
     """
     order = _VALUE_ORDERS.get(id(values))
@@ -82,11 +82,7 @@ def _build_value_order(values):
         return _total_order(
             lambda v: lex_key_oracle(base, v), frozenset(), frozenset(base)
         )
-    lattice = getattr(values, "lattice", None)
-    if lattice is None:
-        elements = values.elements
-        position = {v: k for k, v in enumerate(elements)}
-        return _total_order(position.__getitem__, elements[0], elements[-1])
+    lattice = values.lattice
     bot, top, meet, join = lattice_tables_oracle(lattice)
     names, up = lattice.names, lattice.up
     index = {name: i for i, name in enumerate(names)}

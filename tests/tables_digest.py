@@ -52,10 +52,13 @@ is_stable, is_slope_like and has_nash_equilibrium:
   elements, in the order ``lattice_iso_classes`` lists them.
 
 One line per section, then one over all of them.  Two checkouts whose table
-engine and predicates agree print the same lines.  The file name does not
-start with ``test_``, so pytest does not collect it; ``test_digest.py``
-pins the six sections other than structure and sweep, which take about a
-second together, and those two stay a run by hand.
+engine and predicates agree print the same lines.  Each line is pinned in
+``PINS`` and ``PIN_ALL``; the script exits 1 and names on stderr every line
+that differs from its pin, and 0 when none does.  A change meant to alter
+an output updates the pins with it.  The file name does not start with
+``test_``, so pytest does not collect it; ``test_digest.py`` checks the six
+sections other than structure and sweep against their pins, which take
+about a second together, and those two stay a run by hand.
 """
 
 import hashlib
@@ -273,6 +276,20 @@ SECTIONS = {
 }
 
 
+# Item count and digest of each section, and the digest over all of them.
+PINS = {
+    "structure": (378, "f59f8fa3efce33a580844223a8b48d457a23f69dc85c434c1f4919a4e8babd09"),
+    "sweep": (108165, "5b23e9a0053cc6df493f869fd80295d2aab93fdd4664eae6d36cbeaeef6a6297"),
+    "groups": (110, "d4c472c175c8a35bbf08e917ddbe68f004b6855d33fb75f2319b0982c353070f"),
+    "potentials": (12, "f11bbe7e01a65a515e2e49d1a83bae51cab91a93a9248ab2d1dd1a6251e770f8"),
+    "explicit": (360, "75ed646633795701f147baf5f63b0404141af8198868df09d84a1e99452c70b5"),
+    "rationals": (891, "60d6915ec8a9482b8367a58efdeebe9c022ca96880d839a35afe593f882b902d"),
+    "slope_like": (141, "4fe3840ba73237ac9c16b82cfdbab9b1d1d6d19adc8a43db790e719cdafe4213"),
+    "lattices": (77, "5732474f6943267f9557d932a08ef319e14af4614970e6383c0ced0c876e8253"),
+}
+PIN_ALL = "02ee6686a1aa5a1c6cddf2ab5fdfc91769ec2d8d9b16e02a2673fc5b0c4ac230"
+
+
 def section_digest(name):
     """The number of items of a section and the SHA-256 hex digest of them."""
     make, _, feed = SECTIONS[name]
@@ -285,13 +302,23 @@ def section_digest(name):
 
 
 def main():
+    """Print the lines; return 1 if any differs from its pin, else 0."""
     total = hashlib.sha256()
+    differ = []
     for name, (_, kind, _) in SECTIONS.items():
         count, digest = section_digest(name)
         total.update(digest.encode())
         print(f"{name} {count} {kind}: {digest}", flush=True)
+        if (count, digest) != PINS[name]:
+            differ.append(name)
     print(f"all: {total.hexdigest()}")
+    if total.hexdigest() != PIN_ALL:
+        differ.append("all")
+    if differ:
+        print(f"differ from their pins: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

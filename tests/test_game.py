@@ -15,6 +15,7 @@ from hngame.filtration import (
     _st_set_on,
     canonical_hn_filtration,
     enumerate_hn_filtrations,
+    mu_admissible,
     st_set,
 )
 from hngame.game import (
@@ -506,12 +507,25 @@ VALUE_KINDS = {
     "b2": lambda: _lattice_kind(fixtures.b2()),
     "m3": lambda: _lattice_kind(fixtures.m3()),
     "n5": lambda: _lattice_kind(fixtures.n5()),
+    "unsorted_chain": lambda: (
+        _unsorted_chain(("low", "mid", "high"), ("high", "low", "mid")),
+        ("high", "low", "mid"),
+    ),
 }
 
 
 def _lattice_kind(lattice):
     values = FiniteLatticeValues(lattice)
     return values, values.elements
+
+
+def _unsorted_chain(ranked, listed):
+    """Lattice values on the chain ``ranked``, from bot to top, with the
+    labels listed as in ``listed``, where no label sits at its rank."""
+    assert all(map(str.__ne__, ranked, listed))
+    return FiniteLatticeValues(as_bounded_lattice(
+        build_poset(listed, list(zip(ranked, ranked[1:])))
+    ))
 
 
 def _assert_engine_matches_oracles(g):
@@ -534,6 +548,10 @@ def _assert_engine_matches_oracles(g):
         assert _st_set_on(g, lo, hi) == st_set_on_oracle(g, lo, hi)
     found = [(f.steps, f.mu_a_steps) for f in enumerate_hn_filtrations(g)]
     assert found == hn_filtrations_oracle(g)
+    if is_convex(g) and mu_admissible(g):
+        f = canonical_hn_filtration(g).filtration
+        assert (f.steps, f.mu_a_steps) in found
+        assert len(found) == 1 or not g.values.is_total
     jh = [f.steps for f in enumerate_jh_filtrations(g)]
     assert len(jh) == len(set(jh))
     assert set(jh) == jh_filtrations_oracle(g)
@@ -888,9 +906,13 @@ def test_slope_like_is_not_cover_local():
                 (1, 3): 2, (1, 4): 3, (2, 3): 1, (2, 4): 2, (3, 4): 4}
     assert only_024 in tables
     verdicts = []
-    for values in (FiniteChain(range(5)), FiniteLatticeValues(fixtures.chain(5))):
+    ranked = ("v0", "v1", "v2", "v3", "v4")
+    for values, labels in (
+        (FiniteChain(range(5)), range(5)),
+        (_unsorted_chain(ranked, ("v3", "v0", "v4", "v1", "v2")), ranked),
+    ):
         for table in tables:
-            payoff = {p: values.elements[v] for p, v in table.items()}
+            payoff = {p: labels[v] for p, v in table.items()}
             g = Game(lattice, values, payoff)
             _assert_slope_like_matches_oracles(g)
             verdicts.append(is_slope_like(g))

@@ -15,6 +15,7 @@ from hngame import game as hgame
 from hngame.abelian import FiniteAbelianGroup, coprimary_game
 from hngame.cli import build_parser, main
 from hngame.errors import SchemaError
+from hngame.values import FiniteLatticeValues
 from hngame.io import (
     emit_game,
     export_dot,
@@ -571,6 +572,30 @@ def test_cli_hn_enumerate(tmp_path):
     assert payload["unique_and_canonical"] is True
 
 
+def test_cli_hn_enumerate_convex_but_not_mu_admissible(tmp_path, capsys):
+    # B2 values whose mu_a infimum on (bot, top) is attained by no witness:
+    # convex, but outside the hypotheses of the canonical filtration.  The
+    # enumeration still reports its two valid filtrations, with no canonical.
+    l = fixtures.b2()
+    a, b = l.index("a"), l.index("b")
+    g = hgame.Game(l, FiniteLatticeValues(fixtures.b2()), {
+        (l.bot, a): "a", (l.bot, b): "b", (l.bot, l.top): "bot",
+        (a, l.top): "b", (b, l.top): "a",
+    })
+    assert hgame.is_convex(g)
+    doc = tmp_path / "g.json"
+    doc.write_text(emit_game(g))
+    out = tmp_path / "r.json"
+    code = main(["hn-enumerate", "--input", str(doc), "--output", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == "hn-enumerate: 2 valid filtration(s)\n"
+    payload = json.loads(out.read_text())
+    assert payload["count"] == 2
+    assert payload["filtrations"] == [["bot", "a", "top"], ["bot", "b", "top"]]
+    assert payload["canonical"] is None
+    assert payload["unique_and_canonical"] is None
+
+
 def test_cli_dm_poset(tmp_path):
     out = tmp_path / "r.json"
     code = main(["dm", "--input", str(REPO / "fixtures" / "fence_poset.json"),
@@ -747,4 +772,16 @@ def test_chain_valued_game_emits_and_reparses():
     g2 = parse_game(text)
     assert g2.payoff == g.payoff
     assert g2.lattice == g.lattice
+    assert g2 == g
     assert emit_game(g2, name="sweep") == text
+
+
+def test_chain_values_listed_top_down_give_the_check_golden(tmp_path):
+    # Chain values are coded by rank, whatever order their labels are listed in.
+    doc = json.loads((REPO / "fixtures" / "n5_chain_values.json").read_text())
+    doc["values"]["elements"].reverse()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "n5_chain_values_check.json").read_bytes()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hngame import fixtures
 from hngame.errors import UnknownLabel
 from hngame.game import Game
-from hngame.order import BoundedLattice
+from hngame.order import BoundedLattice, as_bounded_lattice, build_poset
 from hngame.values import (
     INT_ORDER,
     NEG_INF,
@@ -49,6 +49,49 @@ def test_finite_chain_arbitrary_labels():
     codes, decode = s.encode(["low", "high", "mid"])
     assert codes == [0, 2, 1]
     assert decode[s.code_order.sup(codes[:2])] == "high"
+
+
+def _unsorted_chain():
+    """The chain low < mid < high with its labels listed top first."""
+    return as_bounded_lattice(
+        build_poset(["high", "low", "mid"], [("low", "mid"), ("mid", "high")])
+    )
+
+
+def test_total_lattice_values_code_by_rank():
+    s = FiniteLatticeValues(_unsorted_chain())
+    assert s.code_order is INT_ORDER and s.is_total
+    assert (s.bot, s.top) == ("low", "high")
+    codes, decode = s.encode(["high", "low", "mid"])
+    assert codes == [2, 0, 1]
+    assert [decode[c] for c in codes] == ["high", "low", "mid"]
+    d = s.dual()
+    assert d.code_order is INT_ORDER and d.is_total
+    assert (d.bot, d.top) == ("high", "low")
+    dcodes, ddecode = d.encode(["high", "low", "mid"])
+    assert dcodes == [-2, 0, -1]
+    assert ddecode[d.code_order.sup(dcodes)] == "low"
+    assert [ddecode[c] for c in dcodes] == ["high", "low", "mid"]
+    back, bdecode = d.dual_codes(dcodes, ddecode)
+    assert back == codes and [bdecode[c] for c in back] == ["high", "low", "mid"]
+    assert d.dual() is s
+
+
+def test_finite_chain_is_lattice_values_on_its_chain():
+    labels = ("low", "mid", "high")
+    s = FiniteChain(labels)
+    t = FiniteLatticeValues(fixtures.chain(3, labels))
+    assert s == t and t == s
+    assert hash(s) == hash(t)
+    assert s.encode(labels) == t.encode(labels)
+    assert s != FiniteLatticeValues(_unsorted_chain())
+    assert s != FiniteChain(labels[::-1])
+
+
+@pytest.mark.parametrize("elements", [(), ("a", "b", "a")], ids=["empty", "repeated"])
+def test_finite_chain_rejects_empty_or_repeated_elements(elements):
+    with pytest.raises(ValueError):
+        FiniteChain(elements)
 
 
 def test_lattice_values_non_total():
@@ -133,7 +176,16 @@ _KINDS = {
     "b2": _lattice_kind(fixtures.b2),
     "m3": _lattice_kind(fixtures.m3),
     "n5": _lattice_kind(fixtures.n5),
+    "unsorted_chain": _lattice_kind(_unsorted_chain),
 }
+_TOTAL_KINDS = {"rationals", "chain", "primes", "unsorted_chain"}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_is_total_is_the_integer_code_order(kind):
+    base = _KINDS[kind][0]()
+    for s in (base, base.dual()):
+        assert s.is_total == (s.code_order is INT_ORDER) == (kind in _TOTAL_KINDS)
 
 
 @pytest.mark.parametrize("dualize", [False, True], ids=["primal", "dual"])
