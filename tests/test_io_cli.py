@@ -354,11 +354,13 @@ _SQUARE_GAME = {
         "payoff": {"source": "table",
                    "entries": [{"lo": "bot", "hi": "top", "value": True}]},
     }, id="boolean-lattice-value"),
+    pytest.param(["hn"], "{notjson", id="not-json"),
 ])
 def test_cli_input_error_is_one_line(tmp_path, capsys, request, argv, doc):
+    # ``doc`` is written as JSON, or as it is when it is a string.
     if doc is not None:
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv = argv + ["--input", str(path)]
     code = main(argv + ["--output", str(tmp_path / "r.json")])
     err = capsys.readouterr().err

@@ -1,13 +1,15 @@
 """Checks on the repository around the library: the README code runs as
 printed and its layout names every module, the library imports nothing
-beyond the standard library, and the test oracles stay independent of the
-production code."""
+beyond the standard library, the test oracles stay independent of the
+production code, and the public names of the package match their pin."""
 
 import ast
 import contextlib
 import io
+import json
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,15 @@ def test_no_class_defines_getattr():
                     and item.name == "__getattr__"
                 )
     assert hooks == []
+
+
+def test_public_api_matches_its_pin():
+    # The names `import hngame` exports, submodules aside: dropping or adding
+    # one is a change of the public API and must update the pin.
+    import hngame
+
+    names = sorted(
+        name for name, value in vars(hngame).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == json.loads((TESTS / "golden" / "public_api.json").read_text())
