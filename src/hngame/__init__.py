@@ -75,7 +75,7 @@ from .order import (
     is_modular,
     linear_extension,
 )
-from .slopes import PotentialData, RankDegreeData, quotient_payoff
+from .slopes import PotentialData, quotient_payoff
 from .values import (
     ExtendedRationals,
     FiniteChain,

@@ -6,8 +6,9 @@ have strictly positive degree: the slope of [x, z] is then the mediant of
 those of [x, y] and [y, z].  :func:`quotient_payoff` checks those hypotheses
 and builds its game with the verdict.  On a bounded lattice, additive tables
 are exactly differences of potentials, R(y) = rank(bot, y) and D(y) =
-degree(bot, y), so data is given as per-element potentials or as pair tables
-that reduce to theirs.  Potentials are scaled to ints over their least
+degree(bot, y), so data is one type, :class:`PotentialData`, and pair tables
+are read into it by :meth:`PotentialData.from_tables`, which checks every
+entry against the potentials of row bot.  Potentials are scaled to ints over their least
 common denominator, so each slope is an int quotient dv/rv, and the
 quotients are ranked once by the extended-rational encoding of
 :mod:`hngame.values` into the game's value codes.  A slope becomes a
@@ -28,42 +29,6 @@ from .values import ExtendedRationals, _ranked_slopes
 
 
 @dataclass(frozen=True)
-class RankDegreeData:
-    """Rank/degree tables on the strict pairs of a lattice, validated on
-    construction: an entry (x, y) other than R(y) - R(x) for the potentials
-    raises :class:`AdditivityViolation` on the chain bot < x < y."""
-
-    lattice: object
-    rank: dict
-    degree: dict
-
-    @classmethod
-    def from_tables(cls, lattice, rank, degree):
-        """The tables on the strict pairs as Fractions, validated."""
-        pairs = lattice.strict_pairs()
-        rank = {p: Fraction(rank[p]) for p in pairs}
-        degree = {p: Fraction(degree[p]) for p in pairs}
-        return cls(lattice, rank, degree)
-
-    def __post_init__(self):
-        _scaled_increments(self.lattice, self._potentials(), self)
-
-    @classmethod
-    def _trusted(cls, lattice, rank, degree):
-        """Tables made from validated potentials, taken over unchecked."""
-        self = object.__new__(cls)
-        self.__dict__.update(lattice=lattice, rank=rank, degree=degree)
-        return self
-
-    def _potentials(self):
-        bot, names = self.lattice.bot, self.lattice.names
-        return PotentialData(*(
-            {name: t[(bot, y)] if y != bot else 0 for y, name in enumerate(names)}
-            for t in (self.rank, self.degree)
-        ))
-
-
-@dataclass(frozen=True)
 class PotentialData:
     """Per-element potentials R, D keyed by element label.
 
@@ -76,12 +41,20 @@ class PotentialData:
     rank_potential: dict
     degree_potential: dict
 
-    def tables(self, lattice):
-        scale, rvs, dvs = _scaled_increments(lattice, self)
-        pairs = lattice.strict_pairs()
-        rank = {p: Fraction(rv, scale) for p, rv in zip(pairs, rvs)}
-        degree = {p: Fraction(dv, scale) for p, dv in zip(pairs, dvs)}
-        return RankDegreeData._trusted(lattice, rank, degree)
+    @classmethod
+    def from_tables(cls, lattice, rank, degree):
+        """The potentials of rank/degree tables on the strict pairs of
+        ``lattice``, read off row bot: R(y) = rank(bot, y), D(y) =
+        degree(bot, y).  Every entry, taken as a Fraction, is validated
+        against them by :func:`_scaled_increments`."""
+        pairs, bot, names = lattice.strict_pairs(), lattice.bot, lattice.names
+        tables = tuple({p: Fraction(t[p]) for p in pairs} for t in (rank, degree))
+        data = cls(*(
+            {name: t[(bot, y)] if y != bot else 0 for y, name in enumerate(names)}
+            for t in tables
+        ))
+        _scaled_increments(lattice, data, tables)
+        return data
 
 
 def _scaled_increments(lattice, data, tables=None):
@@ -90,13 +63,13 @@ def _scaled_increments(lattice, data, tables=None):
     Returns ``(L, rvs, dvs)``: L is the least common denominator of every
     rank and degree potential, and for the k-th strict pair (x, y) of
     ``strict_pairs()``, ``rvs[k]`` = L (R(y) - R(x)) and ``dvs[k]`` =
-    L (D(y) - D(x)) are ints.  Given the ``tables`` (a
-    :class:`RankDegreeData`) those potentials come from, every entry is
-    first compared with its increment by cross-multiplying, the degree table
-    first, and a mismatch raises :class:`AdditivityViolation` on the chain
-    bot < x < y.  Then it raises :class:`NegativeRank` or
-    :class:`ZeroRankNonpositiveDegree` at the first pair whose rank is
-    negative, or zero with a nonpositive degree.
+    L (D(y) - D(x)) are ints.  Given ``tables``, the pair of rank and
+    degree dicts of Fractions on the strict pairs that those potentials come
+    from, every entry is first compared with its increment by
+    cross-multiplying, the degree table first, and a mismatch raises
+    :class:`AdditivityViolation` on the chain bot < x < y.  Then it raises
+    :class:`NegativeRank` or :class:`ZeroRankNonpositiveDegree` at the first
+    pair whose rank is negative, or zero with a nonpositive degree.
     """
     names = lattice.names
     r = [Fraction(data.rank_potential[name]) for name in names]
@@ -111,8 +84,8 @@ def _scaled_increments(lattice, data, tables=None):
     dvs = list(map(sub, map(di.__getitem__, hi), map(di.__getitem__, lo)))
     if tables is not None:
         bot = names[lattice.bot]
-        for table, vs in (("degree", dvs), ("rank", rvs)):
-            entries = getattr(tables, table)
+        rank, degree = tables
+        for table, entries, vs in (("degree", degree, dvs), ("rank", rank, rvs)):
             for (x, y), v in zip(pairs, vs):
                 num, den = entries[(x, y)].as_integer_ratio()
                 if num * scale != v * den:
@@ -131,15 +104,13 @@ def _scaled_increments(lattice, data, tables=None):
 def quotient_payoff(lattice, data):
     """The game with payoff degree/rank, +inf where rank vanishes.
 
-    ``data`` is a :class:`PotentialData`, or a :class:`RankDegreeData`
-    (already validated, by construction) read through its potentials.  The
+    ``data`` is a :class:`PotentialData`; rank/degree tables reach it
+    through :meth:`PotentialData.from_tables`, which validates them.  The
     int slopes dv/rv of :func:`_scaled_increments` are ranked once
     (:func:`~hngame.values._ranked_slopes`) into the game's codes, so no
     slope is a value until it is read.  Values are extended rationals; -inf
     never occurs.  The game holds its slope-like verdict.
     """
-    if isinstance(data, RankDegreeData):
-        data = data._potentials()
     _, rvs, dvs = _scaled_increments(lattice, data)
     g = Game._encoded(lattice, ExtendedRationals(), _ranked_slopes(rvs, dvs))
     _derived(g)[_SLOPE_LIKE] = True

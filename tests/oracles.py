@@ -631,6 +631,27 @@ def exact_ranks_oracle(values):
     return [rank[v] for v in values], distinct
 
 
+def potential_tables_oracle(lattice, data):
+    """Literal rank and degree tables of the potentials of ``data``.
+
+    For each pair x < y, the entries are R(y) - R(x) and D(y) - D(x) in
+    Fraction arithmetic, read from ``data.rank_potential`` and
+    ``data.degree_potential`` by label, whatever their signs.
+    """
+    names = lattice.names
+    rank, degree = {}, {}
+    for x in range(len(names)):
+        for y in range(len(names)):
+            if lattice.lt(x, y):
+                for table, potential in (
+                    (rank, data.rank_potential), (degree, data.degree_potential)
+                ):
+                    table[(x, y)] = (
+                        Fraction(potential[names[y]]) - Fraction(potential[names[x]])
+                    )
+    return rank, degree
+
+
 def potential_payoff_oracle(lattice, rank_potential, degree_potential):
     """Literal quotient payoff of per-element potentials R, D keyed by label.
 

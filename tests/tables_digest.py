@@ -25,8 +25,9 @@ is_stable, is_slope_like and has_nash_equilibrium:
   on every lattice class with 2 to 6 elements from each of three pools (the
   infinities among small fractions, fractions that all round to the float
   1.0, and fractions beyond the float range of both signs), and quotient
-  games of ``RankDegreeData`` tables on a 12-element chain, the divisor
-  lattice of 360 and a random lattice, as given and scaled so that every
+  games of rank/degree tables on a 12-element chain, the divisor lattice of
+  360 and a random lattice, read by ``PotentialData.from_tables``: the
+  literal tables of seeded potentials, as given and scaled so that every
   slope lies beyond the float range, or so that every finite slope is
   1 + s / 10**20 and all of them round to the float 1.0.
   For these the digest also takes the payoff, as the ``repr`` of its sorted
@@ -93,7 +94,7 @@ from hngame.order import (  # noqa: E402
     as_bounded_lattice,
     build_poset,
 )
-from hngame.slopes import RankDegreeData, quotient_payoff  # noqa: E402
+from hngame.slopes import PotentialData, quotient_payoff  # noqa: E402
 from hngame.sweeps import (  # noqa: E402
     iter_sweep_games,
     lattice_iso_classes,
@@ -109,7 +110,7 @@ from hngame.values import (  # noqa: E402
     FiniteLatticeValues,
 )
 
-from oracles import cover_step_slope_like_tables  # noqa: E402
+from oracles import cover_step_slope_like_tables, potential_tables_oracle  # noqa: E402
 
 PREDICATES = (
     is_convex, is_affine, is_semistable, is_stable, is_slope_like,
@@ -179,13 +180,14 @@ def rationals_games():
                 yield Game(lattice, values, {p: rng.choice(pool) for p in pairs})
     for lattice in (fixtures.chain(12), divisor_lattice(360), random_lattice(rng, 20)):
         for seed in range(3):
-            base = random_potentials(random.Random(seed), lattice, 0.3).tables(lattice)
+            base = random_potentials(random.Random(seed), lattice, 0.3)
+            rank, degree = potential_tables_oracle(lattice, base)
             # rank' = a rank and degree' = b degree + c rank stay additive.
             for a, b, c in ((1, 1, 0), (Fraction(1, HUGE), 1, 0), (1, Fraction(1, BIG), 1)):
-                data = RankDegreeData.from_tables(
+                data = PotentialData.from_tables(
                     lattice,
-                    {p: a * r for p, r in base.rank.items()},
-                    {p: b * d + c * base.rank[p] for p, d in base.degree.items()},
+                    {p: a * r for p, r in rank.items()},
+                    {p: b * d + c * rank[p] for p, d in degree.items()},
                 )
                 yield quotient_payoff(lattice, data)
 

@@ -49,7 +49,7 @@ from hngame.game import (
 )
 from hngame.jordan_holder import enumerate_jh_filtrations
 from hngame.order import Interval, as_bounded_lattice, build_poset
-from hngame.slopes import quotient_payoff
+from hngame.slopes import PotentialData, quotient_payoff
 from hngame.sweeps import (
     iter_payoff_tables,
     lattice_iso_classes,
@@ -83,6 +83,7 @@ from oracles import (
     mu_b_oracle,
     mu_max_oracle,
     mu_min_oracle,
+    potential_tables_oracle,
     seesaw_violation_oracle,
     slope_like_oracle,
     st_set_on_oracle,
@@ -811,10 +812,11 @@ def test_games_hold_codes_only():
     l = fixtures.b2()
     given = {p: Fraction(k, 2) for k, p in enumerate(l.strict_pairs())}
     data = random_potentials(random.Random(3), l)
+    tables = potential_tables_oracle(l, data)
     games = [
         Game(l, ExtendedRationals(), given),
         quotient_payoff(l, data),
-        quotient_payoff(l, data.tables(l)),
+        quotient_payoff(l, PotentialData.from_tables(l, *tables)),
         coprimary_game(FiniteAbelianGroup([12])),
     ]
     for g in games:

@@ -12,7 +12,7 @@ from hngame.errors import (
 )
 from hngame.game import is_slope_like, seesaw_classify, VIOLATION
 from hngame.order import _iter_bits, linear_extension
-from hngame.slopes import PotentialData, RankDegreeData, quotient_payoff
+from hngame.slopes import PotentialData, quotient_payoff
 from hngame.sweeps import (
     lattice_iso_classes,
     random_lattice,
@@ -25,6 +25,7 @@ from oracles import (
     additivity_oracle,
     exact_ranks_oracle,
     potential_payoff_oracle,
+    potential_tables_oracle,
     slope_oracle,
 )
 
@@ -45,7 +46,7 @@ def test_gmod_from_potentials():
 
 def test_zero_rank_gives_plus_infinity():
     l = fixtures.c2()
-    rd = RankDegreeData.from_tables(
+    rd = PotentialData.from_tables(
         l, {(l.bot, l.top): 0}, {(l.bot, l.top): 1}
     )
     g = quotient_payoff(l, rd)
@@ -54,7 +55,7 @@ def test_zero_rank_gives_plus_infinity():
 
 def test_single_pair_slope():
     l = fixtures.c2()
-    rd = RankDegreeData.from_tables(
+    rd = PotentialData.from_tables(
         l, {(l.bot, l.top): 2}, {(l.bot, l.top): 3}
     )
     g = quotient_payoff(l, rd)
@@ -67,30 +68,20 @@ def test_additivity_violation_detected():
     rank = {(l.bot, a): 1, (a, l.top): 1, (l.bot, l.top): 2}
     degree = {(l.bot, a): 1, (a, l.top): 1, (l.bot, l.top): 5}
     with pytest.raises(AdditivityViolation) as err:
-        RankDegreeData.from_tables(l, rank, degree)
+        PotentialData.from_tables(l, rank, degree)
     assert err.value.table == "degree"
 
 
 def test_zero_rank_needs_positive_degree():
     l = fixtures.c2()
     with pytest.raises(ZeroRankNonpositiveDegree):
-        RankDegreeData.from_tables(l, {(l.bot, l.top): 0}, {(l.bot, l.top): 0})
+        PotentialData.from_tables(l, {(l.bot, l.top): 0}, {(l.bot, l.top): 0})
 
 
 def test_negative_rank_rejected():
     l = fixtures.c2()
     with pytest.raises(ValueError):
-        RankDegreeData.from_tables(l, {(l.bot, l.top): -1}, {(l.bot, l.top): 1})
-
-
-def test_direct_construction_validates():
-    # The constructor itself refuses tables that from_tables refuses.
-    l = fixtures.c3()
-    pairs = l.strict_pairs()
-    with pytest.raises(HNGameError):
-        RankDegreeData(l, {p: -1 for p in pairs}, dict(zip(pairs, (1, 2, 3))))
-    with pytest.raises(NegativeRank):
-        RankDegreeData(l, dict(zip(pairs, (-1, -2, -1))), dict(zip(pairs, (1, 2, 1))))
+        PotentialData.from_tables(l, {(l.bot, l.top): -1}, {(l.bot, l.top): 1})
 
 
 def _table_cases(rng):
@@ -101,8 +92,9 @@ def _table_cases(rng):
     lattices = list(lattice_iso_classes(6))
     lattices += [random_lattice(rng, rng.randint(7, 13)) for _ in range(30)]
     for lattice in lattices:
-        base = random_potentials(rng, lattice, flat_chance=0.3).tables(lattice)
-        rank, degree, pairs = base.rank, base.degree, lattice.strict_pairs()
+        data = random_potentials(rng, lattice, flat_chance=0.3)
+        rank, degree = potential_tables_oracle(lattice, data)
+        pairs = lattice.strict_pairs()
         pair, step = rng.choice(pairs), rng.choice((1, -1))
         yield lattice, rank, degree
         yield lattice, {**rank, pair: rank[pair] + step}, degree
@@ -120,7 +112,7 @@ def test_tables_accepted_exactly_as_by_the_triple_loop():
         failures = additivity_oracle(lattice, rank, degree)
         signs_hold = all(r > 0 or r == 0 < degree[p] for p, r in rank.items())
         try:
-            data = RankDegreeData.from_tables(lattice, rank, degree)
+            data = PotentialData.from_tables(lattice, rank, degree)
         except AdditivityViolation as exc:
             assert (exc.table, *exc.triple) in failures
             outcomes.add(AdditivityViolation)
@@ -139,9 +131,9 @@ def test_tables_accepted_exactly_as_by_the_triple_loop():
 
 def test_potentials_must_be_order_preserving():
     with pytest.raises(ValueError):
-        PotentialData(
+        quotient_payoff(fixtures.c3(), PotentialData(
             {"bot": 0, "a": 2, "top": 1}, {"bot": 0, "a": 1, "top": 2}
-        ).tables(fixtures.c3())
+        ))
 
 
 def test_quotient_payoffs_match_literal_slopes():
@@ -150,9 +142,9 @@ def test_quotient_payoffs_match_literal_slopes():
         rank_potential={"bot": 0, "a": 1, "b": 1, "top": 2},
         degree_potential={"bot": 0, "a": 3, "b": 1, "top": 4},
     )
-    rd = potentials.tables(g.lattice)
+    rank, degree = potential_tables_oracle(g.lattice, potentials)
     for pair in g.lattice.strict_pairs():
-        assert g.payoff[pair] == slope_oracle(rd.rank[pair], rd.degree[pair])
+        assert g.payoff[pair] == slope_oracle(rank[pair], degree[pair])
 
 
 def test_fixture_quotients_are_slope_like():
@@ -195,47 +187,45 @@ def test_common_scaling_leaves_payoff_unchanged():
     base = PotentialData(
         rank_potential={"bot": 0, "a": 1, "b": 1, "top": 2},
         degree_potential={"bot": 0, "a": 3, "b": 1, "top": 4},
-    ).tables(l)
-    scaled = RankDegreeData.from_tables(
+    )
+    rank, degree = potential_tables_oracle(l, base)
+    scaled = PotentialData.from_tables(
         l,
-        {p: v * Fraction(5, 3) for p, v in base.rank.items()},
-        {p: v * Fraction(5, 3) for p, v in base.degree.items()},
+        {p: v * Fraction(5, 3) for p, v in rank.items()},
+        {p: v * Fraction(5, 3) for p, v in degree.items()},
     )
     assert quotient_payoff(l, base).payoff == quotient_payoff(l, scaled).payoff
 
 
+def _round_trip(lattice, data):
+    """The game of ``data`` built the long way: its literal tables, read
+    back by ``PotentialData.from_tables``."""
+    tables = potential_tables_oracle(lattice, data)
+    return quotient_payoff(lattice, PotentialData.from_tables(lattice, *tables))
+
+
 def _check_against_oracle(lattice, data):
-    """quotient_payoff and PotentialData.tables agree with the literal
-    per-pair Fraction computation: equal payoffs of equal types, or the same
-    error class and message.  Returns the error, or None."""
+    """quotient_payoff, on the potentials and on their tables read back by
+    from_tables, agrees with the literal per-pair Fraction computation:
+    equal payoffs of equal types, or the same error class and message.
+    Returns the error, or None."""
     try:
         expected = potential_payoff_oracle(
             lattice, data.rank_potential, data.degree_potential
         )
     except HNGameError as exc:
-        for build in (quotient_payoff, lambda l, d: d.tables(l)):
+        for build in (quotient_payoff, _round_trip):
             with pytest.raises(HNGameError) as err:
                 build(lattice, data)
             assert type(err.value) is type(exc)
             assert str(err.value) == str(exc)
         return exc
-    payoff = quotient_payoff(lattice, data).payoff
-    assert payoff == expected
-    assert {p: type(v) for p, v in payoff.items()} == {
-        p: type(v) for p, v in expected.items()
-    }
-    tables = data.tables(lattice)
-    names = lattice.names
-    for x, y in lattice.strict_pairs():
-        for table, potential in (
-            (tables.rank, data.rank_potential),
-            (tables.degree, data.degree_potential),
-        ):
-            value = table[(x, y)]
-            assert type(value) is Fraction
-            assert value == Fraction(potential[names[y]]) - Fraction(
-                potential[names[x]]
-            )
+    for build in (quotient_payoff, _round_trip):
+        payoff = build(lattice, data).payoff
+        assert payoff == expected
+        assert {p: type(v) for p, v in payoff.items()} == {
+            p: type(v) for p, v in expected.items()
+        }
     return None
 
 
