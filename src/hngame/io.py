@@ -327,6 +327,14 @@ def parse_poset(text):
 
 
 def _order_section(poset):
+    seen = set()
+    for label in poset.names:
+        if not _is_label(label) or str(label) in seen:
+            raise HNGameError(
+                f"cannot emit the label {label!r}: document labels are strings "
+                f"or integers, distinct also as strings"
+            )
+        seen.add(str(label))
     covers = sorted(poset.covers())
     return {
         "elements": list(poset.names),
@@ -335,11 +343,26 @@ def _order_section(poset):
 
 
 def _values_section(values):
-    if values.kind == "extended_rational":
+    """The section of ``values``; an order-dual kind has no document form."""
+    if isinstance(values, ExtendedRationals):
         return {"kind": "extended_rational"}
-    if values.kind == "prime_finsets":
+    if isinstance(values, PrimeFinsets):
         return {"kind": "prime_finsets", "primes": list(values.primes)}
-    return {"kind": "explicit_lattice", **_order_section(values.lattice)}
+    if isinstance(values, FiniteLatticeValues):
+        return {"kind": "explicit_lattice", **_order_section(values.lattice)}
+    raise HNGameError(
+        f"cannot emit the values {values!r}: documents have no order-dual kinds"
+    )
+
+
+def _named(doc, name):
+    if name is not None:
+        if not isinstance(name, str):
+            raise HNGameError(
+                f"cannot emit the name {name!r}: document names are strings"
+            )
+        doc["name"] = name
+    return doc
 
 
 def game_to_document(game, name=None):
@@ -362,9 +385,7 @@ def game_to_document(game, name=None):
             ],
         },
     }
-    if name is not None:
-        doc["name"] = name
-    return doc
+    return _named(doc, name)
 
 
 def poset_to_document(poset, name=None):
@@ -373,9 +394,7 @@ def poset_to_document(poset, name=None):
         "kind": "poset",
         "poset": _order_section(poset),
     }
-    if name is not None:
-        doc["name"] = name
-    return doc
+    return _named(doc, name)
 
 
 def document_to_text(doc):

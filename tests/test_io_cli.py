@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,9 +15,13 @@ from hngame import fixtures
 from hngame import game as hgame
 from hngame.abelian import FiniteAbelianGroup, coprimary_game
 from hngame.cli import build_parser, main
-from hngame.errors import SchemaError
+from hngame.completion import dedekind_macneille
+from hngame.errors import HNGameError, SchemaError
+from hngame.order import build_poset
+from hngame.sweeps import iter_sweep_games, random_quotient_game
 from hngame.values import FiniteLatticeValues
 from hngame.io import (
+    document_to_text,
     emit_game,
     export_dot,
     format_rational,
@@ -24,6 +29,7 @@ from hngame.io import (
     parse_game,
     parse_poset,
     parse_rational,
+    poset_to_document,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,8 +46,6 @@ def test_parse_emit_parse_fixpoint(path):
     text = path.read_text()
     kind, obj, _ = parse_document(text)
     if kind == "poset":
-        from hngame.io import poset_to_document, document_to_text
-
         text2 = document_to_text(poset_to_document(obj))
         _, obj2, _ = parse_document(text2)
         assert obj2 == obj
@@ -100,10 +104,66 @@ def test_poset_vs_game_mismatch():
 
 
 def test_shipped_fixtures_validate_against_schema():
+    # The fixtures, what the emitters write for each of them, and the emitted
+    # sweep, quotient and coprimary games of EMIT_KINDS all meet the schema.
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((REPO / "schema" / "document.schema.json").read_text())
+    texts = []
     for path in FIXTURE_DOCS:
-        jsonschema.validate(json.loads(path.read_text()), schema)
+        kind, obj, name = parse_document(path.read_text())
+        emitted = emit_game(obj, name) if kind == "game" else (
+            document_to_text(poset_to_document(obj, name))
+        )
+        texts += [path.read_text(), emitted]
+    texts += [emit_game(make(), name=kind) for kind, make in EMIT_KINDS.items()]
+    for text in texts:
+        jsonschema.validate(json.loads(text), schema)
+
+
+# One game of each value kind: a quotient, a coprimary and a sweep game.
+EMIT_KINDS = {
+    "extended_rational": lambda: random_quotient_game(random.Random(4), 7),
+    "prime_finsets": lambda: coprimary_game(FiniteAbelianGroup([12])),
+    "explicit_lattice": lambda: next(iter_sweep_games(fixtures.b2())),
+}
+
+
+@pytest.mark.parametrize("kind", list(EMIT_KINDS))
+def test_emit_refuses_order_dual_values(kind):
+    # A document has no order-dual kind: the dual of a game is refused in one
+    # line, where it would otherwise come back as a different game, and the
+    # dual of the dual emits as the game.
+    g = EMIT_KINDS[kind]()
+    with pytest.raises(HNGameError) as err:
+        emit_game(hgame.dual(g))
+    assert str(err.value).startswith("cannot emit the values ")
+    assert len(str(err.value).splitlines()) == 1
+    assert emit_game(hgame.dual(hgame.dual(g))) == emit_game(g)
+
+
+def test_dual_of_rational_game_is_not_emitted_as_another_game():
+    d = hgame.dual(fixtures.g_mod())
+    assert hgame.mu_a_star(d) == 3
+    with pytest.raises(HNGameError):
+        emit_game(d)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: dedekind_macneille(fixtures.b2()).as_lattice(), id="dm-cuts"),
+    pytest.param(lambda: build_poset([1, "1"], []), id="labels-equal-as-strings"),
+])
+def test_emit_refuses_labels_the_parser_refuses(make):
+    with pytest.raises(HNGameError) as err:
+        poset_to_document(make())
+    assert str(err.value).startswith("cannot emit the label ")
+    assert len(str(err.value).splitlines()) == 1
+
+
+def test_emit_refuses_a_name_that_is_not_a_string():
+    with pytest.raises(HNGameError, match="^cannot emit the name 3: "):
+        emit_game(fixtures.g_mod(), name=3)
+    with pytest.raises(HNGameError, match="^cannot emit the name "):
+        poset_to_document(fixtures.b2(), name=["b2"])
 
 
 def test_rational_formatting():
@@ -767,8 +827,6 @@ def test_covers_and_relation_mutually_exclusive():
 def test_chain_valued_game_emits_and_reparses():
     # Sweep games carry FiniteChain values; emission normalizes them to the
     # explicit-lattice section and the emitted text is a fixpoint.
-    from hngame.sweeps import iter_sweep_games
-
     g = next(iter_sweep_games(fixtures.b2()))
     text = emit_game(g, name="sweep")
     g2 = parse_game(text)
