@@ -247,49 +247,11 @@ def test_cli_exits_cover_every_fixture_and_command():
     }
 
 
-def test_cli_hn_golden_bytes(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = main(["hn", "--input", str(REPO / "fixtures" / "gmod.json"),
-                 "--output", str(out)])
-    assert code == 0
-    assert out.read_bytes() == (GOLDEN / "gmod_hn.json").read_bytes()
-
-
 def test_cli_coprimary_golden_bytes(tmp_path):
     out = tmp_path / "report.json"
     code = main(["coprimary", "--orders", "12", "--output", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "z12_coprimary.json").read_bytes()
-
-
-def test_cli_check_exit_zero(tmp_path):
-    code = main(["check", "--input", str(REPO / "fixtures" / "steep_chain.json"),
-                 "--output", str(tmp_path / "r.json")])
-    assert code == 0
-
-
-def test_cli_check_names_no_predicate_when_none_hold(tmp_path, capsys):
-    code = main(["check", "--input", str(REPO / "fixtures" / "n5_chain_values.json"),
-                 "--output", str(tmp_path / "r.json")])
-    assert code == 0
-    assert capsys.readouterr().err == "check: (none hold)\n"
-
-
-def test_cli_property_failure_exit_one(tmp_path):
-    # Jordan-Hölder on a non-semistable game is a property failure.
-    code = main(["jh", "--input", str(REPO / "fixtures" / "steep_chain.json"),
-                 "--output", str(tmp_path / "r.json")])
-    assert code == 1
-
-
-def test_cli_input_error_exit_two(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{notjson")
-    code = main(["hn", "--input", str(bad), "--output", str(tmp_path / "r.json")])
-    assert code == 2
-    code = main(["dm", "--input", str(REPO / "fixtures" / "gmod.json"),
-                 "--output", str(tmp_path / "r.json")])
-    assert code == 2
 
 
 def test_cli_parser_is_reused_after_a_usage_error(tmp_path, capsys):
