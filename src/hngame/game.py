@@ -612,16 +612,16 @@ def _scan_convexity(g):
     return True, affine
 
 
-def _interval_row_scan(g, lo, hi, beats):
-    """Whether no x strictly between lo and hi has
-    ``beats(mu_a(lo, hi), mu_a(lo, x))`` on codes."""
-    ta = _series(g, 2)
+def _row_witness(g, codes, lo, hi, beats):
+    """The first x strictly between lo and hi, by index, with
+    ``beats(codes(lo, hi), codes(lo, x))``, or None.  ``codes`` is a code
+    list by pair id: the payoff codes, or a series of :func:`_series`."""
     row = _pair_ids(g.lattice)[lo]
-    ref = ta[row[hi]]
+    ref = codes[row[hi]]
     for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
-        if beats(ref, ta[row[x]]):
-            return False
-    return True
+        if beats(ref, codes[row[x]]):
+            return x
+    return None
 
 
 def interval_semistable(g, lo, hi):
@@ -631,13 +631,13 @@ def interval_semistable(g, lo, hi):
     greater than mu_a(lo, hi).  For non-total value lattices this is weaker
     than mu_a(lo, x) <= mu_a(lo, hi).
     """
-    return _interval_row_scan(g, lo, hi, g.values.code_order.lt)
+    return _row_witness(g, _series(g, 2), lo, hi, g.values.code_order.lt) is None
 
 
 def interval_stable(g, lo, hi):
     """Stability of the restriction of g to [lo, hi]: semistable and no
     proper intermediate x attains mu_a(lo, hi)."""
-    return _interval_row_scan(g, lo, hi, g.values.code_order.le)
+    return _row_witness(g, _series(g, 2), lo, hi, g.values.code_order.le) is None
 
 
 def is_semistable(g):

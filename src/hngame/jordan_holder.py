@@ -15,12 +15,13 @@ from .errors import JHNotFound, PreconditionFailed, TooLarge
 from .filtration import MAX_ENUMERATION_ELEMENTS
 from .game import (
     _payoff_code,
+    _row_witness,
     interval_stable,
     is_affine,
     is_semistable,
     is_slope_like,
 )
-from .order import _iter_bits, check_chain, is_modular, iter_chains
+from .order import check_chain, is_modular, iter_chains
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,10 @@ def _game_value(g):
 
 def _first_deviation(g, lower, upper):
     """The first z with lower < z < upper and mu(lower, z) not strictly below
-    mu(lower, upper), or None when the step is strictly optimal."""
-    code = _payoff_code(g)
+    mu(lower, upper), or None when the step is strictly optimal.  Values
+    need not be total, so this is not ``mu(lower, upper) <= mu(lower, z)``."""
     lt = g.values.code_order.lt
-    ref = code(lower, upper)
-    for z in _iter_bits(g.lattice.strictly_between(lower, upper)):
-        if not lt(code(lower, z), ref):
-            return z
-    return None
+    return _row_witness(g, g._codes[0], lower, upper, lambda ref, c: not lt(c, ref))
 
 
 def _check_jh_preconditions(g, modular_affine=False):
