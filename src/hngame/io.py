@@ -343,7 +343,6 @@ def _order_section(poset):
 
 
 def _values_section(values):
-    """The section of ``values``; an order-dual kind has no document form."""
     if isinstance(values, ExtendedRationals):
         return {"kind": "extended_rational"}
     if isinstance(values, PrimeFinsets):
@@ -355,25 +354,21 @@ def _values_section(values):
     )
 
 
-def _named(doc, name):
-    if name is not None:
-        if not isinstance(name, str):
-            raise HNGameError(
-                f"cannot emit the name {name!r}: document names are strings"
-            )
-        doc["name"] = name
-    return doc
+def _document(kind, name, **sections):
+    if name is not None and not isinstance(name, str):
+        raise HNGameError(f"cannot emit the name {name!r}: names are strings")
+    named = {} if name is None else {"name": name}
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **named, **sections}
 
 
 def game_to_document(game, name=None):
     """Canonical document for a game: explicit payoff table, sorted entries."""
     names = game.lattice.names
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "game",
-        "lattice": _order_section(game.lattice),
-        "values": _values_section(game.values),
-        "payoff": {
+    return _document(
+        "game", name,
+        lattice=_order_section(game.lattice),
+        values=_values_section(game.values),
+        payoff={
             "source": "table",
             "entries": [
                 {
@@ -384,17 +379,11 @@ def game_to_document(game, name=None):
                 for a, b in game.lattice.strict_pairs()
             ],
         },
-    }
-    return _named(doc, name)
+    )
 
 
 def poset_to_document(poset, name=None):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "poset",
-        "poset": _order_section(poset),
-    }
-    return _named(doc, name)
+    return _document("poset", name, poset=_order_section(poset))
 
 
 def document_to_text(doc):

@@ -6,12 +6,11 @@ have strictly positive degree: the slope of [x, z] is then the mediant of
 those of [x, y] and [y, z].  :func:`quotient_payoff` checks those hypotheses
 and builds its game with the verdict.  On a bounded lattice, additive tables
 are exactly differences of potentials, R(y) = rank(bot, y) and D(y) =
-degree(bot, y), so data is one type, :class:`PotentialData`, and pair tables
-are read into it by :meth:`PotentialData.from_tables`, which checks every
-entry against the potentials of row bot.  Potentials are scaled to ints over their least
-common denominator, so each slope is an int quotient dv/rv, and the
-quotients are ranked once by the extended-rational encoding of
-:mod:`hngame.values` into the game's value codes.  A slope becomes a
+degree(bot, y), so :class:`PotentialData` holds the data, and
+:meth:`PotentialData.from_tables` reads tables into it, checking each entry.
+Potentials are scaled to ints over their least common denominator, so each
+slope is an int quotient dv/rv, ranked once by the extended-rational
+encoding of :mod:`hngame.values` into the game's value codes.  A slope is a
 ``Fraction`` only when read.
 """
 
