@@ -26,6 +26,8 @@ from hngame.game import (
     Game,
     MuTables,
     _peel,
+    _row_witness,
+    _series,
     dual,
     has_nash_equilibrium,
     has_seesaw_violation,
@@ -47,7 +49,7 @@ from hngame.game import (
     restrict,
     seesaw_classify,
 )
-from hngame.jordan_holder import enumerate_jh_filtrations
+from hngame.jordan_holder import _first_deviation, enumerate_jh_filtrations
 from hngame.order import Interval, as_bounded_lattice, build_poset
 from hngame.slopes import PotentialData, quotient_payoff
 from hngame.sweeps import (
@@ -572,6 +574,32 @@ def test_engine_matches_value_level_oracles(kind, dualize):
             payoff = {p: rng.choice(pool) for p in pairs}
             _assert_engine_matches_oracles(Game(lattice, values, payoff))
             _assert_engine_matches_oracles(dual(Game(lattice, values, payoff)))
+
+
+@pytest.mark.parametrize("kind", ["rationals", "n5"])
+def test_row_witness_is_the_first_beating_element(kind):
+    # The interval scans over mu_a and the Jordan-Hölder step check over the
+    # payoff name the first x by index strictly between lo and hi for which
+    # their comparison holds in the oracles' value order, or None.
+    values, pool = VALUE_KINDS[kind]()
+    order = value_order_oracle(values)
+    rng = random.Random(kind)
+    for lattice in lattice_iso_classes(5):
+        pairs = lattice.strict_pairs()
+        for _ in range(5):
+            g = Game(lattice, values, {p: rng.choice(pool) for p in pairs})
+            for lo, hi in pairs:
+                inside = [
+                    x for x in lattice.elements()
+                    if lattice.lt(lo, x) and lattice.lt(x, hi)
+                ]
+                ref = mu_a_oracle(g, lo, hi)
+                beats = [x for x in inside if order.lt(ref, mu_a_oracle(g, lo, x))]
+                witness = _row_witness(g, _series(g, 2), lo, hi, g.values.code_order.lt)
+                assert witness == next(iter(beats), None)
+                ref = g.payoff[(lo, hi)]
+                deviates = [x for x in inside if not order.lt(g.payoff[(lo, x)], ref)]
+                assert _first_deviation(g, lo, hi) == next(iter(deviates), None)
 
 
 def _assert_tables_match_cover_recursion(g):

@@ -129,6 +129,36 @@ def test_tables_accepted_exactly_as_by_the_triple_loop():
     }
 
 
+def _chain4_tables(rank, degree, rank_off=(), degree_off=()):
+    """The tables of potentials on a 4-chain, with the entries on the pairs
+    ``rank_off`` and ``degree_off`` moved by 1."""
+    pairs = fixtures.chain(4).strict_pairs()
+    return tuple(
+        {(x, y): p[y] - p[x] + ((x, y) in off) for x, y in pairs}
+        for p, off in ((rank, rank_off), (degree, degree_off))
+    )
+
+
+@pytest.mark.parametrize("tables, error, message", [
+    # The degree table is checked first, whatever pair the rank table fails.
+    (_chain4_tables([0, 1, 3, 4], [0, 2, 1, 5], {(1, 2)}, {(2, 3)}),
+     AdditivityViolation, "degree not additive on the chain c0 < c2 < c3"),
+    (_chain4_tables([0, 1, 3, 4], [0, 2, 1, 5], {(2, 3), (1, 2)}),
+     AdditivityViolation, "rank not additive on the chain c0 < c1 < c2"),
+    # Additivity before the sign rules, here a negative rank(c0, c1).
+    (_chain4_tables([0, -1, 3, 4], [0, 2, 1, 5], {(2, 3)}),
+     AdditivityViolation, "rank not additive on the chain c0 < c2 < c3"),
+    (_chain4_tables([0, 1, 0, 4], [0, 2, 1, 5]),
+     NegativeRank, "rank potential decreases along c1 < c2"),
+    (_chain4_tables([0, 1, 1, 4], [0, 2, 2, 5]),
+     ZeroRankNonpositiveDegree, "rank(c1, c2) = 0 requires degree(c1, c2) > 0"),
+])
+def test_table_errors_come_in_order(tables, error, message):
+    with pytest.raises(error) as err:
+        PotentialData.from_tables(fixtures.chain(4), *tables)
+    assert str(err.value) == message
+
+
 def test_potentials_must_be_order_preserving():
     with pytest.raises(ValueError):
         quotient_payoff(fixtures.c3(), PotentialData(
