@@ -141,13 +141,6 @@ def test_emit_refuses_order_dual_values(kind):
     assert emit_game(hgame.dual(hgame.dual(g))) == emit_game(g)
 
 
-def test_dual_of_rational_game_is_not_emitted_as_another_game():
-    d = hgame.dual(fixtures.g_mod())
-    assert hgame.mu_a_star(d) == 3
-    with pytest.raises(HNGameError):
-        emit_game(d)
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: dedekind_macneille(fixtures.b2()).as_lattice(), id="dm-cuts"),
     pytest.param(lambda: build_poset([1, "1"], []), id="labels-equal-as-strings"),
