@@ -613,9 +613,9 @@ def _scan_convexity(g):
 
 
 def _row_witness(g, codes, lo, hi, beats):
-    """The first x strictly between lo and hi, by index, with
-    ``beats(codes(lo, hi), codes(lo, x))``, or None.  ``codes`` is a code
-    list by pair id: the payoff codes, or a series of :func:`_series`."""
+    """The first x by index with lo < x < hi and ``beats(ref, c)``, ref and c
+    the codes of (lo, hi) and (lo, x), or None.  ``codes`` is a code list by
+    pair id: the payoff codes, or a series of :func:`_series`."""
     row = _pair_ids(g.lattice)[lo]
     ref = codes[row[hi]]
     for x in _iter_bits(g.lattice.strictly_between(lo, hi)):
