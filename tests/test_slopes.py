@@ -134,7 +134,7 @@ def _chain4_tables(rank, degree, rank_off=(), degree_off=()):
     ``rank_off`` and ``degree_off`` moved by 1."""
     pairs = fixtures.chain(4).strict_pairs()
     return tuple(
-        {(x, y): p[y] - p[x] + ((x, y) in off) for x, y in pairs}
+        {(x, y): p[y] - p[x] + (1 if (x, y) in off else 0) for x, y in pairs}
         for p, off in ((rank, rank_off), (degree, degree_off))
     )
 
