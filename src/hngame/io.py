@@ -100,11 +100,8 @@ def _require(doc, key, typ, where):
         raise SchemaError(f"missing required field {key!r}", field=where)
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, typ):
-        wanted = (
-            typ.__name__
-            if isinstance(typ, type)
-            else " or ".join(t.__name__ for t in typ)
-        )
+        typs = (typ,) if isinstance(typ, type) else typ
+        wanted = " or ".join(t.__name__ for t in typs)
         raise SchemaError(
             f"field {key!r} must be {wanted}", field=f"{where}.{key}"
         )
@@ -153,28 +150,46 @@ def _load_order_section(section, where):
     return build_poset(elements, cleaned)
 
 
+# The schema's value kinds and the class of each, the one place that names
+# them.  A FiniteChain is explicit lattice values; an order dual is of no kind.
+_VALUE_KINDS = {
+    "extended_rational": ExtendedRationals,
+    "explicit_lattice": FiniteLatticeValues,
+    "prime_finsets": PrimeFinsets,
+}
+
+
+def _value_kind(values):
+    for kind, cls in _VALUE_KINDS.items():
+        if isinstance(values, cls):
+            return kind, cls
+    raise HNGameError(
+        f"cannot emit the values {values!r}: documents have no order-dual kinds"
+    )
+
+
 def _load_values_section(section, where):
     kind = _require(section, "kind", str, where)
-    if kind == "extended_rational":
-        return ExtendedRationals()
-    if kind == "explicit_lattice":
-        poset = _load_order_section(section, where)
-        return FiniteLatticeValues(as_bounded_lattice(poset))
-    if kind == "prime_finsets":
+    cls = _VALUE_KINDS.get(kind)
+    if cls is ExtendedRationals:
+        return cls()
+    if cls is FiniteLatticeValues:
+        return cls(as_bounded_lattice(_load_order_section(section, where)))
+    if cls is PrimeFinsets:
         primes = _require(section, "primes", list, where)
         if not all(isinstance(p, int) and p >= 2 for p in primes):
             raise SchemaError("primes must be integers >= 2", field=f"{where}.primes")
         if len(set(primes)) != len(primes):
             raise SchemaError("primes must be distinct", field=f"{where}.primes")
-        return PrimeFinsets(primes)
+        return cls(primes)
     raise SchemaError(f"unknown value kind {kind!r}", field=f"{where}.kind")
 
 
-def _decode_value(values, raw, where):
-    if values.kind == "extended_rational":
+def _decode_value(cls, values, raw, where):
+    if cls is ExtendedRationals:
         return parse_rational(raw, where)
     value = raw
-    if values.kind == "prime_finsets":
+    if cls is PrimeFinsets:
         if not (isinstance(raw, list) and all(isinstance(p, int) for p in raw)):
             raise SchemaError("prime-set values are lists of ints", field=where)
         value = frozenset(raw)
@@ -184,14 +199,16 @@ def _decode_value(values, raw, where):
 
 
 def _encode_value(values, v):
-    if values.kind == "extended_rational":
+    cls = _value_kind(values)[1]
+    if cls is ExtendedRationals:
         return format_rational(v)
-    if values.kind == "prime_finsets":
+    if cls is PrimeFinsets:
         return sorted(v)
     return v
 
 
 def _load_payoff_table(lattice, values, entries, where):
+    cls = _value_kind(values)[1]
     payoff = {}
     for k, entry in enumerate(entries):
         loc = f"{where}[{k}]"
@@ -213,12 +230,10 @@ def _load_payoff_table(lattice, values, entries, where):
             )
         if "value" not in entry:
             raise SchemaError("missing required field 'value'", field=loc)
-        payoff[(lo, hi)] = _decode_value(values, entry["value"], f"{loc}.value")
+        payoff[(lo, hi)] = _decode_value(cls, values, entry["value"], f"{loc}.value")
     missing = set(lattice.strict_pairs()) - set(payoff)
     if missing:
-        shown = sorted(
-            (lattice.names[a], lattice.names[b]) for a, b in missing
-        )[:5]
+        shown = sorted((lattice.names[a], lattice.names[b]) for a, b in missing)[:5]
         raise SchemaError(f"payoff table misses strict pairs {shown}", field=where)
     return payoff
 
@@ -282,11 +297,8 @@ def parse_document(text, max_order=MAX_GROUP_ORDER):
         payoff = _load_payoff_table(lattice, values, entries, "payoff.entries")
         return "game", Game(lattice, values, payoff), name
     if source == "potentials":
-        values_section = doc.get("values", {"kind": "extended_rational"})
-        if (
-            not isinstance(values_section, dict)
-            or values_section.get("kind") != "extended_rational"
-        ):
+        section = doc.get("values", {"kind": "extended_rational"})
+        if not isinstance(section, dict) or section.get("kind") != "extended_rational":
             raise SchemaError(
                 "potential payoffs use extended_rational values", field="values"
             )
@@ -343,15 +355,12 @@ def _order_section(poset):
 
 
 def _values_section(values):
-    if isinstance(values, ExtendedRationals):
-        return {"kind": "extended_rational"}
-    if isinstance(values, PrimeFinsets):
-        return {"kind": "prime_finsets", "primes": list(values.primes)}
-    if isinstance(values, FiniteLatticeValues):
-        return {"kind": "explicit_lattice", **_order_section(values.lattice)}
-    raise HNGameError(
-        f"cannot emit the values {values!r}: documents have no order-dual kinds"
-    )
+    kind, cls = _value_kind(values)
+    if cls is PrimeFinsets:
+        return {"kind": kind, "primes": list(values.primes)}
+    if cls is FiniteLatticeValues:
+        return {"kind": kind, **_order_section(values.lattice)}
+    return {"kind": kind}
 
 
 def _document(kind, name, **sections):

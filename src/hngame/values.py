@@ -4,7 +4,8 @@ A game's payoff lands in a complete lattice S.  Three effective kinds cover
 everything this library needs: the extended rationals, an explicit finite
 lattice (total or not), and the Lex'-ordered finite subsets of a prime base.
 Each kind knows its values (``contains``), its bounds ``top`` and ``bot``,
-and its order dual (``dual``).
+its order dual (``dual``) and its codes: orders and codes only.  The
+document kinds live in :mod:`hngame.io`, by class, and no dual has one.
 
 Only the order of S matters to the game engine, and it sees that order only
 through codes: :meth:`ValueLattice.encode` validates a sequence of values
@@ -21,20 +22,19 @@ and returns their codes together with a map from code back to value, and
 - ``FiniteLatticeValues``: on a chain, the rank in the chain; otherwise the
   element index, ordered by the lattice itself (an up-set bit test, and sup
   and inf through the join and meet tables).  ``FiniteChain`` builds lattice
-  values on the chain of the values it is given;
-- the dual of a kind with integer codes negates the codes, and the dual of
-  lattice values keeps the indices under the dual lattice.
+  values on the chain of the values it is given.
 
 ``dual_codes`` turns codes of a kind into codes of its dual without looking
-at the values, so a dual game takes the codes of its game: a kind with
-integer codes negates them and reads code c of the dual as code -c of the
-kind, so not even the decode map is copied.  As the dual of the dual is the
-kind itself, ``dual_codes`` of a dual kind is that of the kind.  For the
-integer codes ``code_order`` is :data:`INT_ORDER`, whose operations are
-builtins, and a kind is total exactly when its codes are integers
-(:attr:`ValueLattice.is_total`).
-Equal values get equal codes, so ``==`` on codes is ``==`` on values.
-There is no value-level order: values are compared by comparing their codes.
+at the values, so a dual game takes the codes of its game: lattice values
+keep their indices under the dual lattice, and a kind with integer codes
+negates them and reads code c of the dual as code -c of the kind, so not
+even the decode map is copied.  As the dual of the dual is the kind itself,
+``dual_codes`` of a dual kind is that of the kind.  For the integer codes
+``code_order`` is :data:`INT_ORDER`, whose operations are builtins, and a
+kind is total exactly when its codes are integers
+(:attr:`ValueLattice.is_total`).  Equal values get equal codes, so ``==``
+on codes is ``==`` on values: there is no value-level order, and values are
+compared by comparing their codes.
 
 A decode map is anything indexed by code: a dict, a tuple, a view such as
 :class:`_NegatedCodes`, or the extended rationals of :class:`_Slopes`, which
@@ -92,7 +92,6 @@ class ValueLattice:
     dual, and the codes of values with ``code_order``, the only order on
     them: :data:`INT_ORDER` for a total kind, a lattice for any other."""
 
-    kind = None
     top = None
     bot = None
     code_order = INT_ORDER
@@ -134,7 +133,6 @@ class ExtendedRationals(ValueLattice):
     sentinels, which compare exactly against Fraction.
     """
 
-    kind = "extended_rational"
     top = POS_INF
     bot = NEG_INF
 
@@ -161,7 +159,7 @@ class ExtendedRationals(ValueLattice):
         return isinstance(other, ExtendedRationals)
 
     def __hash__(self):
-        return hash("extended_rational")
+        return hash(ExtendedRationals)
 
     def __repr__(self):
         return "ExtendedRationals()"
@@ -264,8 +262,6 @@ class FiniteLatticeValues(ValueLattice):
     is its element index, ordered, joined and met by the lattice itself.
     """
 
-    kind = "explicit_lattice"
-
     def __init__(self, lattice):
         self.lattice = lattice
         self.elements = names = lattice.names
@@ -291,12 +287,10 @@ class FiniteLatticeValues(ValueLattice):
             raise _not_a_value(exc.args[0]) from None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteLatticeValues) and self.lattice == other.lattice
-        )
+        return isinstance(other, FiniteLatticeValues) and self.lattice == other.lattice
 
     def __hash__(self):
-        return hash(("lattice_values", self.lattice))
+        return hash((FiniteLatticeValues, self.lattice))
 
     def __repr__(self):
         return f"FiniteLatticeValues({self.lattice!r})"
@@ -325,8 +319,6 @@ class PrimeFinsets(ValueLattice):
     so the order is already a complete lattice: the empty set is bot and the
     full base is top.
     """
-
-    kind = "prime_finsets"
 
     def __init__(self, primes):
         self.primes = tuple(sorted(primes))
@@ -367,7 +359,7 @@ class PrimeFinsets(ValueLattice):
         return isinstance(other, PrimeFinsets) and self.primes == other.primes
 
     def __hash__(self):
-        return hash(("prime_finsets", self.primes))
+        return hash((PrimeFinsets, self.primes))
 
     def __repr__(self):
         return f"PrimeFinsets({list(self.primes)!r})"
@@ -378,7 +370,6 @@ class _DualValues(ValueLattice):
 
     def __init__(self, inner):
         self.inner = inner
-        self.kind = inner.kind
         self.top = inner.bot
         self.bot = inner.top
         # Total kinds negate their codes, so the integer order still applies.

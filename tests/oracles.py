@@ -52,11 +52,12 @@ def value_order_oracle(values):
     list, the empty sup being bot and the empty inf top.  The kind is read
     off the value lattice's data attributes, and none of its methods is
     called: a dual (``inner``) swaps the order of the lattice it dualizes,
-    extended rationals compare exactly, prime sets by
-    :func:`lex_key_oracle`, and explicit lattice values, chains among them,
-    by the up-sets of their lattice, with sup and inf folding the tables of
-    :func:`lattice_tables_oracle`.  Cached per value lattice
-    object for as long as it lives.
+    prime sets (``primes``) compare by :func:`lex_key_oracle`, explicit
+    lattice values (``lattice``), chains among them, by the up-sets of their
+    lattice, with sup and inf folding the tables of
+    :func:`lattice_tables_oracle`, and a value lattice with none of these
+    attributes is the extended rationals, compared exactly.  Cached per
+    value lattice object for as long as it lives.
     """
     order = _VALUE_ORDERS.get(id(values))
     if order is None:
@@ -75,14 +76,15 @@ def _build_value_order(values):
             sup=order.inf,
             inf=order.sup,
         )
-    if values.kind == "extended_rational":
-        return _total_order(lambda v: v, float("-inf"), float("inf"))
-    if values.kind == "prime_finsets":
-        base = sorted(values.primes)
+    primes = getattr(values, "primes", None)
+    if primes is not None:
+        base = sorted(primes)
         return _total_order(
             lambda v: lex_key_oracle(base, v), frozenset(), frozenset(base)
         )
-    lattice = values.lattice
+    lattice = getattr(values, "lattice", None)
+    if lattice is None:
+        return _total_order(lambda v: v, float("-inf"), float("inf"))
     bot, top, meet, join = lattice_tables_oracle(lattice)
     names, up = lattice.names, lattice.up
     index = {name: i for i, name in enumerate(names)}

@@ -21,6 +21,7 @@ from hngame.order import build_poset
 from hngame.sweeps import iter_sweep_games, random_quotient_game
 from hngame.values import FiniteLatticeValues
 from hngame.io import (
+    _encode_value,
     document_to_text,
     emit_game,
     export_dot,
@@ -41,9 +42,28 @@ def test_fixture_files_exist():
     assert len(FIXTURE_DOCS) >= 6
 
 
-@pytest.mark.parametrize("path", FIXTURE_DOCS, ids=lambda p: p.stem)
-def test_parse_emit_parse_fixpoint(path):
-    text = path.read_text()
+# One game of each value kind: a quotient, a coprimary and a sweep game.
+EMIT_KINDS = {
+    "extended_rational": lambda: random_quotient_game(random.Random(4), 7),
+    "prime_finsets": lambda: coprimary_game(FiniteAbelianGroup([12])),
+    "explicit_lattice": lambda: next(iter_sweep_games(fixtures.b2())),
+}
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(path, id=path.stem) for path in FIXTURE_DOCS),
+    *(pytest.param(kind, id=kind) for kind in EMIT_KINDS),
+])
+def test_parse_emit_parse_fixpoint(source):
+    # Every fixture, and the emitted game of each value kind, which parses
+    # back to that game: sweep games carry FiniteChain values, and emit them
+    # as an explicit-lattice section.
+    if isinstance(source, str):
+        game = EMIT_KINDS[source]()
+        text = emit_game(game, name=source)
+        assert parse_game(text) == game
+    else:
+        text = source.read_text()
     kind, obj, _ = parse_document(text)
     if kind == "poset":
         text2 = document_to_text(poset_to_document(obj))
@@ -103,14 +123,6 @@ def test_poset_vs_game_mismatch():
         parse_game((REPO / "fixtures" / "two_antichain.json").read_text())
 
 
-# One game of each value kind: a quotient, a coprimary and a sweep game.
-EMIT_KINDS = {
-    "extended_rational": lambda: random_quotient_game(random.Random(4), 7),
-    "prime_finsets": lambda: coprimary_game(FiniteAbelianGroup([12])),
-    "explicit_lattice": lambda: next(iter_sweep_games(fixtures.b2())),
-}
-
-
 def test_shipped_fixtures_validate_against_schema():
     # The fixtures, what the emitters write for each of them, and the emitted
     # games of EMIT_KINDS all meet the schema.
@@ -133,13 +145,18 @@ def test_shipped_fixtures_validate_against_schema():
 @pytest.mark.parametrize("kind", list(EMIT_KINDS))
 def test_emit_refuses_order_dual_values(kind):
     # A document has no order-dual kind: the dual of a game is refused in one
-    # line, where it would otherwise come back as a different game, and the
-    # dual of the dual emits as the game.
+    # line, where it would otherwise come back as a different game, and so is
+    # a value of the dual, which encodes like a value of the game.  The dual
+    # of the dual emits as the game.
     g = EMIT_KINDS[kind]()
+    dual_values = hgame.dual(g).values
     with pytest.raises(HNGameError) as err:
         emit_game(hgame.dual(g))
     assert str(err.value).startswith("cannot emit the values ")
     assert len(str(err.value).splitlines()) == 1
+    with pytest.raises(HNGameError) as value_err:
+        _encode_value(dual_values, dual_values.top)
+    assert str(value_err.value) == str(err.value)
     assert emit_game(hgame.dual(hgame.dual(g))) == emit_game(g)
 
 
@@ -779,18 +796,6 @@ def test_covers_and_relation_mutually_exclusive():
     }
     with pytest.raises(SchemaError):
         parse_document(json.dumps(doc))
-
-
-def test_chain_valued_game_emits_and_reparses():
-    # Sweep games carry FiniteChain values; emission normalizes them to the
-    # explicit-lattice section and the emitted text is a fixpoint.
-    g = next(iter_sweep_games(fixtures.b2()))
-    text = emit_game(g, name="sweep")
-    g2 = parse_game(text)
-    assert g2.payoff == g.payoff
-    assert g2.lattice == g.lattice
-    assert g2 == g
-    assert emit_game(g2, name="sweep") == text
 
 
 def test_chain_values_listed_top_down_give_the_check_golden(tmp_path):

@@ -1,7 +1,8 @@
 """Checks on the repository around the library: the README code runs as
 printed and its layout names every module, the library imports nothing
 beyond the standard library, the test oracles stay independent of the
-production code, and the public names of the package match their pin."""
+production code, io.py alone names the schema's value kinds, and the public
+names of the package match their pin."""
 
 import ast
 import contextlib
@@ -94,6 +95,27 @@ def test_no_class_defines_getattr():
                     and item.name == "__getattr__"
                 )
     assert hooks == []
+
+
+def test_only_io_names_the_value_kinds():
+    # The schema's value kinds are document kinds.  io.py maps each to its
+    # value class, and no other module holds one: a value lattice that
+    # carried its kind string handed it to its order dual, which then read
+    # as the order it reverses.
+    schema = json.loads((TESTS.parent / "schema" / "document.schema.json").read_text())
+    kinds = {
+        section["properties"]["kind"]["const"]
+        for section in schema["$defs"]["values"]["oneOf"]
+    }
+    holders = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in kinds:
+                holders.add(path.name)
+    assert holders == {"io.py"}
+    from hngame.io import _VALUE_KINDS
+
+    assert set(_VALUE_KINDS) == kinds
 
 
 def test_public_api_matches_its_pin():
